@@ -1,0 +1,54 @@
+"""Golden results: pinned SHA-256 digests of small seeded experiment grids.
+
+The other grid tests compare a run with itself (serial against parallel,
+run against rerun), so a change that alters every result the same way
+still passes them. These digests were recorded once and must not move: a
+refactor of the planners, the search or the harness that changes any byte
+of these CSVs changes behaviour, and has to be argued as such.
+
+To see what moved, run the grid with the same config and diff the CSV
+against one written by the commit that recorded the digests.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from rtss.harness import ExperimentConfig, run_experiment
+
+AIRSPACE = {"type": "airspace", "length": 300, "maxAltitude": 8, "pObs": 0.1,
+            "seeds": [1, 2]}
+RACETRACK = {"type": "racetrack", "path": "builtin:right-turn",
+             "startSamples": 3, "startSeed": 2}
+
+PLANNERS = [{"name": "lss-lrta"}, {"name": "safe-rts"}, {"name": "safe-lss-lrta"}]
+PLANNERS += [{"name": "rtfs", "ratio": 0.5, "evaluator": evaluator,
+              "carryover": carryover}
+             for evaluator in ("astar", "wastar:1.1", "greedy")
+             for carryover in (True, False)]
+
+GRIDS = {
+    "airspace": (AIRSPACE, PLANNERS, True,
+                 "389918ef57ae02b104230da589f9c9babac88749298378292807031bbd3c1daa"),
+    "racetrack": (RACETRACK, PLANNERS + [{"name": "safe-rts", "commit": "full"}],
+                  True,
+                  "c840c9fb4e6619ffc53c843a89cae72d6db574c18a72ac25ea0f3ef31a1998e4"),
+    "airspace-cache-off": (AIRSPACE, [{"name": "safe-rts"},
+                                      {"name": "rtfs", "evaluator": "wastar:1.1"}],
+                           False,
+                           "37aba96c4d9c5c5d6f35b4a5392e27771703b0acef4f08e9ca1eb7dfac7825ed"),
+}
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+def test_grid_csv_matches_its_recorded_digest(grid, tmp_path):
+    domain, algorithms, cache_enabled, digest = GRIDS[grid]
+    config = ExperimentConfig(domain=domain, algorithms=algorithms,
+                              bounds=[10, 30], config_seed=7,
+                              cache_enabled=cache_enabled, max_iterations=2000,
+                              output=str(tmp_path / f"{grid}.csv"))
+    records = run_experiment(config)
+    assert not any(r.outcome.startswith("error") for r in records)
+    with open(config.output, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
