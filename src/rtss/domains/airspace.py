@@ -148,9 +148,6 @@ class AirspaceInstance:
 
     # -- enumeration and sampling ------------------------------------------
 
-    def state_count(self) -> int:
-        return (self.max_altitude + 1) * (self.length + 1)
-
     def all_states(self) -> list:
         states = []
         for a in range(self.max_altitude + 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .domains import airspace, racetrack
-from .planners import (ALGORITHMS, RTFS, SAFE_LSS_LRTA, EpisodeResult,
+from .planners import (RTFS, SAFE_LSS_LRTA, EpisodeResult,
                        PlannerConfig, SafeFilteredDomain, apply_action,
                        offline_astar, run_episode)
 from .rng import mix64
@@ -74,6 +74,10 @@ def write_csv(path: str, records: list[RunRecord]) -> None:
             f.write(",".join(_fmt(v) for v in rec.row()) + "\n")
 
 
+def _instance_id(domain, instance_id: str) -> str:
+    return instance_id or getattr(domain, "instance_id", "instance")
+
+
 def replay_actions(domain, start, actions) -> tuple[Any, bool]:
     """Re-apply an action log against the dynamics; returns (final state,
     entered_dead_end). A dead end is a terminal or successor-free non-goal."""
@@ -85,6 +89,14 @@ def replay_actions(domain, start, actions) -> tuple[Any, bool]:
         if domain.is_terminal(state) or not domain.successors(state):
             return state, True
     return state, False
+
+
+def _audit(domain, start, actions) -> tuple[bool, float, float]:
+    """Replay an action log; returns (entered_dead_end, GAT, velocity)."""
+    final, entered_dead_end = replay_actions(domain, start, actions)
+    gat = float(len(actions))
+    velocity = domain.travel_distance(start, final) / gat if gat else 0.0
+    return entered_dead_end, gat, velocity
 
 
 def simulate_episode(config: PlannerConfig, domain, start,
@@ -101,26 +113,20 @@ def simulate_episode(config: PlannerConfig, domain, start,
     cache = DeadEndCache(enabled=cache_enabled)
     result = run_episode(planning_domain, start, config, cache=cache,
                          max_iterations=max_iterations)
-    final, entered_dead_end = replay_actions(domain, start, result.actions)
-    outcome = result.outcome
-    if entered_dead_end:
-        outcome = "dead_end"
-    gat = float(len(result.actions))
-    distance = domain.travel_distance(start, final)
-    velocity = distance / gat if gat > 0 else 0.0
+    entered_dead_end, gat, velocity = _audit(domain, start, result.actions)
     total = sum(r.expansions_goal + r.expansions_proof for r in result.reports)
     proof = sum(r.expansions_proof for r in result.reports)
     ranks = [r.target_open_rank for r in result.reports
              if r.target_open_rank is not None]
     record = RunRecord(
-        instance_id=instance_id or getattr(domain, "instance_id", "instance"),
+        instance_id=_instance_id(domain, instance_id),
         algorithm=config.algorithm,
         iteration_bound=config.iteration_bound,
         exploration_ratio=(config.exploration_ratio
                            if config.algorithm == RTFS else None),
         evaluator=(config.evaluator.name if config.algorithm == RTFS else "astar"),
         seed=seed,
-        outcome=outcome,
+        outcome="dead_end" if entered_dead_end else result.outcome,
         gat=gat,
         velocity=velocity,
         total_expansions=total,
@@ -137,18 +143,15 @@ def simulate_offline_astar(domain, start, instance_id: str = "",
     """The perfect-agent reference: plan offline, then execute; planning
     effort does not count toward GAT."""
     solved = offline_astar(domain, start)
+    instance_id = _instance_id(domain, instance_id)
     if solved is None:
-        return RunRecord(instance_id or getattr(domain, "instance_id", "instance"),
-                         OFFLINE_ASTAR, 0, None, "astar", seed, "failure",
-                         0.0, 0.0, 0, 0, 0.0, None, 0)
+        return RunRecord(instance_id, OFFLINE_ASTAR, 0, None, "astar", seed,
+                         "failure", 0.0, 0.0, 0, 0, 0.0, None, 0)
     actions, _cost, expansions = solved
-    final, entered = replay_actions(domain, start, actions)
-    gat = float(len(actions))
-    distance = domain.travel_distance(start, final)
-    return RunRecord(instance_id or getattr(domain, "instance_id", "instance"),
-                     OFFLINE_ASTAR, 0, None, "astar", seed,
-                     "dead_end" if entered else "goal", gat,
-                     distance / gat if gat else 0.0, expansions, 0, 0.0, None, 0)
+    entered, gat, velocity = _audit(domain, start, actions)
+    return RunRecord(instance_id, OFFLINE_ASTAR, 0, None, "astar", seed,
+                     "dead_end" if entered else "goal", gat, velocity,
+                     expansions, 0, 0.0, None, 0)
 
 
 def measure_reexpansion_ratio(config: PlannerConfig, domain, start,
@@ -176,7 +179,7 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = _require(json.load(f), dict, "experiment config")
         return ExperimentConfig(
             domain=raw["domain"],
             algorithms=raw["algorithms"],
@@ -189,10 +192,18 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        _require(self.algorithms, list, "algorithms")
+        _require(self.bounds, list, "bounds")
+        _require(self.domain, dict, "domain")
         if not self.algorithms:
             raise ValueError("algorithm grid is empty")
         if not self.bounds:
             raise ValueError("bound grid is empty")
+        for bound in self.bounds:
+            _require(bound, int, "bounds")
+        _require(self.repetitions, int, "repetitions")
+        _require(self.config_seed, int, "configSeed")
+        _require(self.max_iterations, int, "maxIterations")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         kind = self.domain.get("type")
@@ -200,8 +211,9 @@ class ExperimentConfig:
             for key in ("length", "maxAltitude", "pObs", "seeds"):
                 if key not in self.domain:
                     raise ValueError(f"airspace domain spec is missing {key!r}")
+            _require(self.domain["seeds"], list, "domain.seeds")
         elif kind == "airspace_files":
-            for p in self.domain.get("paths", []):
+            for p in _require(self.domain.get("paths", []), list, "domain.paths"):
                 if not os.path.exists(p):
                     raise ValueError(f"instance file not found: {p}")
         elif kind == "racetrack":
@@ -210,10 +222,23 @@ class ExperimentConfig:
                 raise ValueError(f"racetrack map not found: {path}")
         else:
             raise ValueError(f"unknown domain type {kind!r}")
-        for spec in self.algorithms:
-            name = spec.get("name")
-            if name not in ALGORITHMS and name != OFFLINE_ASTAR:
-                raise ValueError(f"unknown algorithm {name!r}")
+        for i, spec in enumerate(self.algorithms):
+            _require(spec, dict, f"algorithms[{i}]")
+            for bound in self.bounds:
+                try:
+                    _planner_config(spec, bound)
+                except (ValueError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
+
+
+_EXPECTED = {list: "a list", dict: "an object", int: "an integer"}
+
+
+def _require(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be {_EXPECTED[kind]}, "
+                         f"not {type(value).__name__} {value!r:.40}")
+    return value
 
 
 def _build_instances(config: ExperimentConfig) -> list[tuple[str, Any, Any]]:
@@ -247,7 +272,7 @@ def _build_instances(config: ExperimentConfig) -> list[tuple[str, Any, Any]]:
 
 
 def _planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
-    name = spec["name"]
+    name = spec.get("name")
     if name == OFFLINE_ASTAR:
         return None
     return PlannerConfig(

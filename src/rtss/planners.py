@@ -17,9 +17,9 @@ from typing import Any, Optional
 from .safety import (BudgetOut, DeadEndCache, Exhausted, ProofResult, Proven,
                      cache_dead_ends, propagate_dead_ends, propagate_safety,
                      prove_safety, prune_exhausted)
-from .search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
-                     SearchGraph, dijkstra_h_update, expand_best_first,
-                     path_to, select_best_f)
+from .search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SearchGraph,
+                     dijkstra_h_update, expand_best_first, path_to,
+                     select_best_f)
 
 LSS_LRTA = "lss-lrta"
 SAFE_RTS = "safe-rts"
@@ -66,6 +66,20 @@ class IterationReport:
     unused_budget: int = 0
     phases: tuple = ()                      # (('explore', n) | ('proof', n), ...)
 
+    def tally_proof(self, res: ProofResult) -> None:
+        self.proofs_attempted += 1
+        if isinstance(res, Proven):
+            self.proofs_succeeded += 1
+        elif isinstance(res, Exhausted):
+            self.proofs_exhausted += 1
+        else:
+            self.proofs_budget_out += 1
+
+    def end_search(self, phases) -> None:
+        """Record the phase log and what is left of the bound."""
+        self.phases = tuple(phases)
+        self.unused_budget = self.bound - self.expansions_goal - self.expansions_proof
+
 
 @dataclass
 class EpisodeResult:
@@ -84,8 +98,7 @@ def evaluator_for(config: PlannerConfig) -> Evaluator:
     return config.evaluator if config.algorithm == RTFS else FCOST
 
 
-def safe_toward_best(graph: SearchGraph,
-                     frontier_order: str = "fcost") -> Optional[tuple[Any, int]]:
+def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
     """Pick the commit target under the safe-toward-best rule.
 
     Open nodes are scanned best-first; the first whose root path carries a
@@ -94,22 +107,28 @@ def safe_toward_best(graph: SearchGraph,
     1-based open rank) or None. A path whose only safe node is the root
     offers no progress and does not qualify.
 
-    The scan runs in plain f order by default; frontier_order="evaluator"
-    ranks the open list by the iteration's own exploration evaluator
-    instead, so a weighted or greedy search commits toward the frontier it
-    actually built (identical to f order for the astar evaluator).
+    The scan ranks the open list by the iteration's own exploration
+    evaluator, so a weighted or greedy search commits toward the frontier
+    it actually built; under the astar evaluator that is plain f order.
     """
     nodes = graph.nodes
     root = graph.root
-    ordered = (graph.open_nodes_in_key_order() if frontier_order == "evaluator"
-               else graph.open_nodes_in_f_order())
-    for rank, node in enumerate(ordered, start=1):
+    for rank, node in enumerate(graph.open_nodes_in_key_order(), start=1):
         cur = node
         while cur is not None and cur.state != root:
-            if cur.safety in (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE):
+            if cur.safety in _SAFE:
                 return cur.state, rank
             cur = nodes[cur.parent[0]] if cur.parent is not None else None
     return None
+
+
+def _prove_target(graph: SearchGraph, target, limit: int, domain,
+                  cache: DeadEndCache) -> ProofResult:
+    """Prove target within limit expansions; one already marked safe is free."""
+    if graph.nodes[target].safety in _SAFE:
+        return Proven((target,), 0)
+    return prove_safety(target, ExpansionBudget(limit), domain, cache,
+                        known_safe=graph.safety_lookup)
 
 
 def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
@@ -117,8 +136,7 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
     """The RTFS-0 proof allocator: prove the best open node, prune on
     exhaustion and move to the next best, stop on success or budget out.
 
-    Returns (results, expansions_used, proven_paths). A target already
-    marked safe is secured at zero cost.
+    Returns (results, expansions_used, proven_paths).
     """
     results: list[ProofResult] = []
     proven_paths: list = []
@@ -127,14 +145,8 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
         ordered = graph.open_nodes_in_key_order()
         if not ordered:
             break
-        target = ordered[0].state
-        node = graph.nodes[target]
-        if node.safety in (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE):
-            results.append(Proven((target,), 0))
-            proven_paths.append((target,))
-            break
-        res = prove_safety(target, ExpansionBudget(budget_limit - used), domain,
-                           cache, known_safe=graph.safety_lookup)
+        res = _prove_target(graph, ordered[0].state, budget_limit - used,
+                            domain, cache)
         used += res.expansions
         results.append(res)
         if isinstance(res, Proven):
@@ -142,18 +154,29 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
             break
         if isinstance(res, BudgetOut):
             break
-        cache_dead_ends(cache, res, graph)
+        cache_dead_ends(cache, res)
         prune_exhausted(graph, res)
         propagate_dead_ends(graph, domain, cache)
     return results, used, proven_paths
 
 
-def _commit(graph: SearchGraph, target, config: PlannerConfig,
-            full: bool = False) -> tuple:
+def _commit(report: IterationReport, graph: SearchGraph, target,
+            config: PlannerConfig, rank: Optional[int] = None) -> IterationReport:
+    """Commit toward target, reached from the open node of the given rank;
+    a target without a rank is a goal, and its whole path is committed."""
     actions = path_to(graph, target)
-    if not full and config.commit_mode == "single":
+    if rank is not None and config.commit_mode == "single":
         actions = actions[:1]
-    return tuple(actions)
+    report.committed_actions = tuple(actions)
+    report.target_open_rank = rank
+    return report
+
+
+def _commit_goal(report: IterationReport, graph: SearchGraph, goal,
+                 config: PlannerConfig, domain, cache) -> IterationReport:
+    dijkstra_h_update(graph, domain, cache)
+    report.outcome = "goal"
+    return _commit(report, graph, goal, config)
 
 
 def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
@@ -167,21 +190,15 @@ def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     outcome = expand_best_first(graph, graph.evaluator, budget, domain,
                                 stop_on_goal=True, cache=cache)
     report.expansions_goal = budget.used
-    report.unused_budget = bound - budget.used
-    report.phases = (("explore", budget.used),)
+    report.end_search([("explore", budget.used)])
     if outcome.goal_found:
-        dijkstra_h_update(graph, domain, cache)
-        report.outcome = "goal"
-        report.committed_actions = _commit(graph, outcome.goal, config, full=True)
-        return report
+        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
     target = select_best_f(graph)
     if target is None:
         report.outcome = "failure"
         return report
     dijkstra_h_update(graph, domain, cache)
-    report.committed_actions = _commit(graph, target, config)
-    report.target_open_rank = 1
-    return report
+    return _commit(report, graph, target, config, rank=1)
 
 
 def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
@@ -224,41 +241,26 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         if target is None:
             open_emptied = True
             break
-        report.proofs_attempted += 1
-        tnode = graph.nodes[target]
-        if tnode.safety in (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE):
-            res: ProofResult = Proven((target,), 0)
-        else:
-            res = prove_safety(target, ExpansionBudget(min(b, remaining)), domain,
-                               cache, known_safe=graph.safety_lookup)
+        res = _prove_target(graph, target, min(b, remaining), domain, cache)
+        report.tally_proof(res)
         report.expansions_proof += res.expansions
         phases.append(("proof", res.expansions))
         if isinstance(res, Proven):
-            report.proofs_succeeded += 1
             proven_paths.append(res.path)
             b = config.initial_proof_budget
         else:
             if isinstance(res, Exhausted):
-                report.proofs_exhausted += 1
                 cache_dead_ends(cache, res, graph)
-            else:
-                report.proofs_budget_out += 1
             b *= 2
-    report.phases = tuple(phases)
-    report.unused_budget = bound - report.expansions_goal - report.expansions_proof
+    report.end_search(phases)
     if goal_state is not None:
-        dijkstra_h_update(graph, domain, cache)
-        report.outcome = "goal"
-        report.committed_actions = _commit(graph, goal_state, config, full=True)
-        return report
+        return _commit_goal(report, graph, goal_state, config, domain, cache)
     propagate_safety(graph, domain, proven_paths)
     selection = safe_toward_best(graph)
     if selection is not None:
         target, rank = selection
         dijkstra_h_update(graph, domain, cache)
-        report.committed_actions = _commit(graph, target, config)
-        report.target_open_rank = rank
-        return report
+        return _commit(report, graph, target, config, rank)
     identity = domain.identity_action(graph.root)
     if identity is not None and not open_emptied:
         dijkstra_h_update(graph, domain, cache)
@@ -308,13 +310,7 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
             proven_paths.extend(paths)
             phases.append(("proof", used))
             for res in results:
-                report.proofs_attempted += 1
-                if isinstance(res, Proven):
-                    report.proofs_succeeded += 1
-                elif isinstance(res, Exhausted):
-                    report.proofs_exhausted += 1
-                else:
-                    report.proofs_budget_out += 1
+                report.tally_proof(res)
 
     explore_budget = int(bound * config.exploration_ratio)
     run_slice(explore_budget, bound - explore_budget)
@@ -331,27 +327,22 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
                 break
             if report.expansions_goal + report.expansions_proof == before:
                 break
-    report.phases = tuple(phases)
-    report.unused_budget = bound - report.expansions_goal - report.expansions_proof
+    report.end_search(phases)
     if goal_state is not None:
-        dijkstra_h_update(graph, domain, cache)
-        report.outcome = "goal"
-        report.committed_actions = _commit(graph, goal_state, config, full=True)
-        return report
-    if open_emptied and select_best_f(graph) is None:
+        return _commit_goal(report, graph, goal_state, config, domain, cache)
+    if open_emptied:
+        # an emptied open list leaves no open node to commit toward
         report.outcome = "failure"
         return report
     dijkstra_h_update(graph, domain, cache)
     propagate_dead_ends(graph, domain, cache)
     propagate_safety(graph, domain, proven_paths)
-    selection = safe_toward_best(graph, frontier_order="evaluator")
+    selection = safe_toward_best(graph)
     if selection is None:
         report.outcome = "terminated"
         return report
     target, rank = selection
-    report.committed_actions = _commit(graph, target, config)
-    report.target_open_rank = rank
-    return report
+    return _commit(report, graph, target, config, rank)
 
 
 class SafeFilteredDomain:
@@ -367,16 +358,6 @@ class SafeFilteredDomain:
 
     def __getattr__(self, name):
         return getattr(self._domain, name)
-
-
-def safe_lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                            safe_states: set,
-                            cache: Optional[DeadEndCache] = None,
-                            bound: Optional[int] = None) -> IterationReport:
-    """LSS-LRTA* with an ideal dead-end detector: successors outside the
-    ground-truth safe set are never generated."""
-    return lss_lrta_iteration(graph, config, SafeFilteredDomain(domain, safe_states),
-                              cache, bound)
 
 
 def iteration_step(graph: SearchGraph, config: PlannerConfig, domain,

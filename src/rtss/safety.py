@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
-from .search import INF, ExpansionBudget, SafetyStatus, SearchGraph
-
-_SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
+from .search import _SAFE, INF, ExpansionBudget, SafetyStatus, SearchGraph
 
 
 @dataclass(frozen=True)
@@ -142,23 +140,19 @@ def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted,
         if cache.flag(state, origin="exhausted"):
             count += 1
     if graph is not None and cache.enabled:
-        _prune_states(graph, exhausted.visited)
+        prune_exhausted(graph, exhausted)
     return count
-
-
-def _prune_states(graph: SearchGraph, states) -> None:
-    for state in states:
-        node = graph.nodes.get(state)
-        if node is not None and node.stamp == graph.stamp:
-            node.safety = SafetyStatus.DEAD_END
-            node.on_open = False
-            node.h = INF
 
 
 def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> None:
     """Drop an exhausted proof's states from the current search tree
     unconditionally (within-iteration pruning, independent of the cache)."""
-    _prune_states(graph, exhausted.visited)
+    for state in exhausted.visited:
+        node = graph.nodes.get(state)
+        if node is not None and node.stamp == graph.stamp:
+            node.safety = SafetyStatus.DEAD_END
+            node.on_open = False
+            node.h = INF
 
 
 def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
@@ -175,27 +169,17 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
     nodes = graph.nodes
     newly = 0
     worklist: deque = deque()
-
-    def mark(node, status) -> int:
-        nonlocal newly
-        if node.safety == SafetyStatus.DEAD_END:
-            return 0
-        if node.safety == SafetyStatus.UNKNOWN:
-            node.safety = status
-            newly += 1
-            worklist.append(node)
-            return 1
-        if status == SafetyStatus.EXPLICITLY_SAFE:
-            node.safety = status
-        return 0
-
     for path in proven_paths:
         for i, state in enumerate(path):
             node = graph.ensure_node(state)
             last = i == len(path) - 1
             explicit = last and (domain.f_safe(state) or domain.is_goal(state))
-            mark(node, SafetyStatus.EXPLICITLY_SAFE if explicit
-                 else SafetyStatus.IMPLICITLY_SAFE)
+            if node.safety == SafetyStatus.UNKNOWN:
+                node.safety = (SafetyStatus.EXPLICITLY_SAFE if explicit
+                               else SafetyStatus.IMPLICITLY_SAFE)
+                newly += 1
+            elif explicit and node.safety != SafetyStatus.DEAD_END:
+                node.safety = SafetyStatus.EXPLICITLY_SAFE
             if node.safety in _SAFE:
                 worklist.append(node)
 

@@ -30,19 +30,18 @@ _SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
 
 @dataclass(frozen=True)
 class Evaluator:
-    """Open-list ordering. kind is one of astar | wastar | greedy | dsafe.
+    """Open-list ordering. kind is one of astar | wastar | greedy.
 
     astar keys on g + h, wastar on g + weight * h, greedy on h; all three
     break ties toward larger g and then insertion order, so wastar with
-    weight 1.0 expands in exactly the astar order. dsafe (proof search)
-    keys on the safety distance with ties broken by lower base h.
+    weight 1.0 expands in exactly the astar order.
     """
 
     kind: str = "astar"
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("astar", "wastar", "greedy", "dsafe"):
+        if self.kind not in ("astar", "wastar", "greedy"):
             raise ValueError(f"unknown evaluator kind {self.kind!r}")
         if self.kind == "wastar" and self.weight < 1.0:
             raise ValueError("wastar weight must be >= 1")
@@ -101,7 +100,7 @@ class SearchNode:
         return self.safety in _SAFE
 
     def __repr__(self):
-        return (f"SearchNode({self.state!r}, g={self.g}, h={self.h}, "
+        return (f"{type(self).__name__}({self.state!r}, g={self.g}, h={self.h}, "
                 f"{self.safety.name})")
 
 
@@ -128,7 +127,6 @@ class SearchGraph:
         self.evaluator: Evaluator = FCOST
         self.stamp = 0
         self.root = None
-        self.closed_count = 0
         self.touched: list[SearchNode] = []
         self._seq = 0
         self._domain = None
@@ -142,7 +140,6 @@ class SearchGraph:
         self.stamp += 1
         self.open = []
         self.touched = []
-        self.closed_count = 0
         self.evaluator = evaluator
         self._key = _key_fn(evaluator)
         self._domain = domain
@@ -155,12 +152,7 @@ class SearchGraph:
 
     def touch(self, state) -> SearchNode:
         """Fetch the node for a state, stamping it into the current iteration."""
-        node = self.nodes.get(state)
-        if node is None:
-            node = SearchNode(state, self._domain.h(state))
-            if self._domain.f_safe(state) or self._domain.is_goal(state):
-                node.safety = SafetyStatus.EXPLICITLY_SAFE
-            self.nodes[state] = node
+        node = self.nodes.get(state) or self.ensure_node(state)
         if node.stamp != self.stamp:
             node.stamp = self.stamp
             node.g = INF
@@ -180,7 +172,7 @@ class SearchGraph:
         return node
 
     def ensure_node(self, state) -> SearchNode:
-        """Node record for safety bookkeeping outside the current search tree."""
+        """Node record for a state, created on first sight; not stamped."""
         node = self.nodes.get(state)
         if node is None:
             node = SearchNode(state, self._domain.h(state))
@@ -222,9 +214,7 @@ def _key_fn(evaluator: Evaluator) -> Callable[[SearchNode], tuple]:
     if evaluator.kind == "wastar":
         w = evaluator.weight
         return lambda n: (n.g + w * n.h, -n.g)
-    if evaluator.kind == "greedy":
-        return lambda n: (n.h, -n.g)
-    raise ValueError(f"evaluator {evaluator.name} cannot drive goal search")
+    return lambda n: (n.h, -n.g)
 
 
 def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
@@ -261,7 +251,6 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
             return OPEN_EMPTY
         node.on_open = False
         node.expanded = True
-        graph.closed_count += 1
         budget.used += 1
         if cache is not None:
             cache.note_expansion(node.state)
@@ -288,9 +277,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
                 child.g = g2
                 child.parent = (state, action, cost)
                 child.depth = depth + 1
-                if child.expanded:
-                    child.expanded = False
-                    graph.closed_count -= 1
+                child.expanded = False
                 graph._push(child)
     return BUDGET_EXHAUSTED
 
@@ -328,15 +315,11 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
     for node in graph.touched:
         if node.safety == SafetyStatus.DEAD_END:
             continue
-        if node.expanded:
-            if domain.is_goal(node.state):
-                seq += 1
-                heappush(heap, (node.h, seq, node.state))
-            else:
-                old_h[node.state] = node.h
-                node.h = INF
-                closed.append(node)
-        elif node.on_open:
+        if node.expanded and not domain.is_goal(node.state):
+            old_h[node.state] = node.h
+            node.h = INF
+            closed.append(node)
+        elif node.expanded or node.on_open:
             seq += 1
             heappush(heap, (node.h, seq, node.state))
     if not closed:

@@ -31,12 +31,10 @@ from .domains.synthetic import random_dag
 from .rng import SplitMix64, mix64
 from .safety import (DeadEndCache, Exhausted, Proven, cache_dead_ends,
                      propagate_dead_ends, propagate_safety, prove_safety)
-from .search import (FCOST, ExpansionBudget, SafetyStatus, SearchGraph,
+from .search import (_SAFE, FCOST, ExpansionBudget, SafetyStatus, SearchGraph,
                      dijkstra_h_update, expand_best_first)
 
 SUITES = ("theorems", "oracles", "all")
-
-_SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
 
 
 @dataclass
@@ -116,10 +114,6 @@ def _restricted_proof_exists(graph: SearchGraph, domain, state) -> bool:
                 return True
             frontier.append(s2)
     return False
-
-
-def _graph_states(graph: SearchGraph) -> list:
-    return [n.state for n in graph.touched]
 
 
 def check_closure_completeness(instances, check: Check) -> None:

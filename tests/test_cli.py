@@ -133,3 +133,41 @@ def test_missing_instance_file_reports_error(tmp_path, capsys):
                    "--samples", "5", "--out", str(tmp_path / "s.csv"))
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_GOOD_CONFIG = {
+    "domain": {"type": "airspace", "length": 30, "maxAltitude": 3,
+               "pObs": 0.1, "seeds": [1]},
+    "algorithms": [{"name": "rtfs"}],
+    "bounds": [10],
+}
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"domain": dict(_GOOD_CONFIG["domain"], seeds=5)}, "domain.seeds"),
+    ({"algorithms": ["safe-rts"]}, "algorithms[0]"),
+    ({"algorithms": {"name": "safe-rts"}}, "algorithms"),
+    ({"bounds": ["x"]}, "bounds"),
+    ({"bounds": 10}, "bounds"),
+    ({"algorithms": [{"name": "rtfs", "evaluator": "wastar:abc"}]}, "evaluator"),
+    ({"algorithms": [{"name": "rtfs", "evaluator": "dsafe"}]}, "evaluator"),
+    ({"algorithms": [{"name": "rtfs", "ratio": 1.5}]}, "exploration_ratio"),
+    ({"domain": [1]}, "domain"),
+    ({"repetitions": "2"}, "repetitions"),
+    ({"maxIterations": 1.5}, "maxIterations"),
+    ({"configSeed": "x"}, "configSeed"),
+    (None, "experiment config"),
+], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
+        "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
+        "repetitions-string", "max-iterations-float", "config-seed-string",
+        "top-level-list"])
+def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
+    import json
+    config = [_GOOD_CONFIG] if patch is None else {**_GOOD_CONFIG, **patch}
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "bad.csv"
+    assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()

@@ -388,14 +388,14 @@ def test_safe_lss_never_enters_dead_end_on_airspace():
 
 
 def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
-    from rtss.planners import safe_lss_lrta_iteration
     inst = airspace.generate(200, 5, 0.0, 2)  # no dead ends at all
     safe = true_safe_set(inst)
     config = PlannerConfig("safe-lss-lrta", 15)
     plain = fresh(inst, inst.start)
     filtered = fresh(inst, inst.start)
     a = lss_lrta_iteration(plain, config, inst, DeadEndCache())
-    b = safe_lss_lrta_iteration(filtered, config, inst, safe, DeadEndCache())
+    b = lss_lrta_iteration(filtered, config, SafeFilteredDomain(inst, safe),
+                           DeadEndCache())
     assert a.committed_actions == b.committed_actions
     assert a.expansions_goal == b.expansions_goal
 

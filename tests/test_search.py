@@ -66,6 +66,28 @@ def test_flagged_successors_never_enter_open():
     assert cache.avoided_reexpansions >= 1
 
 
+def test_open_empty_leaves_no_touched_node_on_open():
+    # RTFS reads an open_empty outcome as "no open node left to commit
+    # toward" without rescanning the touched set; this is what makes that safe
+    from rtss.safety import DeadEndCache
+    for seed in range(40):
+        domain = random_dag(seed, size=40, edge_chance=0.1)
+        evaluator = (FCOST, Evaluator("wastar", 1.5), Evaluator("greedy"))[seed % 3]
+        cache = DeadEndCache(enabled=seed % 2 == 0)
+        graph = SearchGraph()
+        graph.begin_iteration(0, evaluator, domain, cache)
+        expand_best_first(graph, evaluator, ExpansionBudget(3), domain,
+                          stop_on_goal=False, cache=cache)
+        # flag part of the open list so that some pops hit blocked states
+        for node in graph.touched[1::2]:
+            if node.on_open:
+                cache.flag(node.state)
+        outcome = expand_best_first(graph, evaluator, ExpansionBudget(10_000),
+                                    domain, stop_on_goal=False, cache=cache)
+        assert outcome.kind == "open_empty"
+        assert not any(n.on_open for n in graph.touched)
+
+
 # -- select_best_f -------------------------------------------------------------
 
 def test_select_smallest_f():
@@ -290,6 +312,8 @@ def test_evaluator_parsing_and_validation():
         Evaluator("wastar", 0.5)  # weights below 1 break the ordering contract
     with pytest.raises(ValueError):
         Evaluator.parse("wastar:x")
+    with pytest.raises(ValueError):
+        Evaluator("dsafe")  # proofs order themselves; no planner search can use it
 
 
 def test_identical_runs_are_deterministic():
