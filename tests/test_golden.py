@@ -29,23 +29,32 @@ PLANNERS += [{"name": "rtfs", "ratio": 0.5, "evaluator": evaluator,
              for carryover in (True, False)]
 
 GRIDS = {
-    "airspace": (AIRSPACE, PLANNERS, True,
+    "airspace": (AIRSPACE, PLANNERS, True, [10, 30],
                  "389918ef57ae02b104230da589f9c9babac88749298378292807031bbd3c1daa"),
     "racetrack": (RACETRACK, PLANNERS + [{"name": "safe-rts", "commit": "full"}],
-                  True,
+                  True, [10, 30],
                   "c840c9fb4e6619ffc53c843a89cae72d6db574c18a72ac25ea0f3ef31a1998e4"),
     "airspace-cache-off": (AIRSPACE, [{"name": "safe-rts"},
                                       {"name": "rtfs", "evaluator": "wastar:1.1"}],
-                           False,
+                           False, [10, 30],
                            "37aba96c4d9c5c5d6f35b4a5392e27771703b0acef4f08e9ca1eb7dfac7825ed"),
+    # the benchmark's heaviest config: RTFS under weighted keys at bound 300,
+    # which ranks open lists of hundreds of nodes per decision
+    "airspace-L2000-rtfs-wastar": (
+        {"type": "airspace", "length": 2000, "maxAltitude": 20, "pObs": 0.05,
+         "seeds": [1]},
+        [{"name": "rtfs", "ratio": 0.5, "evaluator": "wastar:1.1",
+          "carryover": False}],
+        True, [300],
+        "b9d280d1838151be363f1725f637a304d3ff01807fcdcc778a3e31bbd92569fd"),
 }
 
 
 @pytest.mark.parametrize("grid", list(GRIDS))
 def test_grid_csv_matches_its_recorded_digest(grid, tmp_path):
-    domain, algorithms, cache_enabled, digest = GRIDS[grid]
+    domain, algorithms, cache_enabled, bounds, digest = GRIDS[grid]
     config = ExperimentConfig(domain=domain, algorithms=algorithms,
-                              bounds=[10, 30], config_seed=7,
+                              bounds=bounds, config_seed=7,
                               cache_enabled=cache_enabled, max_iterations=2000,
                               output=str(tmp_path / f"{grid}.csv"))
     records = run_experiment(config)
