@@ -142,11 +142,10 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
     proven_paths: list = []
     used = 0
     while used < budget_limit:
-        ordered = graph.open_nodes_in_key_order()
-        if not ordered:
+        best = next(graph.open_nodes_in_key_order(), None)
+        if best is None:
             break
-        res = _prove_target(graph, ordered[0].state, budget_limit - used,
-                            domain, cache)
+        res = _prove_target(graph, best.state, budget_limit - used, domain, cache)
         used += res.expansions
         results.append(res)
         if isinstance(res, Proven):
@@ -312,21 +311,18 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
             for res in results:
                 report.tally_proof(res)
 
-    explore_budget = int(bound * config.exploration_ratio)
-    run_slice(explore_budget, bound - explore_budget)
-    if goal_state is None and not open_emptied and not config.allow_budget_carryover:
-        # re-split the remainder by the same ratio until it is gone or stuck
-        while True:
-            leftover = bound - report.expansions_goal - report.expansions_proof
-            if leftover <= 0:
-                break
-            before = report.expansions_goal + report.expansions_proof
-            e = int(leftover * config.exploration_ratio)
-            run_slice(e, leftover - e)
-            if goal_state is not None or open_emptied:
-                break
-            if report.expansions_goal + report.expansions_proof == before:
-                break
+    # without carryover, the remainder is re-split by the same ratio until it
+    # is gone or a slice makes no progress
+    leftover = bound
+    while leftover > 0:
+        explore_budget = int(leftover * config.exploration_ratio)
+        run_slice(explore_budget, leftover - explore_budget)
+        if goal_state is not None or open_emptied or config.allow_budget_carryover:
+            break
+        remaining = bound - report.expansions_goal - report.expansions_proof
+        if remaining == leftover:
+            break
+        leftover = remaining
     report.end_search(phases)
     if goal_state is not None:
         return _commit_goal(report, graph, goal_state, config, domain, cache)

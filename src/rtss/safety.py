@@ -215,37 +215,23 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
-
-    def succ_all_dead(node) -> bool:
-        for _a, s2, _c in node.succs:
-            child = nodes.get(s2)
-            if child is not None and child.stamp == stamp:
-                dead = child.safety == SafetyStatus.DEAD_END
-            else:
-                # never generated this iteration: only a blocking cache flag
-                # can account for that, and a flagged state is dead
-                dead = cache is not None and cache.blocks(s2)
-            if not dead:
-                return False
-        return True
-
-    def is_dead(node) -> bool:
-        if node.expanded:
-            return not node.succs or succ_all_dead(node)
-        return domain.is_terminal(node.state)
-
-    count = 0
+    dead = SafetyStatus.DEAD_END
+    blocked = cache.flags if cache is not None and cache.enabled else ()
     worklist = deque()
     for node in graph.touched:
-        if node.safety == SafetyStatus.DEAD_END or domain.is_goal(node.state):
+        if node.safety == dead or node.goal:
             continue
-        if is_dead(node):
+        if node.expanded:
+            if _succs_all_dead(node, nodes, stamp, blocked):
+                worklist.append(node)
+        elif domain.is_terminal(node.state):
             worklist.append(node)
+    count = 0
     while worklist:
         node = worklist.popleft()
-        if node.safety == SafetyStatus.DEAD_END:
+        if node.safety == dead:
             continue
-        node.safety = SafetyStatus.DEAD_END
+        node.safety = dead
         node.on_open = False
         node.h = INF
         if cache is not None:
@@ -253,8 +239,22 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
         count += 1
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]
-            if (pred.stamp == stamp and pred.safety != SafetyStatus.DEAD_END
-                    and pred.expanded and not domain.is_goal(pred_state)
-                    and succ_all_dead(pred)):
+            if (pred.stamp == stamp and pred.safety != dead and pred.expanded
+                    and not pred.goal
+                    and _succs_all_dead(pred, nodes, stamp, blocked)):
                 worklist.append(pred)
     return count
+
+
+def _succs_all_dead(node, nodes, stamp, blocked) -> bool:
+    """Is every successor of an expanded node dead (true for none at all)?"""
+    for _a, s2, _c in node.succs or ():
+        child = nodes.get(s2)
+        if child is not None and child.stamp == stamp:
+            if child.safety != SafetyStatus.DEAD_END:
+                return False
+        elif s2 not in blocked:
+            # never generated this iteration: only a blocking cache flag
+            # can account for that, and a flagged state is dead
+            return False
+    return True

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterator, Optional
 
 INF = math.inf
 
@@ -75,13 +75,14 @@ class ExpansionBudget:
 class SearchNode:
     """Per-state search record; persists across iterations of one episode."""
 
-    __slots__ = ("state", "g", "h", "depth", "parent", "preds", "succs",
+    __slots__ = ("state", "g", "h", "goal", "depth", "parent", "preds", "succs",
                  "safety", "on_open", "expanded", "stamp", "open_seq")
 
-    def __init__(self, state, h: float):
+    def __init__(self, state, h: float, goal: bool):
         self.state = state
         self.g = INF
         self.h = h
+        self.goal = goal            # domain.is_goal(state), asked once
         self.depth = 0
         self.parent = None          # (parent_state, action, edge_cost)
         self.preds: list = []       # discovered in-edges this iteration
@@ -158,7 +159,7 @@ class SearchGraph:
             node.g = INF
             node.depth = 0
             node.parent = None
-            node.preds = []
+            node.preds.clear()
             node.on_open = False
             node.expanded = False
             node.open_seq = -1
@@ -175,8 +176,9 @@ class SearchGraph:
         """Node record for a state, created on first sight; not stamped."""
         node = self.nodes.get(state)
         if node is None:
-            node = SearchNode(state, self._domain.h(state))
-            if self._domain.f_safe(state) or self._domain.is_goal(state):
+            domain = self._domain
+            node = SearchNode(state, domain.h(state), domain.is_goal(state))
+            if node.goal or domain.f_safe(state):
                 node.safety = SafetyStatus.EXPLICITLY_SAFE
             self.nodes[state] = node
         return node
@@ -188,16 +190,43 @@ class SearchGraph:
         heappush(self.open, (*self._key(node), self._seq, node.state))
 
     def open_nodes_in_f_order(self) -> list[SearchNode]:
-        live = [n for n in self.touched if n.on_open]
-        live.sort(key=lambda n: (n.g + n.h, -n.g, n.open_seq))
-        return live
+        """Open nodes best f first, ties to larger g, then earlier insertion."""
+        _require_f_keys(self)
+        return list(self.open_nodes_in_key_order())
 
-    def open_nodes_in_key_order(self) -> list[SearchNode]:
-        """Open nodes under the iteration's own evaluator ordering."""
-        key = self._key
-        live = [n for n in self.touched if n.on_open]
-        live.sort(key=lambda n: (*key(n), n.open_seq))
-        return live
+    def open_nodes_in_key_order(self) -> Iterator[SearchNode]:
+        """Open nodes under the iteration's own evaluator ordering, best
+        first, walked lazily off the heap; ties go to earlier insertion.
+
+        A live entry's key never changes after its push: a new g pushes the
+        node again under a new open_seq, and h only ever changes on nodes
+        that are off open. So heap order is (key, open_seq) order. Stale
+        entries on top are popped for good; below the top, a side heap of
+        heap indices visits the entries in order without moving them. The
+        open list must not change while the walk is being consumed.
+        """
+        heap = self.open
+        nodes = self.nodes
+        while heap:
+            entry = heap[0]
+            node = nodes[entry[-1]]
+            if node.on_open and node.open_seq == entry[-2]:
+                break
+            heappop(heap)
+        if not heap:
+            return
+        size = len(heap)
+        walk = [(heap[0], 0)]
+        while walk:
+            entry, i = heappop(walk)
+            node = nodes[entry[-1]]
+            if node.on_open and node.open_seq == entry[-2]:
+                yield node
+            i = 2 * i + 1
+            if i < size:
+                heappush(walk, (heap[i], i))
+                if i + 1 < size:
+                    heappush(walk, (heap[i + 1], i + 1))
 
     def safety_lookup(self, state) -> bool:
         node = self.nodes.get(state)
@@ -206,6 +235,12 @@ class SearchGraph:
 
 def _astar_key(node: SearchNode) -> tuple:
     return (node.g + node.h, -node.g)
+
+
+def _require_f_keys(graph: SearchGraph) -> None:
+    if graph._key is not _astar_key:
+        raise ValueError("the open list is not keyed by f; it was built with "
+                         f"{graph.evaluator.name}")
 
 
 def _key_fn(evaluator: Evaluator) -> Callable[[SearchNode], tuple]:
@@ -232,8 +267,10 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
         raise ValueError("evaluator does not match the one the open list was built with")
     nodes = graph.nodes
     heap = graph.open
-    key = graph._key
     stamp = graph.stamp
+    # DeadEndCache.blocks and note_expansion, inlined for the hot loop
+    blocked = cache.flags if cache is not None and cache.enabled else ()
+    marks = cache.exhausted_marks if cache is not None else ()
     while budget.used < budget.limit:
         node = None
         while heap:
@@ -241,7 +278,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
             cand = nodes[entry[-1]]
             if cand.open_seq != entry[-2] or not cand.on_open:
                 continue
-            if cache is not None and cache.blocks(cand.state):
+            if cand.state in blocked:
                 cand.on_open = False
                 cache.avoided_reexpansions += 1
                 continue
@@ -252,18 +289,18 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
         node.on_open = False
         node.expanded = True
         budget.used += 1
-        if cache is not None:
-            cache.note_expansion(node.state)
-        if stop_on_goal and domain.is_goal(node.state):
-            return ExpansionOutcome("goal", node.state)
+        state = node.state
+        if state in marks:
+            cache.dead_reexpansions += 1
+        if stop_on_goal and node.goal:
+            return ExpansionOutcome("goal", state)
         succs = node.succs
         if succs is None:
-            succs = node.succs = domain.successors(node.state)
+            succs = node.succs = domain.successors(state)
         g = node.g
         depth = node.depth
-        state = node.state
         for action, s2, cost in succs:
-            if cache is not None and cache.blocks(s2):
+            if s2 in blocked:
                 cache.avoided_reexpansions += 1
                 continue
             child = nodes.get(s2)
@@ -283,18 +320,13 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
 
 
 def select_best_f(graph: SearchGraph) -> Optional[Any]:
-    """FCost-minimal open state regardless of the evaluator in use; ties go
-    to larger g, then earlier insertion. None when open is empty."""
-    best = None
-    best_key = None
-    for node in graph.touched:
-        if not node.on_open:
-            continue
-        k = (node.g + node.h, -node.g, node.open_seq)
-        if best_key is None or k < best_key:
-            best_key = k
-            best = node.state
-    return best
+    """FCost-minimal open state; ties go to larger g, then earlier
+    insertion. None when open is empty. The open list must be keyed by f,
+    as it is for LSS-LRTA* and SafeRTS."""
+    _require_f_keys(graph)
+    for node in graph.open_nodes_in_key_order():
+        return node.state
+    return None
 
 
 def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
@@ -308,46 +340,43 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
-    closed = []
-    old_h = {}
+    dead = SafetyStatus.DEAD_END
+    closed = []                     # (node, h before the update)
     heap = []
-    seq = 0
     for node in graph.touched:
-        if node.safety == SafetyStatus.DEAD_END:
+        if node.safety == dead:
             continue
-        if node.expanded and not domain.is_goal(node.state):
-            old_h[node.state] = node.h
+        if node.expanded and not node.goal:
+            closed.append((node, node.h))
             node.h = INF
-            closed.append(node)
         elif node.expanded or node.on_open:
-            seq += 1
-            heappush(heap, (node.h, seq, node.state))
+            heap.append((node.h, len(heap) + 1, node.state))
     if not closed:
         return 0
-    finalized = set()
+    heapify(heap)
+    seq = len(heap)
     pending = len(closed)
     while heap and pending:
         hval, _, state = heappop(heap)
         node = nodes[state]
-        if hval != node.h or state in finalized:
+        # only closed nodes are relaxed, and each relaxation strictly lowers
+        # h, so one entry at most matches a node's h and it pops only once
+        if hval != node.h:
             continue
-        finalized.add(state)
-        if state in old_h:
+        if node.expanded and not node.goal:
             pending -= 1
         for pred_state, cost in node.preds:
             pred = nodes[pred_state]
-            if pred.stamp != stamp or not pred.expanded:
+            if (pred.stamp != stamp or not pred.expanded or pred.safety == dead
+                    or pred.goal):
                 continue
-            if pred.safety == SafetyStatus.DEAD_END or domain.is_goal(pred_state):
-                continue
-            cand = cost + node.h
+            cand = cost + hval
             if cand < pred.h:
                 pred.h = cand
                 seq += 1
                 heappush(heap, (cand, seq, pred_state))
     changes = 0
-    for node in closed:
-        prev = old_h[node.state]
+    for node, prev in closed:
         if node.h < prev:
             node.h = prev
         if node.h != prev:

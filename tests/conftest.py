@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import math
 
+from rtss.domains.synthetic import random_dag
+from rtss.rng import SplitMix64
+
 
 class ListDomain:
     """Explicit successor lists with per-edge costs; everything else tabular."""
@@ -77,3 +80,12 @@ def funnel_domain():
     return ListDomain(succ, h={s: 0.0 for s in ("r", "m1", "m2", "t1", "t2", "t3")},
                       d_safe={"r": 1, "m1": 2, "m2": 2, "t1": 3, "t2": 3, "t3": 3},
                       name="funnel")
+
+
+def random_h_dag(seed, size=40):
+    """A random DAG (root 0) with a random, inconsistent h, so that searches
+    reopen nodes and backups change h."""
+    domain = random_dag(seed, size=size, edge_chance=0.1)
+    rng = SplitMix64(seed ^ 0x5EED)
+    domain.h_values = {s: float(rng.randrange(4)) for s in range(size)}
+    return domain

@@ -225,6 +225,20 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
     assert report.expansions_goal == 2  # nothing left to spend the rest on
 
 
+def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
+    # bound 1 at ratio 0.5 leaves no exploration; the proof of the root,
+    # already marked safe, is free, so the slice makes no progress and the
+    # re-split must not run it again
+    domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)], "y": []},
+                        safe={"r"})
+    graph = fresh(domain, "r")
+    config = PlannerConfig("rtfs", 1, exploration_ratio=0.5,
+                           allow_budget_carryover=False)
+    report = rtfs_iteration(graph, config, domain, DeadEndCache())
+    assert report.proofs_attempted == 1
+    assert report.phases == (("proof", 0),)
+
+
 def test_rtfs_terminates_when_no_safe_target():
     succ = {f"n{k}": [("fwd", f"n{k+1}", 1.0)] for k in range(200)}
     succ["n200"] = []

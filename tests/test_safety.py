@@ -1,15 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ListDomain, chain_domain, funnel_domain
-from rtss.domains import airspace
-from rtss.domains.oracles import reachable_states
+from conftest import ListDomain, chain_domain, funnel_domain, random_h_dag
+from rtss.domains import airspace, racetrack
+from rtss.domains.oracles import reachable_states, true_safe_set
 from rtss.safety import (BudgetOut, DeadEndCache, Exhausted, Proven,
                          cache_dead_ends, propagate_dead_ends, propagate_safety,
                          prove_safety)
-from rtss.search import (FCOST, ExpansionBudget, SafetyStatus, SearchGraph,
-                         expand_best_first)
+from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
+                         SearchGraph, expand_best_first)
 
 
 def build(domain, root, budget, cache=None, stop_on_goal=True):
@@ -198,6 +200,89 @@ def test_goals_are_never_flagged():
     propagate_dead_ends(graph, domain, DeadEndCache())
     assert graph.nodes["g"].safety != SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END
+
+
+def _dead_end_fixpoint(graph, domain, cache):
+    """Brute force: re-test every touched node until nothing changes."""
+    stamp = graph.stamp
+    dead = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
+
+    def is_dead(s2):
+        child = graph.nodes.get(s2)
+        if child is not None and child.stamp == stamp:
+            return s2 in dead
+        return cache.blocks(s2)
+
+    changed = True
+    while changed:
+        changed = False
+        for node in graph.touched:
+            if node.state in dead or domain.is_goal(node.state):
+                continue
+            if node.expanded:
+                now_dead = all(is_dead(s2) for _a, s2, _c in node.succs)
+            else:
+                now_dead = domain.is_terminal(node.state)
+            if now_dead:
+                dead.add(node.state)
+                changed = True
+    return dead
+
+
+def _world(kind, seed):
+    if kind == "dag":
+        return random_h_dag(seed), 0
+    track = racetrack.right_turn_track()
+    return track, track.start_state(track.sample_starts(1, seed)[0])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("dag", "racetrack")), seed=st.integers(0, 10_000),
+       evaluator=st.sampled_from(("astar", "wastar:1.1", "greedy")),
+       bound=st.integers(2, 30), cache_enabled=st.booleans())
+def test_dead_end_propagation_reaches_the_brute_force_fixpoint(kind, seed, evaluator,
+                                                               bound, cache_enabled):
+    from rtss import planners
+    domain, start = _world(kind, seed)
+    config = planners.PlannerConfig("rtfs", bound, exploration_ratio=0.5,
+                                    evaluator=Evaluator.parse(evaluator),
+                                    allow_budget_carryover=seed % 2 == 0)
+    propagate = planners.propagate_dead_ends
+
+    def checked(graph, domain, cache):
+        expected = _dead_end_fixpoint(graph, domain, cache)
+        flags = set(cache.flags)
+        before = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
+        count = propagate(graph, domain, cache)
+        dead = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
+        assert dead == expected
+        assert count == len(dead - before)
+        assert cache.flags == flags | (dead - before)
+        assert not any(graph.nodes[s].on_open for s in dead)
+        return count
+
+    graph = SearchGraph()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "propagate_dead_ends", checked)
+        planners.run_episode(domain, start, config,
+                             cache=DeadEndCache(enabled=cache_enabled),
+                             max_iterations=30, graph=graph)
+    for node in graph.nodes.values():
+        assert node.goal == domain.is_goal(node.state)
+
+
+@pytest.mark.parametrize("kind", ["dag", "racetrack"])
+def test_goal_slot_matches_the_domain_under_the_safe_filter(kind):
+    from rtss import planners
+    for seed in range(4):
+        domain, start = _world(kind, seed)
+        filtered = planners.SafeFilteredDomain(domain, true_safe_set(domain, roots=[start]))
+        graph = SearchGraph()
+        planners.run_episode(filtered, start, planners.PlannerConfig("safe-lss-lrta", 8),
+                             max_iterations=50, graph=graph)
+        assert graph.nodes
+        for node in graph.nodes.values():
+            assert node.goal == filtered.is_goal(node.state) == domain.is_goal(node.state)
 
 
 # -- cache_dead_ends --------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ListDomain, chain_domain
+from conftest import ListDomain, chain_domain, random_h_dag
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
 from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
@@ -325,3 +327,102 @@ def test_identical_runs_are_deterministic():
         outs.append(sorted((n.state, n.g, n.h, n.expanded, n.on_open)
                            for n in graph.touched))
     assert outs[0] == outs[1]
+
+
+# -- the open order: a lazy heap walk against a brute-force sort -----------------
+
+def _linear_best_f(graph):
+    """The linear scan select_best_f replaced, kept as its oracle."""
+    best = None
+    best_key = None
+    for node in graph.touched:
+        if not node.on_open:
+            continue
+        k = (node.g + node.h, -node.g, node.open_seq)
+        if best_key is None or k < best_key:
+            best_key = k
+            best = node.state
+    return best
+
+
+def check_open_order(graph):
+    key = graph._key
+    for entry in graph.open:
+        node = graph.nodes[entry[-1]]
+        if node.on_open and node.open_seq == entry[-2]:
+            assert entry[:-2] == key(node)      # a live key never goes stale
+    expected = sorted((n for n in graph.touched if n.on_open),
+                      key=lambda n: (*key(n), n.open_seq))
+    assert list(graph.open_nodes_in_key_order()) == expected
+    if graph.evaluator == FCOST:
+        assert select_best_f(graph) == _linear_best_f(graph)
+        assert graph.open_nodes_in_f_order() == expected
+
+
+def test_walk_after_a_reopen_matches_the_sort():
+    # "a" is expanded through the costly edge first; the cheap path via "b"
+    # reopens it, leaving stale entries for it and for "t" in the heap
+    succ = {"r": [("ra", "a", 10.0), ("rb", "b", 1.0), ("re", "e", 1.0)],
+            "a": [("at", "t", 1.0)], "b": [("ba", "a", 1.0)], "t": [], "e": []}
+    domain = ListDomain(succ, h={"b": 10.0, "e": 30.0})
+    for evaluator in (FCOST, Evaluator("wastar", 1.1), Evaluator("greedy")):
+        graph, _ = build(domain, "r", 4, evaluator=evaluator, stop_on_goal=False)
+        a = graph.nodes["a"]
+        assert a.on_open and not a.expanded and a.succs is not None
+        check_open_order(graph)
+        assert [n.state for n in graph.open_nodes_in_key_order()][0] == "a"
+
+
+def test_select_best_f_rejects_a_graph_not_keyed_by_f():
+    graph, _ = build(chain_domain(5), 0, 1, evaluator=Evaluator("greedy"))
+    with pytest.raises(ValueError):
+        select_best_f(graph)
+    with pytest.raises(ValueError):
+        graph.open_nodes_in_f_order()
+
+
+def _airspace_world(seed):
+    from rtss.domains import airspace
+    inst = airspace.generate(40 + seed % 40, 4 + seed % 3, 0.15, seed)
+    return inst, inst.start
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(world=st.sampled_from(("dag", "airspace")), seed=st.integers(0, 10_000),
+       algorithm=st.sampled_from(("safe-rts", "rtfs", "lss-lrta")),
+       evaluator=st.sampled_from(("astar", "wastar:1.1", "greedy")),
+       bound=st.integers(2, 40), cache_enabled=st.booleans())
+def test_heap_walk_matches_a_sort_of_the_touched_set(world, seed, algorithm,
+                                                      evaluator, bound, cache_enabled):
+    from rtss import planners
+    from rtss.safety import DeadEndCache
+    domain, start = (random_h_dag(seed), 0) if world == "dag" else _airspace_world(seed)
+    config = planners.PlannerConfig(algorithm, bound, exploration_ratio=0.5,
+                                    evaluator=Evaluator.parse(evaluator),
+                                    allow_budget_carryover=seed % 2 == 0)
+    checks = []
+
+    def checked(fn, graph_arg):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            graph = graph_arg(args)
+            if graph is not None:
+                check_open_order(graph)
+                checks.append(fn.__name__)
+            return result
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        # after every explore slice (reopens included), every prune and
+        # dead-end propagation, and every h-backup
+        for name in ("expand_best_first", "prune_exhausted",
+                     "propagate_dead_ends", "dijkstra_h_update"):
+            mp.setattr(planners, name,
+                       checked(getattr(planners, name), lambda args: args[0]))
+        mp.setattr(planners, "cache_dead_ends",
+                   checked(planners.cache_dead_ends,
+                           lambda args: args[2] if len(args) > 2 else None))
+        planners.run_episode(domain, start, config,
+                             cache=DeadEndCache(enabled=cache_enabled),
+                             max_iterations=30)
+    assert "expand_best_first" in checks
