@@ -39,7 +39,8 @@ GRIDS = {
                            False, [10, 30],
                            "37aba96c4d9c5c5d6f35b4a5392e27771703b0acef4f08e9ca1eb7dfac7825ed"),
     # the benchmark's heaviest config: RTFS under weighted keys at bound 300,
-    # which ranks open lists of hundreds of nodes per decision
+    # ranking open lists of about 130 nodes per decision in an order that
+    # differs from f order
     "airspace-L2000-rtfs-wastar": (
         {"type": "airspace", "length": 2000, "maxAltitude": 20, "pObs": 0.05,
          "seeds": [1]},
