@@ -9,6 +9,7 @@ LSS-LRTA* handed an ideal dead-end detector.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -378,7 +379,14 @@ def run_episode(domain, start, config: PlannerConfig,
                 graph: Optional[SearchGraph] = None) -> EpisodeResult:
     """Drive planner iterations from start until goal, failure, termination,
     or the iteration guard trips. Committed actions are applied against the
-    domain dynamics as the agent moves."""
+    domain dynamics as the agent moves.
+
+    The garbage collector is suspended for the episode and re-enabled on
+    the way out if it was enabled on the way in. The search graph is
+    acyclic (nodes refer to states, never to other nodes), so reference
+    counting frees all it drops, and a collection during the episode would
+    only scan the growing graph to find nothing.
+    """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
     if cache is None:
@@ -390,23 +398,29 @@ def run_episode(domain, start, config: PlannerConfig,
     actions: list = []
     reports: list = []
     carryover = 0
-    while True:
-        if domain.is_goal(state):
-            return EpisodeResult("goal", state, actions, reports, start)
-        if len(reports) >= max_iterations:
-            return EpisodeResult("max_iterations", state, actions, reports, start)
-        bound = config.iteration_bound
-        if config.algorithm == RTFS and config.allow_budget_carryover:
-            bound += carryover
-        graph.begin_iteration(state, evaluator, domain, cache)
-        report = iteration_step(graph, config, domain, cache, bound)
-        reports.append(report)
-        if report.outcome in ("failure", "terminated"):
-            return EpisodeResult(report.outcome, state, actions, reports, start)
-        for action in report.committed_actions:
-            state = apply_action(domain, state, action)
-            actions.append(action)
-        carryover = report.unused_budget if config.algorithm == RTFS else 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            if domain.is_goal(state):
+                return EpisodeResult("goal", state, actions, reports, start)
+            if len(reports) >= max_iterations:
+                return EpisodeResult("max_iterations", state, actions, reports, start)
+            bound = config.iteration_bound
+            if config.algorithm == RTFS and config.allow_budget_carryover:
+                bound += carryover
+            graph.begin_iteration(state, evaluator, domain, cache)
+            report = iteration_step(graph, config, domain, cache, bound)
+            reports.append(report)
+            if report.outcome in ("failure", "terminated"):
+                return EpisodeResult(report.outcome, state, actions, reports, start)
+            for action in report.committed_actions:
+                state = apply_action(domain, state, action)
+                actions.append(action)
+            carryover = report.unused_budget if config.algorithm == RTFS else 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def offline_astar(domain, start, expansion_limit: int = 10_000_000

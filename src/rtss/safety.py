@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
-from .search import _SAFE, INF, ExpansionBudget, SafetyStatus, SearchGraph
+from .search import _DEAD_END, _SAFE, INF, ExpansionBudget, SafetyStatus, SearchGraph
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,7 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
+    unknown, implicit = SafetyStatus.UNKNOWN, SafetyStatus.IMPLICITLY_SAFE
     newly = 0
     worklist: deque = deque()
     for path in proven_paths:
@@ -187,19 +188,18 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
         if node.safety in _SAFE:
             worklist.append(node)
 
-    seen = set()
+    # a node joins the worklist again only by turning safe, so a node met
+    # twice (a path node that is also touched) just walks its preds again
+    # and marks nothing the first walk did not
     while worklist:
         node = worklist.popleft()
-        if node.state in seen:
-            continue
-        seen.add(node.state)
         if node.stamp != stamp:
             continue
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]
-            if pred.stamp != stamp or pred.safety != SafetyStatus.UNKNOWN:
+            if pred.stamp != stamp or pred.safety != unknown:
                 continue
-            pred.safety = SafetyStatus.IMPLICITLY_SAFE
+            pred.safety = implicit
             newly += 1
             worklist.append(pred)
     return newly
@@ -222,7 +222,15 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
         if node.safety == dead or node.goal:
             continue
         if node.expanded:
-            if _succs_all_dead(node, nodes, stamp, blocked):
+            # _succs_all_dead, inlined for the pass over every touched node
+            for _a, s2, _c in node.succs or ():
+                child = nodes.get(s2)
+                if child is not None and child.stamp == stamp:
+                    if child.safety != dead:
+                        break
+                elif s2 not in blocked:
+                    break
+            else:
                 worklist.append(node)
         elif domain.is_terminal(node.state):
             worklist.append(node)
@@ -251,7 +259,7 @@ def _succs_all_dead(node, nodes, stamp, blocked) -> bool:
     for _a, s2, _c in node.succs or ():
         child = nodes.get(s2)
         if child is not None and child.stamp == stamp:
-            if child.safety != SafetyStatus.DEAD_END:
+            if child.safety != _DEAD_END:
                 return False
         elif s2 not in blocked:
             # never generated this iteration: only a blocking cache flag

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 INF = math.inf
 
@@ -26,6 +26,8 @@ class SafetyStatus(IntEnum):
 
 
 _SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
+# a module constant, because looking a member up on the enum class is slow
+_DEAD_END = SafetyStatus.DEAD_END
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,20 @@ class Evaluator:
             raise ValueError(f"unknown evaluator kind {self.kind!r}")
         if self.kind == "wastar" and self.weight < 1.0:
             raise ValueError("wastar weight must be >= 1")
+
+    @property
+    def key_weights(self) -> tuple[float, float]:
+        """(g weight, h weight): the open list keys a node on
+        (g_weight * g + h_weight * h, -g), the one definition of its key.
+
+        For the finite g >= 0 of an open node these are bit-equal to g + h,
+        g + weight * h and h, because 1.0 * x == x and 0.0 * g + h == h.
+        """
+        if self.kind == "astar":
+            return 1.0, 1.0
+        if self.kind == "wastar":
+            return 1.0, self.weight
+        return 0.0, 1.0
 
     @property
     def name(self) -> str:
@@ -75,7 +91,7 @@ class ExpansionBudget:
 class SearchNode:
     """Per-state search record; persists across iterations of one episode."""
 
-    __slots__ = ("state", "g", "h", "goal", "depth", "parent", "preds", "succs",
+    __slots__ = ("state", "g", "h", "goal", "parent", "preds", "succs",
                  "safety", "on_open", "expanded", "stamp", "open_seq")
 
     def __init__(self, state, h: float, goal: bool):
@@ -83,7 +99,6 @@ class SearchNode:
         self.g = INF
         self.h = h
         self.goal = goal            # domain.is_goal(state), asked once
-        self.depth = 0
         self.parent = None          # (parent_state, action, edge_cost)
         self.preds: list = []       # discovered in-edges this iteration
         self.succs = None           # cached successor list once expanded
@@ -124,7 +139,7 @@ class SearchGraph:
 
     def __init__(self):
         self.nodes: dict[Any, SearchNode] = {}
-        self.open: list = []
+        self.open: list = []        # (key, -g, open_seq, state); see Evaluator.key_weights
         self.evaluator: Evaluator = FCOST
         self.stamp = 0
         self.root = None
@@ -132,38 +147,44 @@ class SearchGraph:
         self._seq = 0
         self._domain = None
         self._cache = None
-        self._key: Callable[[SearchNode], tuple] = _astar_key
 
     # -- iteration lifecycle -------------------------------------------------
 
     def begin_iteration(self, root_state, evaluator: Evaluator, domain, cache=None):
         """Reset root-relative state for a fresh planning iteration."""
         self.stamp += 1
-        self.open = []
         self.touched = []
         self.evaluator = evaluator
-        self._key = _key_fn(evaluator)
         self._domain = domain
         self._cache = cache
         self.root = root_state
         node = self.touch(root_state)
         node.g = 0.0
-        node.depth = 0
-        self._push(node)
+        node.on_open = True
+        self._seq += 1
+        node.open_seq = self._seq
+        g_weight, h_weight = evaluator.key_weights
+        self.open = [(g_weight * node.g + h_weight * node.h, -node.g, self._seq,
+                      root_state)]
 
-    def touch(self, state) -> SearchNode:
-        """Fetch the node for a state, stamping it into the current iteration."""
-        node = self.nodes.get(state) or self.ensure_node(state)
-        if node.stamp != self.stamp:
-            node.stamp = self.stamp
+    def touch(self, state, node: Optional[SearchNode] = None) -> SearchNode:
+        """Fetch the node for a state, stamping it into the current iteration.
+        A caller that has already looked the node up passes it in.
+
+        open_seq is left as it was: sequence numbers never repeat and the
+        open list starts empty each iteration, so an old one matches no entry.
+        """
+        if node is None:
+            node = self.ensure_node(state)
+        stamp = self.stamp
+        if node.stamp != stamp:
+            node.stamp = stamp
             node.g = INF
-            node.depth = 0
             node.parent = None
             node.preds.clear()
             node.on_open = False
             node.expanded = False
-            node.open_seq = -1
-            if node.safety == SafetyStatus.DEAD_END:
+            if node.safety == _DEAD_END:
                 cache = self._cache
                 if cache is None or not cache.blocks(state):
                     # dead-end knowledge only persists through an enabled cache
@@ -182,12 +203,6 @@ class SearchGraph:
                 node.safety = SafetyStatus.EXPLICITLY_SAFE
             self.nodes[state] = node
         return node
-
-    def _push(self, node: SearchNode):
-        self._seq += 1
-        node.open_seq = self._seq
-        node.on_open = True
-        heappush(self.open, (*self._key(node), self._seq, node.state))
 
     def open_nodes_in_f_order(self) -> list[SearchNode]:
         """Open nodes best f first, ties to larger g, then earlier insertion."""
@@ -233,23 +248,10 @@ class SearchGraph:
         return node is not None and node.safety in _SAFE
 
 
-def _astar_key(node: SearchNode) -> tuple:
-    return (node.g + node.h, -node.g)
-
-
 def _require_f_keys(graph: SearchGraph) -> None:
-    if graph._key is not _astar_key:
+    if graph.evaluator.key_weights != FCOST.key_weights:
         raise ValueError("the open list is not keyed by f; it was built with "
                          f"{graph.evaluator.name}")
-
-
-def _key_fn(evaluator: Evaluator) -> Callable[[SearchNode], tuple]:
-    if evaluator.kind == "astar":
-        return _astar_key
-    if evaluator.kind == "wastar":
-        w = evaluator.weight
-        return lambda n: (n.g + w * n.h, -n.g)
-    return lambda n: (n.h, -n.g)
 
 
 def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
@@ -268,55 +270,67 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
     nodes = graph.nodes
     heap = graph.open
     stamp = graph.stamp
+    g_weight, h_weight = evaluator.key_weights
+    seq = graph._seq
+    used, limit = budget.used, budget.limit
     # DeadEndCache.blocks and note_expansion, inlined for the hot loop
     blocked = cache.flags if cache is not None and cache.enabled else ()
     marks = cache.exhausted_marks if cache is not None else ()
-    while budget.used < budget.limit:
-        node = None
-        while heap:
-            entry = heappop(heap)
-            cand = nodes[entry[-1]]
-            if cand.open_seq != entry[-2] or not cand.on_open:
-                continue
-            if cand.state in blocked:
-                cand.on_open = False
-                cache.avoided_reexpansions += 1
-                continue
-            node = cand
-            break
-        if node is None:
-            return OPEN_EMPTY
-        node.on_open = False
-        node.expanded = True
-        budget.used += 1
-        state = node.state
-        if state in marks:
-            cache.dead_reexpansions += 1
-        if stop_on_goal and node.goal:
-            return ExpansionOutcome("goal", state)
-        succs = node.succs
-        if succs is None:
-            succs = node.succs = domain.successors(state)
-        g = node.g
-        depth = node.depth
-        for action, s2, cost in succs:
-            if s2 in blocked:
-                cache.avoided_reexpansions += 1
-                continue
-            child = nodes.get(s2)
-            if child is None or child.stamp != stamp:
-                child = graph.touch(s2)
-            child.preds.append((state, cost))
-            if child.safety == SafetyStatus.DEAD_END:
-                continue
-            g2 = g + cost
-            if g2 < child.g:
-                child.g = g2
-                child.parent = (state, action, cost)
-                child.depth = depth + 1
-                child.expanded = False
-                graph._push(child)
-    return BUDGET_EXHAUSTED
+    outcome = BUDGET_EXHAUSTED
+    try:
+        while used < limit:
+            node = None
+            while heap:
+                entry = heappop(heap)
+                cand = nodes[entry[-1]]
+                if cand.open_seq != entry[-2] or not cand.on_open:
+                    continue
+                if cand.state in blocked:
+                    cand.on_open = False
+                    cache.avoided_reexpansions += 1
+                    continue
+                node = cand
+                break
+            if node is None:
+                outcome = OPEN_EMPTY
+                break
+            node.on_open = False
+            node.expanded = True
+            used += 1
+            state = node.state
+            if state in marks:
+                cache.dead_reexpansions += 1
+            if stop_on_goal and node.goal:
+                outcome = ExpansionOutcome("goal", state)
+                break
+            succs = node.succs
+            if succs is None:
+                succs = node.succs = domain.successors(state)
+            g = node.g
+            for action, s2, cost in succs:
+                if s2 in blocked:
+                    cache.avoided_reexpansions += 1
+                    continue
+                child = nodes.get(s2)
+                if child is None or child.stamp != stamp:
+                    child = graph.touch(s2, child)
+                child.preds.append((state, cost))
+                if child.safety == _DEAD_END:
+                    continue
+                g2 = g + cost
+                if g2 < child.g:
+                    child.g = g2
+                    child.parent = (state, action, cost)
+                    child.expanded = False
+                    child.on_open = True
+                    seq += 1
+                    child.open_seq = seq
+                    heappush(heap, (g_weight * g2 + h_weight * child.h, -g2, seq, s2))
+    finally:
+        # also when the domain raises: sequence numbers must never repeat
+        budget.used = used
+        graph._seq = seq
+    return outcome
 
 
 def select_best_f(graph: SearchGraph) -> Optional[Any]:
@@ -367,11 +381,9 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
             pending -= 1
         for pred_state, cost in node.preds:
             pred = nodes[pred_state]
-            if (pred.stamp != stamp or not pred.expanded or pred.safety == dead
-                    or pred.goal):
-                continue
             cand = cost + hval
-            if cand < pred.h:
+            if (cand < pred.h and pred.stamp == stamp and pred.expanded
+                    and pred.safety != dead and not pred.goal):
                 pred.h = cand
                 seq += 1
                 heappush(heap, (cand, seq, pred_state))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conftest import ListDomain, chain_domain
 from rtss.domains import airspace
 from rtss.domains.oracles import true_safe_set
+from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import GraphDomain
 from rtss.harness import simulate_episode
 from rtss.planners import (PlannerConfig, SafeFilteredDomain,
@@ -458,3 +460,62 @@ def test_rtfs_rank_one_with_ample_safety_budget():
     ranks = [r.target_open_rank for r in result.reports
              if r.target_open_rank is not None]
     assert ranks and all(r == 1 for r in ranks)
+
+
+# -- the collector during an episode ------------------------------------------------
+
+class RelabelingDomain(ListDomain):
+    """Every successors call labels its actions afresh, so an action the
+    planner committed from its cached successor list no longer applies."""
+
+    calls = 0
+
+    def successors(self, state):
+        self.calls += 1
+        return [((a, self.calls), s2, c) for a, s2, c in super().successors(state)]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises):
+    domain = chain_domain(5)
+    if raises:
+        domain = RelabelingDomain(domain.succ, goals=domain.goals, h=domain.h_table)
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(ValueError, match="not applicable"):
+                run_episode(domain, 0, PlannerConfig("lss-lrta", 2))
+        else:
+            assert run_episode(domain, 0, PlannerConfig("lss-lrta", 2)).outcome == "goal"
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("world", ["airspace", "racetrack"])
+@pytest.mark.parametrize("algorithm, evaluator", [
+    ("safe-rts", "astar"), ("lss-lrta", "astar"), ("rtfs", "astar"),
+    ("rtfs", "wastar:1.1"), ("rtfs", "greedy")])
+def test_an_episode_leaves_no_cyclic_garbage(world, algorithm, evaluator):
+    # run_episode suspends the collector because the search graph is acyclic;
+    # node references in preds, for one, would make every episode leak cycles
+    if world == "airspace":
+        domain = airspace.generate(120, 6, 0.1, 4)
+        start = domain.start
+    else:
+        domain = right_turn_track()
+        start = domain.start_state(domain.starts[0])
+    config = PlannerConfig(algorithm, 30, evaluator=Evaluator.parse(evaluator))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_episode(domain, start, config, max_iterations=300)
+        assert result.iterations > 1
+        del result
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

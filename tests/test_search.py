@@ -57,6 +57,26 @@ def test_open_empty_signals_failure():
     assert outcome.kind == "open_empty"
 
 
+class RaisingDomain(ListDomain):
+    def successors(self, state):
+        if state == "a":
+            raise RuntimeError("successor generation failed")
+        return super().successors(state)
+
+
+def test_a_raising_domain_leaves_no_sequence_number_to_reuse():
+    # the loop counts in locals; they must reach the graph and the budget even
+    # when the domain raises, or a later push could repeat a live open_seq
+    domain = RaisingDomain({"r": [("ra", "a", 1.0), ("rb", "b", 2.0)], "a": [], "b": []})
+    graph = SearchGraph()
+    graph.begin_iteration("r", FCOST, domain, None)
+    budget = ExpansionBudget(5)
+    with pytest.raises(RuntimeError):
+        expand_best_first(graph, FCOST, budget, domain)
+    assert graph._seq == max(entry[-2] for entry in graph.open) == 3
+    assert budget.used == 2
+
+
 def test_flagged_successors_never_enter_open():
     from rtss.safety import DeadEndCache
     domain = chain_domain(5)
@@ -345,8 +365,19 @@ def _linear_best_f(graph):
     return best
 
 
+def _oracle_key(evaluator):
+    """The open-list keys as the three evaluators defined them before they
+    became key weights, kept as the oracle of the stored keys."""
+    if evaluator.kind == "astar":
+        return lambda n: (n.g + n.h, -n.g)
+    if evaluator.kind == "wastar":
+        w = evaluator.weight
+        return lambda n: (n.g + w * n.h, -n.g)
+    return lambda n: (n.h, -n.g)
+
+
 def check_open_order(graph):
-    key = graph._key
+    key = _oracle_key(graph.evaluator)
     for entry in graph.open:
         node = graph.nodes[entry[-1]]
         if node.on_open and node.open_seq == entry[-2]:
