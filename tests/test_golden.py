@@ -8,6 +8,9 @@ of these CSVs changes behaviour, and has to be argued as such.
 
 To see what moved, run the grid with the same config and diff the CSV
 against one written by the commit that recorded the digests.
+
+One more digest pins a small `rtss stats` CSV, which only the safety
+proofs and successor generation produce.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import hashlib
 
 import pytest
 
+from rtss.cli import main
 from rtss.harness import ExperimentConfig, run_experiment
 
 AIRSPACE = {"type": "airspace", "length": 300, "maxAltitude": 8, "pObs": 0.1,
@@ -62,3 +66,17 @@ def test_grid_csv_matches_its_recorded_digest(grid, tmp_path):
     assert not any(r.outcome.startswith("error") for r in records)
     with open(config.output, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == digest
+
+
+STATS_DIGEST = "8b5dfc9f15621719f531b341ace85dd36b3e46325b2c2e0d4e4bcdbd08f73534"
+
+
+def test_stats_csv_matches_its_recorded_digest(tmp_path):
+    inst = tmp_path / "inst.txt"
+    out = tmp_path / "stats.csv"
+    assert main(["generate", "--domain", "airspace", "--length", "2000",
+                 "--max-altitude", "20", "--p-obs", "0.05", "--seed", "1",
+                 "--out", str(inst)]) == 0
+    assert main(["stats", "--instance", str(inst), "--samples", "50",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STATS_DIGEST

@@ -12,6 +12,15 @@ def test_all_suites_pass_on_a_small_seed_block():
     for check in checks:
         assert check.passed, check.line()
         assert check.checked > 0
+    # the assertion counts pin what the suites build and prove, so a change
+    # to the search, the proofs or the cache that alters them shows here
+    assert [c.line() for c in checks] == [
+        "pass  closure-completeness  (102 assertions, 0 failures)",
+        "pass  frontier-advantage  (12 assertions, 0 failures)",
+        "pass  subsumed-proofs  (13 assertions, 0 failures)",
+        "pass  coverage-monotone  (13 assertions, 0 failures)",
+        "pass  safety-and-dead-end-soundness  (270 assertions, 0 failures)",
+    ]
 
 
 def test_theorem_suite_alone_runs():
