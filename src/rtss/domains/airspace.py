@@ -229,7 +229,6 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     transitions + 2).
     """
     from ..safety import DeadEndCache, Proven, prove_safety
-    from ..search import ExpansionBudget
 
     if samples_per_altitude < 1:
         raise ValueError("samples_per_altitude must be >= 1")
@@ -245,8 +244,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
             state = instance.sample_state(altitude, rng)
             if state is None:
                 continue
-            result = prove_safety(state, ExpansionBudget(proof_budget), instance,
-                                  DeadEndCache())
+            result = prove_safety(state, proof_budget, instance, DeadEndCache())
             if isinstance(result, Proven):
                 successes += 1
                 transitions_total += len(result.path) - 1

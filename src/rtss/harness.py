@@ -154,15 +154,6 @@ def simulate_offline_astar(domain, start, instance_id: str = "",
                      expansions, 0, 0.0, None, 0)
 
 
-def measure_reexpansion_ratio(config: PlannerConfig, domain, start,
-                              max_iterations: int = 100_000) -> float:
-    """Fraction of expansions spent on states an exhausted proof had already
-    condemned, with the cache off (the avoidable work the cache removes)."""
-    record, _ = simulate_episode(config, domain, start, cache_enabled=False,
-                                 max_iterations=max_iterations)
-    return record.dead_end_reexpansion_ratio
-
-
 # -- experiment grids ---------------------------------------------------------
 
 @dataclass

@@ -29,6 +29,8 @@ SAFE_LSS_LRTA = "safe-lss-lrta"
 
 ALGORITHMS = (LSS_LRTA, SAFE_RTS, RTFS, SAFE_LSS_LRTA)
 
+INITIAL_PROOF_BUDGET = 10                   # SafeRTS alternation seed
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -38,7 +40,6 @@ class PlannerConfig:
     evaluator: Evaluator = FCOST            # RTFS exploration strategy
     commit_mode: str = "single"             # 'single' | 'full'
     allow_budget_carryover: bool = True     # RTFS only
-    initial_proof_budget: int = 10          # SafeRTS alternation seed
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -128,7 +129,7 @@ def _prove_target(graph: SearchGraph, target, limit: int, domain,
     """Prove target within limit expansions; one already marked safe is free."""
     if graph.nodes[target].safety in _SAFE:
         return Proven((target,), 0)
-    return prove_safety(target, ExpansionBudget(limit), domain, cache,
+    return prove_safety(target, limit, domain, cache,
                         known_safe=graph.safety_lookup)
 
 
@@ -155,7 +156,7 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
         if isinstance(res, BudgetOut):
             break
         cache_dead_ends(cache, res)
-        prune_exhausted(graph, res)
+        prune_exhausted(graph, res, cache)
         propagate_dead_ends(graph, domain, cache)
     return results, used, proven_paths
 
@@ -180,7 +181,7 @@ def _commit_goal(report: IterationReport, graph: SearchGraph, goal,
 
 
 def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                       cache: Optional[DeadEndCache] = None,
+                       cache: DeadEndCache,
                        bound: Optional[int] = None) -> IterationReport:
     """One LSS-LRTA* iteration: bounded A*, heuristic backup, commit toward
     the best frontier node (or straight to a popped goal)."""
@@ -216,7 +217,7 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     """
     bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
-    b = config.initial_proof_budget
+    b = INITIAL_PROOF_BUDGET
     proven_paths: list = []
     phases: list = []
     goal_state = None
@@ -247,7 +248,7 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         phases.append(("proof", res.expansions))
         if isinstance(res, Proven):
             proven_paths.append(res.path)
-            b = config.initial_proof_budget
+            b = INITIAL_PROOF_BUDGET
         else:
             if isinstance(res, Exhausted):
                 cache_dead_ends(cache, res, graph)
@@ -389,8 +390,7 @@ def run_episode(domain, start, config: PlannerConfig,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
-    if cache is None:
-        cache = DeadEndCache()
+    cache = cache or DeadEndCache()
     if graph is None:
         graph = SearchGraph()
     evaluator = evaluator_for(config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
-from .search import _DEAD_END, _SAFE, INF, ExpansionBudget, SafetyStatus, SearchGraph
+from .search import _DEAD_END, _SAFE, INF, SafetyStatus, SearchGraph
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ ProofResult = Union[Proven, Exhausted, BudgetOut]
 
 @dataclass
 class DeadEndCache:
-    """One bit of dead-end knowledge per state, plus instrumentation.
+    """One bit of dead-end knowledge per state, plus instrumentation; the
+    one owner of what search may generate and of what a dead node becomes.
 
     Flags are only ever set within an episode, never cleared. When the
     cache is disabled the flags are still recorded (so the avoidable work
@@ -55,24 +56,22 @@ class DeadEndCache:
     avoided_reexpansions: int = 0
     dead_reexpansions: int = 0
 
-    def blocks(self, state) -> bool:
-        return self.enabled and state in self.flags
+    @property
+    def blocked(self):
+        """The states search must not generate: the flags, when enabled."""
+        return self.flags if self.enabled else ()
 
-    def flag(self, state, origin: str = "exhausted") -> bool:
-        if origin == "exhausted":
-            self.exhausted_marks.add(state)
-        new = state not in self.flags
-        self.flags.add(state)
-        return new
-
-    def note_expansion(self, state) -> None:
-        if state in self.exhausted_marks:
-            self.dead_reexpansions += 1
+    def mark_dead(self, node) -> None:
+        """Mark a search node dead: off open, h infinite, its state flagged."""
+        node.safety = _DEAD_END
+        node.on_open = False
+        node.h = INF
+        self.flags.add(node.state)
 
 
-def prove_safety(target, budget: ExpansionBudget, domain, cache: DeadEndCache,
+def prove_safety(target, limit: int, domain, cache: DeadEndCache,
                  known_safe: Optional[Callable] = None) -> ProofResult:
-    """Attempt a budgeted safety proof of target.
+    """Attempt a safety proof of target within limit expansions.
 
     Best-first on (safety distance, base h, insertion order). A popped
     state succeeds if the predicate accepts it, it is a goal, or the
@@ -81,7 +80,9 @@ def prove_safety(target, budget: ExpansionBudget, domain, cache: DeadEndCache,
     never generated. On exhaustion every visited state is provably dead
     and the caller is expected to hand the set to cache_dead_ends.
     """
-    if cache is not None and cache.blocks(target):
+    blocked = cache.blocked
+    marks = cache.exhausted_marks
+    if target in blocked:
         raise ValueError("prove_safety called on a cache-flagged target")
     d_safe = domain.d_safe
     base_h = domain.h
@@ -103,17 +104,16 @@ def prove_safety(target, budget: ExpansionBudget, domain, cache: DeadEndCache,
                 cur = parent[cur]
             path.reverse()
             return Proven(tuple(path), expansions)
-        if budget.used >= budget.limit:
+        if expansions >= limit:
             return BudgetOut(expansions)
-        budget.used += 1
         expansions += 1
-        if cache is not None:
-            cache.note_expansion(state)
+        if state in marks:
+            cache.dead_reexpansions += 1
         closed.add(state)
         for _action, s2, _cost in domain.successors(state):
             if s2 in parent:
                 continue
-            if cache is not None and cache.blocks(s2):
+            if s2 in blocked:
                 cache.avoided_reexpansions += 1
                 continue
             parent[s2] = state
@@ -135,24 +135,22 @@ def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted,
     pruned (marked dead, dropped from open) so neither search touches them
     again this episode.
     """
-    count = 0
-    for state in exhausted.visited:
-        if cache.flag(state, origin="exhausted"):
-            count += 1
+    flagged = len(cache.flags)
+    cache.flags |= exhausted.visited
+    cache.exhausted_marks |= exhausted.visited
     if graph is not None and cache.enabled:
-        prune_exhausted(graph, exhausted)
-    return count
+        prune_exhausted(graph, exhausted, cache)
+    return len(cache.flags) - flagged
 
 
-def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> None:
+def prune_exhausted(graph: SearchGraph, exhausted: Exhausted,
+                    cache: DeadEndCache) -> None:
     """Drop an exhausted proof's states from the current search tree
-    unconditionally (within-iteration pruning, independent of the cache)."""
+    unconditionally (within-iteration pruning, even with the cache off)."""
     for state in exhausted.visited:
         node = graph.nodes.get(state)
         if node is not None and node.stamp == graph.stamp:
-            node.safety = SafetyStatus.DEAD_END
-            node.on_open = False
-            node.h = INF
+            cache.mark_dead(node)
 
 
 def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
@@ -216,7 +214,7 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
     stamp = graph.stamp
     nodes = graph.nodes
     dead = SafetyStatus.DEAD_END
-    blocked = cache.flags if cache is not None and cache.enabled else ()
+    blocked = cache.blocked
     worklist = deque()
     for node in graph.touched:
         if node.safety == dead or node.goal:
@@ -239,11 +237,7 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
         node = worklist.popleft()
         if node.safety == dead:
             continue
-        node.safety = dead
-        node.on_open = False
-        node.h = INF
-        if cache is not None:
-            cache.flag(node.state, origin="derived")
+        cache.mark_dead(node)
         count += 1
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]

@@ -83,10 +83,6 @@ class ExpansionBudget:
     limit: int
     used: int = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used
-
 
 class SearchNode:
     """Per-state search record; persists across iterations of one episode."""
@@ -107,13 +103,6 @@ class SearchNode:
         self.expanded = False
         self.stamp = 0
         self.open_seq = -1
-
-    @property
-    def f(self) -> float:
-        return self.g + self.h
-
-    def is_safe(self) -> bool:
-        return self.safety in _SAFE
 
     def __repr__(self):
         return (f"{type(self).__name__}({self.state!r}, g={self.g}, h={self.h}, "
@@ -150,8 +139,9 @@ class SearchGraph:
 
     # -- iteration lifecycle -------------------------------------------------
 
-    def begin_iteration(self, root_state, evaluator: Evaluator, domain, cache=None):
-        """Reset root-relative state for a fresh planning iteration."""
+    def begin_iteration(self, root_state, evaluator: Evaluator, domain, cache):
+        """Reset root-relative state for a fresh planning iteration; the
+        dead-end cache decides which dead nodes stay dead."""
         self.stamp += 1
         self.touched = []
         self.evaluator = evaluator
@@ -184,12 +174,10 @@ class SearchGraph:
             node.preds.clear()
             node.on_open = False
             node.expanded = False
-            if node.safety == _DEAD_END:
-                cache = self._cache
-                if cache is None or not cache.blocks(state):
-                    # dead-end knowledge only persists through an enabled cache
-                    node.safety = SafetyStatus.UNKNOWN
-                    node.h = self._domain.h(state)
+            if node.safety == _DEAD_END and state not in self._cache.blocked:
+                # dead-end knowledge only persists through an enabled cache
+                node.safety = SafetyStatus.UNKNOWN
+                node.h = self._domain.h(state)
             self.touched.append(node)
         return node
 
@@ -256,7 +244,7 @@ def _require_f_keys(graph: SearchGraph) -> None:
 
 def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
                       budget: ExpansionBudget, domain,
-                      stop_on_goal: bool = True, cache=None) -> ExpansionOutcome:
+                      stop_on_goal: bool = True, *, cache) -> ExpansionOutcome:
     """Expand evaluator-best open nodes until the budget, the open list, or
     (optionally) a popped goal stops the loop.
 
@@ -273,9 +261,8 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
     g_weight, h_weight = evaluator.key_weights
     seq = graph._seq
     used, limit = budget.used, budget.limit
-    # DeadEndCache.blocks and note_expansion, inlined for the hot loop
-    blocked = cache.flags if cache is not None and cache.enabled else ()
-    marks = cache.exhausted_marks if cache is not None else ()
+    blocked = cache.blocked
+    marks = cache.exhausted_marks
     outcome = BUDGET_EXHAUSTED
     try:
         while used < limit:
@@ -343,7 +330,7 @@ def select_best_f(graph: SearchGraph) -> Optional[Any]:
     return None
 
 
-def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
+def dijkstra_h_update(graph: SearchGraph, domain, cache) -> int:
     """Back up heuristic values from the frontier through the expanded set.
 
     Expanded non-goal nodes are reset to infinity, then relaxed backwards
@@ -394,10 +381,7 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache=None) -> int:
         if node.h != prev:
             changes += 1
         if math.isinf(node.h):
-            node.safety = SafetyStatus.DEAD_END
-            node.on_open = False
-            if cache is not None:
-                cache.flag(node.state, origin="derived")
+            cache.mark_dead(node)
     return changes
 
 

@@ -78,7 +78,7 @@ def _make_instance(index: int, base_seed: int):
     return dag, 0, 6 + rng.randrange(25)
 
 
-def _build_lss(domain, root, budget: int, cache=None) -> SearchGraph:
+def _build_lss(domain, root, budget: int, cache: DeadEndCache) -> SearchGraph:
     graph = SearchGraph()
     graph.begin_iteration(root, FCOST, domain, cache)
     expand_best_first(graph, FCOST, ExpansionBudget(budget), domain,
@@ -118,7 +118,7 @@ def _restricted_proof_exists(graph: SearchGraph, domain, state) -> bool:
 
 def check_closure_completeness(instances, check: Check) -> None:
     for domain, root, budget in instances:
-        graph = _build_lss(domain, root, budget)
+        graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
         propagate_safety(graph, domain, [])
         for node in graph.touched:
             if not node.expanded or domain.is_goal(node.state):
@@ -131,7 +131,7 @@ def check_closure_completeness(instances, check: Check) -> None:
 
 def check_frontier_advantage(instances, check: Check) -> None:
     for domain, root, budget in instances:
-        graph = _build_lss(domain, root, budget)
+        graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
         propagate_safety(graph, domain, [])
         open_proofs = [optimal_proof_oracle(domain, n.state)
                        for n in graph.touched if n.on_open]
@@ -151,7 +151,7 @@ def check_frontier_advantage(instances, check: Check) -> None:
 
 def check_subsumed_proofs(instances, check: Check) -> None:
     for domain, root, budget in instances:
-        graph = _build_lss(domain, root, budget)
+        graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
         pick = None
         for node in graph.open_nodes_in_f_order():
             if node.parent is None:
@@ -173,7 +173,7 @@ def check_subsumed_proofs(instances, check: Check) -> None:
         proof_x = tuple(ancestor_path[:-1]) + proof_y
 
         def marked_set(paths):
-            g = _build_lss(domain, root, budget)
+            g = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
             propagate_safety(g, domain, paths)
             return {n.state for n in g.touched if n.safety in _SAFE}
 
@@ -188,11 +188,11 @@ def _certify_cost(domain, root, budget: int, targets) -> int:
     """Proof expansions to certify the targets given the LSS of `budget`
     expansions: each target is proven independently, consulting the graph's
     propagated safety marks, so closure-covered targets cost nothing."""
-    graph = _build_lss(domain, root, budget)
+    graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
     propagate_safety(graph, domain, [])
     total = 0
     for t in targets:
-        res = prove_safety(t, ExpansionBudget(1_000_000), domain, DeadEndCache(),
+        res = prove_safety(t, 1_000_000, domain, DeadEndCache(),
                            known_safe=graph.safety_lookup)
         if not isinstance(res, Proven):
             raise AssertionError(f"provable target {t!r} failed its proof")
@@ -202,7 +202,7 @@ def _certify_cost(domain, root, budget: int, targets) -> int:
 
 def check_coverage_monotone(instances, check: Check) -> None:
     for domain, root, budget in instances:
-        small = _build_lss(domain, root, budget)
+        small = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
         targets = sorted((n.state for n in small.touched
                           if optimal_proof_oracle(domain, n.state) is not None),
                          key=repr)
@@ -221,9 +221,9 @@ def check_soundness(instances, check: Check) -> None:
         graph = _build_lss(domain, root, budget, cache)
         proven = []
         for node in graph.open_nodes_in_f_order()[:4]:
-            if cache.blocks(node.state):
+            if node.state in cache.blocked:
                 continue
-            res = prove_safety(node.state, ExpansionBudget(200), domain, cache,
+            res = prove_safety(node.state, 200, domain, cache,
                                known_safe=graph.safety_lookup)
             if isinstance(res, Proven):
                 proven.append(res.path)

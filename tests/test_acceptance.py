@@ -12,8 +12,8 @@ import pytest
 from rtss.domains import airspace, racetrack
 from rtss.domains.airspace import collision_probability, safety_proof_stats
 from rtss.domains.oracles import true_safe_set
-from rtss.harness import (ExperimentConfig, measure_reexpansion_ratio,
-                          run_experiment, simulate_episode, simulate_offline_astar)
+from rtss.harness import (ExperimentConfig, run_experiment, simulate_episode,
+                          simulate_offline_astar)
 from rtss.planners import PlannerConfig
 from rtss.search import Evaluator
 from rtss.verification import run_suite

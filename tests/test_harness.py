@@ -7,8 +7,7 @@ import pytest
 from conftest import ListDomain, chain_domain
 from rtss.domains import airspace
 from rtss.harness import (CSV_COLUMNS, ExperimentConfig, RunRecord,
-                          measure_reexpansion_ratio, replay_actions,
-                          run_experiment, simulate_episode,
+                          replay_actions, run_experiment, simulate_episode,
                           simulate_offline_astar, write_csv)
 from rtss.planners import PlannerConfig
 
@@ -68,7 +67,8 @@ def test_accounting_identity_and_report_sums():
 
 def test_reexpansion_ratio_zero_without_exhausted_proofs():
     inst = airspace.generate(100, 4, 0.0, 1)
-    ratio = measure_reexpansion_ratio(PlannerConfig("safe-rts", 20), inst, inst.start)
+    ratio = simulate_episode(PlannerConfig("safe-rts", 20), inst, inst.start,
+                             cache_enabled=False)[0].dead_end_reexpansion_ratio
     assert ratio == 0.0
 
 

@@ -14,11 +14,13 @@ from rtss.planners import (PlannerConfig, SafeFilteredDomain,
                            lss_lrta_iteration, offline_astar, rtfs_iteration,
                            run_episode, safe_rts_iteration, safe_toward_best)
 from rtss.safety import BudgetOut, DeadEndCache, Exhausted, Proven, propagate_safety
-from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
+from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, expand_best_first)
 
 
 def fresh(domain, root, cache=None, evaluator=FCOST):
+    if cache is None:
+        cache = DeadEndCache(enabled=False)
     graph = SearchGraph()
     graph.begin_iteration(root, evaluator, domain, cache)
     return graph
@@ -170,7 +172,7 @@ def test_safe_rts_commits_only_through_safe_states():
             for action in report.committed_actions:
                 cur = apply_action(inst, cur, action)
                 node = graph.nodes.get(cur)
-                assert node is not None and (node.is_safe()
+                assert node is not None and (node.safety in _SAFE
                                              or inst.is_goal(cur))
             state = cur
 
@@ -255,7 +257,8 @@ def test_rtfs_terminates_when_no_safe_target():
 def test_allocator_single_success_leaves_budget():
     domain = _schedule_domain()
     graph = fresh(domain, "e0")
-    expand_best_first(graph, FCOST, ExpansionBudget(30), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(30), domain, True,
+                      cache=DeadEndCache(enabled=False))
     # top of open is e30 whose proof takes exactly 20 expansions
     results, used, paths = allocate_proofs_rtfs0(graph, 90, domain, DeadEndCache())
     assert len(results) == 1 and isinstance(results[0], Proven)
@@ -273,7 +276,7 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
                         d_safe={"trap": 4, "t2": 5, "ok": 1, "pad": 0, "r": 2})
     cache = DeadEndCache()
     graph = fresh(domain, "r", cache)
-    expand_best_first(graph, FCOST, ExpansionBudget(1), domain, True, cache)
+    expand_best_first(graph, FCOST, ExpansionBudget(1), domain, True, cache=cache)
     results, used, paths = allocate_proofs_rtfs0(graph, 50, domain, cache)
     assert [type(r) for r in results] == [Exhausted, Proven]
     # the trap and its descendant are flagged and off the open list
@@ -288,7 +291,8 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
 def test_allocator_zero_budget_returns_nothing():
     domain = chain_domain(5)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+                      cache=DeadEndCache(enabled=False))
     results, used, paths = allocate_proofs_rtfs0(graph, 0, domain, DeadEndCache())
     assert results == [] and used == 0 and paths == []
 
@@ -299,7 +303,8 @@ def test_target_is_safe_parent_of_top_node():
     succ = {"r": [("a", "mid", 1.0)], "mid": [("b", "leaf", 1.0)], "leaf": []}
     domain = ListDomain(succ, h={"r": 2, "mid": 1, "leaf": 0})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+                      cache=DeadEndCache(enabled=False))
     graph.nodes["mid"].safety = SafetyStatus.IMPLICITLY_SAFE
     target, rank = safe_toward_best(graph)
     assert target == "mid" and rank == 1
@@ -310,7 +315,8 @@ def test_scan_skips_unqualified_lower_f_nodes():
             "m": [("c", "s2", 1.0)], "u1": [], "s2": []}
     domain = ListDomain(succ, h={"r": 0, "u1": 0.5, "m": 0.5, "s2": 0.5})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+                      cache=DeadEndCache(enabled=False))
     # expanded: r, m; open: u1 (f=1.5, no safe ancestor), s2 (f=2.0, parent m)
     graph.nodes["m"].safety = SafetyStatus.IMPLICITLY_SAFE
     target, rank = safe_toward_best(graph)
@@ -320,14 +326,16 @@ def test_scan_skips_unqualified_lower_f_nodes():
 def test_no_safe_nodes_means_no_target():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+                      cache=DeadEndCache(enabled=False))
     assert safe_toward_best(graph) is None
 
 
 def test_root_only_safety_does_not_qualify():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True)
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+                      cache=DeadEndCache(enabled=False))
     graph.nodes[0].safety = SafetyStatus.EXPLICITLY_SAFE
     assert safe_toward_best(graph) is None
 

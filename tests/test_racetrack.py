@@ -61,8 +61,9 @@ def test_overspeed_state_flagged_by_propagation_after_expansion():
     track = load(OPEN_STRIP, is_text=True)
     doomed = (9, 1, 3, 0, False)
     graph = SearchGraph()
-    graph.begin_iteration(doomed, FCOST, track, None)
-    expand_best_first(graph, FCOST, ExpansionBudget(1), track, stop_on_goal=True)
+    graph.begin_iteration(doomed, FCOST, track, DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(1), track, stop_on_goal=True,
+                      cache=DeadEndCache(enabled=False))
     cache = DeadEndCache()
     propagate_dead_ends(graph, track, cache)
     assert graph.nodes[doomed].safety == SafetyStatus.DEAD_END

@@ -10,11 +10,13 @@ from rtss.domains.oracles import reachable_states, true_safe_set
 from rtss.safety import (BudgetOut, DeadEndCache, Exhausted, Proven,
                          cache_dead_ends, propagate_dead_ends, propagate_safety,
                          prove_safety)
-from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
+from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, expand_best_first)
 
 
 def build(domain, root, budget, cache=None, stop_on_goal=True):
+    if cache is None:
+        cache = DeadEndCache(enabled=False)
     graph = SearchGraph()
     graph.begin_iteration(root, FCOST, domain, cache)
     expand_best_first(graph, FCOST, ExpansionBudget(budget), domain,
@@ -27,7 +29,7 @@ def build(domain, root, budget, cache=None, stop_on_goal=True):
 def test_explicitly_safe_target_costs_nothing():
     inst = airspace.generate(50, 5, 0.0, 1)
     for state in ((7, 1), (3, 0)):
-        res = prove_safety(state, ExpansionBudget(100), inst, DeadEndCache())
+        res = prove_safety(state, 100, inst, DeadEndCache())
         assert isinstance(res, Proven)
         assert res.path == (state,)
         assert res.expansions == 0
@@ -35,7 +37,7 @@ def test_explicitly_safe_target_costs_nothing():
 
 def test_clear_column_descent_from_altitude_three():
     inst = airspace.generate(200, 5, 0.0, 1)
-    res = prove_safety((10, 3), ExpansionBudget(100), inst, DeadEndCache())
+    res = prove_safety((10, 3), 100, inst, DeadEndCache())
     assert isinstance(res, Proven)
     # descent 3 -> 2 -> 1: three states, two transitions, safe endpoint
     assert res.path == ((10, 3), (12, 2), (13, 1))
@@ -44,7 +46,7 @@ def test_clear_column_descent_from_altitude_three():
 
 def test_funnel_exhausts_with_full_reachable_set():
     domain = funnel_domain()
-    res = prove_safety("r", ExpansionBudget(100), domain, DeadEndCache())
+    res = prove_safety("r", 100, domain, DeadEndCache())
     assert isinstance(res, Exhausted)
     # oracle: full forward reachability
     assert set(res.visited) == set(reachable_states(domain, ["r"]))
@@ -52,23 +54,23 @@ def test_funnel_exhausts_with_full_reachable_set():
 
 def test_budget_out_when_proof_is_too_deep():
     domain = chain_domain(30)  # goal far down the line counts as safe endpoint
-    res = prove_safety(0, ExpansionBudget(5), domain, DeadEndCache())
+    res = prove_safety(0, 5, domain, DeadEndCache())
     assert isinstance(res, BudgetOut)
     assert res.expansions == 5
 
 
 def test_proof_rejects_flagged_target():
     cache = DeadEndCache(enabled=True)
-    cache.flag("r")
+    cache_dead_ends(cache, Exhausted(frozenset({"r"}), 0))
     with pytest.raises(ValueError):
-        prove_safety("r", ExpansionBudget(5), funnel_domain(), cache)
+        prove_safety("r", 5, funnel_domain(), cache)
 
 
 def test_proof_never_generates_flagged_states():
     domain = funnel_domain()
     cache = DeadEndCache(enabled=True)
-    cache.flag("m1")
-    res = prove_safety("r", ExpansionBudget(100), domain, cache)
+    cache_dead_ends(cache, Exhausted(frozenset({"m1"}), 0))
+    res = prove_safety("r", 100, domain, cache)
     assert isinstance(res, Exhausted)
     assert "m1" not in res.visited
     assert cache.avoided_reexpansions == 1
@@ -76,7 +78,7 @@ def test_proof_never_generates_flagged_states():
 
 def test_known_safe_lookup_ends_proof_early():
     domain = chain_domain(30)
-    res = prove_safety(0, ExpansionBudget(50), domain, DeadEndCache(),
+    res = prove_safety(0, 50, domain, DeadEndCache(),
                        known_safe=lambda s: s == 3)
     assert isinstance(res, Proven)
     assert res.path == (0, 1, 2, 3)
@@ -108,7 +110,7 @@ def test_closure_marks_all_ancestor_chains():
     domain = ListDomain(succ, safe={"z"})
     graph = build(domain, "r", 10, stop_on_goal=False)
     propagate_safety(graph, domain, [])
-    marked = {n.state for n in graph.touched if n.is_safe()}
+    marked = {n.state for n in graph.touched if n.safety in _SAFE}
     assert marked == {"r", "a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5", "z"}
 
 
@@ -123,7 +125,7 @@ def test_subsumed_ancestor_proof_changes_nothing():
     def marked_with(paths):
         graph = build(domain, 0, 9)  # expands 0..8, so 3..6 edges are discovered
         propagate_safety(graph, domain, paths)
-        return {s for s, n in graph.nodes.items() if n.is_safe()}
+        return {s for s, n in graph.nodes.items() if n.safety in _SAFE}
 
     assert marked_with([proof_x, proof_y]) == marked_with([proof_y])
 
@@ -211,7 +213,7 @@ def _dead_end_fixpoint(graph, domain, cache):
         child = graph.nodes.get(s2)
         if child is not None and child.stamp == stamp:
             return s2 in dead
-        return cache.blocks(s2)
+        return s2 in cache.blocked
 
     changed = True
     while changed:

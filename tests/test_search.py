@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from conftest import ListDomain, chain_domain, random_h_dag
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
+from rtss.safety import DeadEndCache, Exhausted, cache_dead_ends
 from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, dijkstra_h_update, expand_best_first,
                          path_to, select_best_f)
 
 
 def build(domain, root, budget, evaluator=FCOST, stop_on_goal=True, cache=None):
+    if cache is None:
+        cache = DeadEndCache(enabled=False)
     graph = SearchGraph()
     graph.begin_iteration(root, evaluator, domain, cache)
     outcome = expand_best_first(graph, evaluator, ExpansionBudget(budget), domain,
@@ -44,9 +47,10 @@ def test_zero_budget_leaves_graph_unchanged():
 def test_goal_root_stops_with_one_expansion():
     domain = chain_domain(5)
     graph = SearchGraph()
-    graph.begin_iteration(4, FCOST, domain, None)
+    graph.begin_iteration(4, FCOST, domain, DeadEndCache(enabled=False))
     budget = ExpansionBudget(10)
-    outcome = expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True)
+    outcome = expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True,
+                                cache=DeadEndCache(enabled=False))
     assert outcome.kind == "goal" and outcome.goal == 4
     assert budget.used == 1
 
@@ -69,19 +73,19 @@ def test_a_raising_domain_leaves_no_sequence_number_to_reuse():
     # when the domain raises, or a later push could repeat a live open_seq
     domain = RaisingDomain({"r": [("ra", "a", 1.0), ("rb", "b", 2.0)], "a": [], "b": []})
     graph = SearchGraph()
-    graph.begin_iteration("r", FCOST, domain, None)
+    graph.begin_iteration("r", FCOST, domain, DeadEndCache(enabled=False))
     budget = ExpansionBudget(5)
     with pytest.raises(RuntimeError):
-        expand_best_first(graph, FCOST, budget, domain)
+        expand_best_first(graph, FCOST, budget, domain,
+                          cache=DeadEndCache(enabled=False))
     assert graph._seq == max(entry[-2] for entry in graph.open) == 3
     assert budget.used == 2
 
 
 def test_flagged_successors_never_enter_open():
-    from rtss.safety import DeadEndCache
     domain = chain_domain(5)
     cache = DeadEndCache(enabled=True)
-    cache.flag(2, origin="exhausted")
+    cache_dead_ends(cache, Exhausted(frozenset({2}), 0))
     graph, outcome = build(domain, 0, 10, cache=cache)
     assert outcome.kind == "open_empty"
     assert 2 not in graph.nodes or graph.nodes[2].stamp != graph.stamp
@@ -91,7 +95,6 @@ def test_flagged_successors_never_enter_open():
 def test_open_empty_leaves_no_touched_node_on_open():
     # RTFS reads an open_empty outcome as "no open node left to commit
     # toward" without rescanning the touched set; this is what makes that safe
-    from rtss.safety import DeadEndCache
     for seed in range(40):
         domain = random_dag(seed, size=40, edge_chance=0.1)
         evaluator = (FCOST, Evaluator("wastar", 1.5), Evaluator("greedy"))[seed % 3]
@@ -103,7 +106,7 @@ def test_open_empty_leaves_no_touched_node_on_open():
         # flag part of the open list so that some pops hit blocked states
         for node in graph.touched[1::2]:
             if node.on_open:
-                cache.flag(node.state)
+                cache_dead_ends(cache, Exhausted(frozenset({node.state}), 0))
         outcome = expand_best_first(graph, evaluator, ExpansionBudget(10_000),
                                     domain, stop_on_goal=False, cache=cache)
         assert outcome.kind == "open_empty"
@@ -139,7 +142,7 @@ def test_single_edge_backup():
     domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)]},
                         h={"r": 0.0, "x": 0.0, "y": 3.0})
     graph, _ = build(domain, "r", 2)  # expands r and x; y on the frontier
-    dijkstra_h_update(graph, domain)
+    dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
     assert graph.nodes["x"].h == 4.0
     assert graph.nodes["r"].h == 5.0
 
@@ -149,7 +152,7 @@ def test_unreachable_from_frontier_goes_infinite():
                          "x": [("c", "y", 1.0)]},
                         h={"r": 0, "t": 0, "x": 0, "y": 5})
     graph, _ = build(domain, "r", 3, stop_on_goal=False)  # expands r, t, x
-    dijkstra_h_update(graph, domain)
+    dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
     assert math.isinf(graph.nodes["t"].h)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
 
@@ -159,7 +162,7 @@ def test_consistent_chain_needs_no_changes():
     graph, _ = build(domain, 0, 2)
     # independent oracle: exhaustive backward fixpoint over the expanded set
     expected = _bellman_backup_oracle(graph, domain)
-    changes = dijkstra_h_update(graph, domain)
+    changes = dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
     assert changes == 0
     for state, h in expected.items():
         assert graph.nodes[state].h == h
@@ -193,7 +196,7 @@ def test_backup_matches_bellman_oracle_on_random_dags():
         domain = random_dag(seed, size=50)
         graph, _ = build(domain, 0, 4 + seed % 17, stop_on_goal=True)
         expected = _bellman_backup_oracle(graph, domain)
-        dijkstra_h_update(graph, domain)
+        dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
         for state, h in expected.items():
             node = graph.nodes[state]
             if node.safety != SafetyStatus.DEAD_END:
@@ -206,10 +209,11 @@ def test_monotone_learning_and_consistency_preserved():
     graph = SearchGraph()
     state = inst.start
     for _ in range(8):
-        graph.begin_iteration(state, FCOST, inst, None)
-        expand_best_first(graph, FCOST, ExpansionBudget(15), inst, stop_on_goal=True)
+        graph.begin_iteration(state, FCOST, inst, DeadEndCache(enabled=False))
+        expand_best_first(graph, FCOST, ExpansionBudget(15), inst, stop_on_goal=True,
+                          cache=DeadEndCache(enabled=False))
         before = {n.state: n.h for n in graph.touched}
-        dijkstra_h_update(graph, inst)
+        dijkstra_h_update(graph, inst, DeadEndCache(enabled=False))
         for n in graph.touched:
             assert n.h >= before[n.state] - 1e-12
             if n.expanded and not inst.is_goal(n.state) and n.succs \
@@ -272,9 +276,10 @@ def test_expansion_count_equals_budget_used():
     for seed in range(10):
         domain = random_dag(seed, size=60)
         graph = SearchGraph()
-        graph.begin_iteration(0, FCOST, domain, None)
+        graph.begin_iteration(0, FCOST, domain, DeadEndCache(enabled=False))
         budget = ExpansionBudget(13)
-        expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True)
+        expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True,
+                          cache=DeadEndCache(enabled=False))
         expanded = sum(1 for n in graph.touched if n.expanded)
         assert budget.used == expanded
 
@@ -285,12 +290,13 @@ def test_weighted_one_matches_fcost_expansion_order():
         orders = []
         for evaluator in (FCOST, Evaluator("wastar", 1.0)):
             graph = SearchGraph()
-            graph.begin_iteration(0, evaluator, domain, None)
+            graph.begin_iteration(0, evaluator, domain, DeadEndCache(enabled=False))
             order = []
             for _ in range(25):
                 before = {n.state for n in graph.touched if n.expanded}
                 outcome = expand_best_first(graph, evaluator, ExpansionBudget(1),
-                                            domain, stop_on_goal=True)
+                                            domain, stop_on_goal=True,
+                                            cache=DeadEndCache(enabled=False))
                 new = {n.state for n in graph.touched if n.expanded} - before
                 if not new:
                     break
@@ -310,9 +316,10 @@ def test_cheaper_path_reopens_a_closed_node():
             "t": []}
     domain = ListDomain(succ, h={"r": 0.0, "a": 0.0, "b": 10.0, "t": 0.0})
     graph = SearchGraph()
-    graph.begin_iteration("r", FCOST, domain, None)
+    graph.begin_iteration("r", FCOST, domain, DeadEndCache(enabled=False))
     budget = ExpansionBudget(5)
-    expand_best_first(graph, FCOST, budget, domain, stop_on_goal=False)
+    expand_best_first(graph, FCOST, budget, domain, stop_on_goal=False,
+                      cache=DeadEndCache(enabled=False))
     node = graph.nodes["a"]
     assert budget.used == 5  # r, a (g=10), t, b, a again (g=2)
     assert node.expanded and node.g == 2.0
@@ -426,7 +433,6 @@ def _airspace_world(seed):
 def test_heap_walk_matches_a_sort_of_the_touched_set(world, seed, algorithm,
                                                       evaluator, bound, cache_enabled):
     from rtss import planners
-    from rtss.safety import DeadEndCache
     domain, start = (random_h_dag(seed), 0) if world == "dag" else _airspace_world(seed)
     config = planners.PlannerConfig(algorithm, bound, exploration_ratio=0.5,
                                     evaluator=Evaluator.parse(evaluator),
