@@ -10,7 +10,8 @@ To see what moved, run the grid with the same config and diff the CSV
 against one written by the commit that recorded the digests.
 
 One more digest pins a small `rtss stats` CSV, which only the safety
-proofs and successor generation produce.
+proofs and successor generation produce, and a last set pins the obstacle
+grids that `airspace.generate` draws for the benchmark's instance sizes.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import hashlib
 import pytest
 
 from rtss.cli import main
+from rtss.domains.airspace import generate
 from rtss.harness import ExperimentConfig, run_experiment
 
 AIRSPACE = {"type": "airspace", "length": 300, "maxAltitude": 8, "pObs": 0.1,
@@ -80,3 +82,20 @@ def test_stats_csv_matches_its_recorded_digest(tmp_path):
     assert main(["stats", "--instance", str(inst), "--samples", "50",
                  "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STATS_DIGEST
+
+
+# SHA-256 of `generate(...).obstacles.tobytes()`: three L10000 instances of
+# the proof-statistics pool and one L2000 episode instance
+GRID_DIGESTS = {
+    (10000, 20, 0.05, 1): "c4f11912d07e83b56551018af191688ef985bf9ce05786c4564aab977b5a4362",
+    (10000, 20, 0.05, 17): "6feb3f3b8dd4a6f2c17e10d2451fc0d780adc03eae047235116df23bdd52f623",
+    (10000, 20, 0.05, 64): "194f06bb67e5e57ef0eb837256c78e9f5a13d6036d07c8fd5c40d090d91b324e",
+    (2000, 20, 0.05, 1): "8a989cd5edd5d4f1fe4ab7655b7742889c06dcad5dbcf69095cfa6fedac370d5",
+}
+
+
+@pytest.mark.parametrize("params", list(GRID_DIGESTS))
+def test_generated_obstacle_grid_matches_its_recorded_digest(params):
+    obstacles = generate(*params).obstacles
+    assert obstacles.dtype == bool
+    assert hashlib.sha256(obstacles.tobytes()).hexdigest() == GRID_DIGESTS[params]
