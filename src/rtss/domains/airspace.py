@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..rng import SplitMix64, uniform_block
+from ..rng import SplitMix64, uniform_below
 
 CLIMB, KEEP, DIVE = 1, 0, -1
 _DELTAS = (CLIMB, KEEP, DIVE)
@@ -52,7 +52,8 @@ class AirspaceInstance:
     obstacles: np.ndarray  # bool, shape (max_altitude - 1, length); True = blocked
 
     _free_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _move_ok: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+    # (a1, a2) -> legality bytes of the move a1 -> a2; a -> the moves from a
+    _move_ok: dict = field(default_factory=dict, repr=False)
     _free_cols: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -83,8 +84,9 @@ class AirspaceInstance:
             self._free_rows[a] = row
         return row
 
-    def _valid_move(self, a1: int, a2: int) -> np.ndarray:
-        """Per-column legality of the move altitude a1 -> a2.
+    def _valid_move(self, a1: int, a2: int) -> bytes:
+        """Per-column legality of the move altitude a1 -> a2, one byte per
+        column (1 = legal).
 
         The segment spans a2 columns (the step advances by the new
         altitude); the altitude over column d+k is interpolated linearly
@@ -106,22 +108,28 @@ class AirspaceInstance:
             if self.length > k:
                 shifted[: self.length - k] = row[k:]
             ok &= shifted
-        self._move_ok[key] = ok
+        # bytes index to small ints in one step and cost a byte per column
+        ok = self._move_ok[key] = ok.tobytes()
         return ok
 
     # -- domain handle -----------------------------------------------------
 
     def successors(self, state) -> list:
         d, a = state
-        if d >= self.length:
+        length = self.length
+        if d >= length:
             return []
+        moves = self._move_ok.get(a)
+        if moves is None:
+            # the moves from altitude a in action order: (delta, a2, legality)
+            moves = self._move_ok[a] = [
+                (delta, a + delta, self._valid_move(a, a + delta))
+                for delta in _DELTAS if 0 <= a + delta <= self.max_altitude]
         out = []
-        for delta in _DELTAS:
-            a2 = a + delta
-            if a2 < 0 or a2 > self.max_altitude:
-                continue
-            if a2 == 0 or self._valid_move(a, a2)[d]:
-                out.append((delta, (min(d + a2, self.length), a2), 1.0))
+        for delta, a2, ok in moves:
+            if ok[d]:
+                d2 = d + a2
+                out.append((delta, (d2 if d2 < length else length, a2), 1.0))
         return out
 
     def is_goal(self, state) -> bool:
@@ -134,7 +142,8 @@ class AirspaceInstance:
         return (self.length - state[0]) / self.max_altitude if state[0] < self.length else 0.0
 
     def d_safe(self, state) -> float:
-        return float(max(state[1] - 1, 0))
+        a = state[1]
+        return a - 1.0 if a > 1 else 0.0
 
     def f_safe(self, state) -> bool:
         return state[1] <= 1
@@ -200,8 +209,7 @@ def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> Airspac
     if not 0.0 <= p_obs < 1.0:
         raise ValueError("p_obs must lie in [0, 1)")
     rows = max_altitude - 1
-    draws = uniform_block(seed, rows * length)
-    obstacles = (draws < p_obs).reshape(rows, length)
+    obstacles = uniform_below(seed, rows * length, p_obs).reshape(rows, length)
     return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
 
 

@@ -74,25 +74,6 @@ def true_safe_set(domain, states: Optional[Iterable] = None,
     return safe
 
 
-def safe_set_fixpoint(domain, states: Iterable) -> set:
-    """Independent recomputation of the safe set: iterate the one-step
-    "has a safe successor" closure from the goals until nothing changes."""
-    states = list(states)
-    safe = {s for s in states if domain.is_goal(s)}
-    changed = True
-    while changed:
-        changed = False
-        for s in states:
-            if s in safe:
-                continue
-            for _a, s2, _c in domain.successors(s):
-                if s2 in safe or domain.is_goal(s2):
-                    safe.add(s)
-                    changed = True
-                    break
-    return safe
-
-
 def true_dead_ends(domain, states: Iterable, limit: int = STATE_LIMIT) -> set:
     states = list(states)
     return set(states) - true_safe_set(domain, states=states, limit=limit)

@@ -314,10 +314,11 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
                 report.tally_proof(res)
 
     # without carryover, the remainder is re-split by the same ratio until it
-    # is gone or a slice makes no progress
+    # is gone or a slice makes no progress; the first slice explores at least
+    # one node, or a bound too small for the ratio would never leave the root
     leftover = bound
+    explore_budget = max(int(bound * config.exploration_ratio), 1)
     while leftover > 0:
-        explore_budget = int(leftover * config.exploration_ratio)
         run_slice(explore_budget, leftover - explore_budget)
         if goal_state is not None or open_emptied or config.allow_budget_carryover:
             break
@@ -325,6 +326,7 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         if remaining == leftover:
             break
         leftover = remaining
+        explore_budget = int(leftover * config.exploration_ratio)
     report.end_search(phases)
     if goal_state is not None:
         return _commit_goal(report, graph, goal_state, config, domain, cache)

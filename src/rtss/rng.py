@@ -6,6 +6,8 @@ seeds, on any platform.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -55,18 +57,23 @@ class SplitMix64:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def uniform_block(seed: int, count: int) -> np.ndarray:
-    """Vectorized first `count` uniform draws of the stream seeded `seed`.
+def uniform_below(seed: int, count: int, p: float) -> np.ndarray:
+    """`SplitMix64(seed).uniform() < p` for each of the first `count` draws,
+    as a bool array, mixed in place in uint64 with no float block.
 
-    Bit-identical to calling SplitMix64(seed).uniform() `count` times; the
-    i-th state is seed + (i+1) * golden mod 2^64, so the whole block is a
-    pure function of the index vector.
+    The i-th state is seed + (i+1) * golden mod 2^64. A draw is x * 2^-53
+    for a 53-bit integer x, and x * 2^-53 < p exactly when
+    x < ceil(p * 2^53), since p * 2^53 is exact in floating point.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & MASK64)
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    return z < np.uint64(math.ceil(p * (1 << 53)))

@@ -84,18 +84,21 @@ def prove_safety(target, limit: int, domain, cache: DeadEndCache,
     marks = cache.exhausted_marks
     if target in blocked:
         raise ValueError("prove_safety called on a cache-flagged target")
+    f_safe = domain.f_safe
+    is_goal = domain.is_goal
+    is_terminal = domain.is_terminal
+    successors = domain.successors
     d_safe = domain.d_safe
     base_h = domain.h
+    # a state enters parent when first generated and the heap at most then,
+    # so no pop repeats a state and no closed set is needed
     parent: dict = {target: None}
-    closed: set = set()
     heap = [(d_safe(target), base_h(target), 0, target)]
     seq = 0
     expansions = 0
     while heap:
-        _, _, _, state = heappop(heap)
-        if state in closed:
-            continue
-        if (domain.f_safe(state) or domain.is_goal(state)
+        state = heappop(heap)[3]
+        if (f_safe(state) or is_goal(state)
                 or (known_safe is not None and known_safe(state))):
             path = []
             cur = state
@@ -109,15 +112,14 @@ def prove_safety(target, limit: int, domain, cache: DeadEndCache,
         expansions += 1
         if state in marks:
             cache.dead_reexpansions += 1
-        closed.add(state)
-        for _action, s2, _cost in domain.successors(state):
+        for _action, s2, _cost in successors(state):
             if s2 in parent:
                 continue
             if s2 in blocked:
                 cache.avoided_reexpansions += 1
                 continue
             parent[s2] = state
-            if domain.is_terminal(s2) and not domain.is_goal(s2):
+            if is_terminal(s2) and not is_goal(s2):
                 # a known terminal can never end a proof; it stays in the
                 # visited set but costs nothing to discard
                 continue

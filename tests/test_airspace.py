@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtss.domains import airspace
 from rtss.domains.airspace import (AirspaceInstance, collision_probability,
@@ -234,3 +236,64 @@ def test_interpolation_depends_only_on_swept_cells():
     for (d, a1, a2), ok in baseline.items():
         if 55 not in range(d + 1, d + a2 + 1):
             assert bool(inst2._valid_move(a1, a2)[d]) == ok
+
+
+def _successor_oracle(inst, state):
+    """Airspace successors recomputed from the obstacle grid alone, with the
+    swept altitudes in exact arithmetic."""
+    d, a = state
+    if d >= inst.length:
+        return []
+    out = []
+    for delta in (airspace.CLIMB, airspace.KEEP, airspace.DIVE):
+        a2 = a + delta
+        if not 0 <= a2 <= inst.max_altitude:
+            continue
+        clear = True
+        for k in range(1, a2 + 1):
+            alt = int(a + Fraction(a2 - a) * k / a2 + Fraction(1, 2))
+            x = d + k
+            if alt >= 2 and x < inst.length and inst.obstacles[alt - 2, x]:
+                clear = False
+                break
+        if clear:
+            out.append((delta, (min(d + a2, inst.length), a2), 1.0))
+    return out
+
+
+def _assert_successors_match_the_oracle(inst):
+    # every cell, blocked ones included, plus the goal line
+    for d in range(inst.length + 1):
+        for a in range(inst.max_altitude + 1):
+            assert inst.successors((d, a)) == _successor_oracle(inst, (d, a)), (d, a)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(length=st.integers(1, 40), max_altitude=st.integers(1, 9),
+       p_obs=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 10_000))
+def test_successors_match_an_exact_oracle_before_and_after_mutation(
+        length, max_altitude, p_obs, seed):
+    inst = generate(length, max_altitude, p_obs, seed)
+    _assert_successors_match_the_oracle(inst)
+    if inst.obstacles.size:
+        # flip cells after the tables were built, clear the caches the way
+        # the tests above do, and check the fresh tables
+        rng = SplitMix64(seed)
+        for _ in range(1 + inst.obstacles.size // 8):
+            r = rng.randrange(inst.obstacles.shape[0])
+            c = rng.randrange(length)
+            inst.obstacles[r, c] = not inst.obstacles[r, c]
+        inst._move_ok.clear()
+        inst._free_rows.clear()
+        inst._free_cols.clear()
+        _assert_successors_match_the_oracle(inst)
+
+
+def test_successor_oracle_sweep_covers_the_edges():
+    # clamped goal overshoot, ground level with its identity move, and the
+    # top altitude with no climb, on fixed instances
+    inst = generate(30, 6, 0.3, 5)
+    _assert_successors_match_the_oracle(inst)
+    assert inst.successors((28, 5))[0] == (airspace.CLIMB, (30, 6), 1.0)
+    assert (airspace.KEEP, (4, 0), 1.0) in inst.successors((4, 0))
+    assert all(a2 <= 6 for _d, (_x, a2), _c in inst.successors((3, 6)))

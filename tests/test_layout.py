@@ -20,7 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtss"
 
 # reference oracles that exist for tests to compare the program against
-ORACLES = frozenset({"collision_probability", "safe_set_fixpoint", "true_dead_ends"})
+ORACLES = frozenset({"collision_probability", "true_dead_ends"})
 
 
 def _definitions(tree: ast.Module):

@@ -3,9 +3,28 @@ import pytest
 from conftest import ListDomain, funnel_domain
 from rtss.domains import airspace
 from rtss.domains.oracles import (optimal_proof_oracle, optimal_proof_path,
-                                  reachable_states, safe_set_fixpoint,
-                                  true_dead_ends, true_safe_set)
+                                  reachable_states, true_dead_ends,
+                                  true_safe_set)
 from rtss.domains.synthetic import GraphDomain, random_dag
+
+
+def safe_set_fixpoint(domain, states) -> set:
+    """Independent recomputation of the safe set: iterate the one-step
+    "has a safe successor" closure from the goals until nothing changes."""
+    states = list(states)
+    safe = {s for s in states if domain.is_goal(s)}
+    changed = True
+    while changed:
+        changed = False
+        for s in states:
+            if s in safe:
+                continue
+            for _a, s2, _c in domain.successors(s):
+                if s2 in safe or domain.is_goal(s2):
+                    safe.add(s)
+                    changed = True
+                    break
+    return safe
 
 
 def test_obstacle_free_airspace_is_entirely_safe():

@@ -230,17 +230,32 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
 
 
 def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
-    # bound 1 at ratio 0.5 leaves no exploration; the proof of the root,
-    # already marked safe, is free, so the slice makes no progress and the
-    # re-split must not run it again
+    # bound 2 at ratio 0.5: the first slice expands the root and proves x,
+    # already marked safe, for free; the re-split slice of the one expansion
+    # left explores nothing and proves x for free again, so it makes no
+    # progress and must not run a second time
     domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)], "y": []},
-                        safe={"r"})
+                        safe={"r", "x"})
+    graph = fresh(domain, "r")
+    config = PlannerConfig("rtfs", 2, exploration_ratio=0.5,
+                           allow_budget_carryover=False)
+    report = rtfs_iteration(graph, config, domain, DeadEndCache())
+    assert report.proofs_attempted == 2
+    assert report.phases == (("explore", 1), ("proof", 0), ("proof", 0))
+
+
+def test_rtfs_first_slice_explores_when_the_ratio_leaves_nothing():
+    # bound 1 at ratio 0.5 rounds the exploration share down to zero; the
+    # first slice still expands the root, which reaches the safe x
+    domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)], "y": []},
+                        safe={"r", "x"})
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 1, exploration_ratio=0.5,
                            allow_budget_carryover=False)
     report = rtfs_iteration(graph, config, domain, DeadEndCache())
-    assert report.proofs_attempted == 1
-    assert report.phases == (("proof", 0),)
+    assert report.phases == (("explore", 1),)
+    assert report.outcome == "advanced"
+    assert report.committed_actions == ("a",)
 
 
 def test_rtfs_terminates_when_no_safe_target():

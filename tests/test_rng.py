@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 
-from rtss.rng import MASK64, SplitMix64, mix64, splitmix64_next, uniform_block
+from rtss.rng import MASK64, SplitMix64, mix64, splitmix64_next, uniform_below
 
 
 def test_scalar_stream_is_deterministic():
@@ -16,16 +18,37 @@ def test_known_reference_output():
 
 
 def test_vector_block_matches_scalar_stream():
+    # 0.25 * 2^53 is an integer, so there the threshold sits on a draw value
     for seed in (0, 1, 2**63, 0xDEADBEEF):
         stream = SplitMix64(seed)
         scalar = [stream.uniform() for _ in range(500)]
-        vector = uniform_block(seed, 500)
-        assert scalar == list(vector)
+        for p in (0.0, 0.05, 0.25, 0.5, 0.999):
+            block = uniform_below(seed, 500, p)
+            assert block.dtype == bool
+            assert block.tolist() == [u < p for u in scalar]
+
+
+def test_block_threshold_is_exact_at_a_draw():
+    # p equal to a draw excludes it, the next float above includes it
+    for seed in (3, 0xDEADBEEF):
+        stream = SplitMix64(seed)
+        scalar = [stream.uniform() for _ in range(200)]
+        for i in (0, 57, 199):
+            p = scalar[i]
+            assert not uniform_below(seed, 200, p)[i]
+            assert uniform_below(seed, 200, math.nextafter(p, 1.0))[i]
+            assert uniform_below(seed, 200, p).tolist() == [u < p for u in scalar]
+
+
+def test_empty_block():
+    assert uniform_below(5, 0, 0.5).shape == (0,)
 
 
 def test_uniform_range():
-    vals = uniform_block(7, 10_000)
+    stream = SplitMix64(7)
+    vals = np.array([stream.uniform() for _ in range(10_000)])
     assert np.all(vals >= 0.0) and np.all(vals < 1.0)
+    assert not uniform_below(7, 10_000, 0.0).any()
 
 
 def test_mix64_matches_first_output():
