@@ -10,8 +10,9 @@ To see what moved, run the grid with the same config and diff the CSV
 against one written by the commit that recorded the digests.
 
 One more digest pins a small `rtss stats` CSV, which only the safety
-proofs and successor generation produce, and a last set pins the obstacle
-grids that `airspace.generate` draws for the benchmark's instance sizes.
+proofs and successor generation produce, a set pins the obstacle grids
+that `airspace.generate` draws for the benchmark's instance sizes, and a
+last digest pins the random DAG worlds that the property suites run on.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import pytest
 
 from rtss.cli import main
 from rtss.domains.airspace import generate
+from rtss.domains.synthetic import random_dag
 from rtss.harness import ExperimentConfig, run_experiment
 
 AIRSPACE = {"type": "airspace", "length": 300, "maxAltitude": 8, "pObs": 0.1,
@@ -99,3 +101,18 @@ def test_generated_obstacle_grid_matches_its_recorded_digest(params):
     obstacles = generate(*params).obstacles
     assert obstacles.dtype == bool
     assert hashlib.sha256(obstacles.tobytes()).hexdigest() == GRID_DIGESTS[params]
+
+
+# SHA-256 over the edges, goals and safety hints of `random_dag(seed, size)`
+# for seeds 0-299 at sizes 20, 60 and 120
+DAG_DIGEST = "34fb3e8652ccbd27eb1778772c02d004e4bbaa531ae4100147b47c545c8c07e6"
+
+
+def test_random_dag_worlds_match_their_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for size in (20, 60, 120):
+            dag = random_dag(seed, size)
+            digest.update(repr((sorted(dag.edges.items()), sorted(dag.goals),
+                                sorted(dag.safe_hints))).encode())
+    assert digest.hexdigest() == DAG_DIGEST
