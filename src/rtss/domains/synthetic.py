@@ -105,18 +105,7 @@ def random_dag(seed: int, size: int = 60, edge_chance: float = 0.08,
     if not goals and sinks:
         goals = {sinks[rng.randrange(len(sinks))]}
     # truly safe nodes: backward reachability from the goals
-    reverse: dict = {}
-    for u, succs in edges.items():
-        for v in succs:
-            reverse.setdefault(v, []).append(u)
-    safe = set(goals)
-    frontier = deque(goals)
-    while frontier:
-        v = frontier.popleft()
-        for u in reverse.get(v, ()):
-            if u not in safe:
-                safe.add(u)
-                frontier.append(u)
+    safe = set(_distance_to(edges, goals))
     candidates = sorted(safe - goals)
     hints = {c for c in candidates if rng.uniform() < hint_fraction}
     return GraphDomain(edges, goals, safe_hints=hints, name=f"dag-{seed}")

@@ -18,7 +18,8 @@ from typing import Any, Optional
 from .safety import (BudgetOut, DeadEndCache, Exhausted, ProofResult, Proven,
                      cache_dead_ends, propagate_dead_ends, propagate_safety,
                      prove_safety, prune_exhausted)
-from .search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SearchGraph,
+from .search import (_SAFE, BUDGET_EXHAUSTED, FCOST, OPEN_EMPTY, Evaluator,
+                     ExpansionBudget, ExpansionOutcome, SearchGraph,
                      dijkstra_h_update, expand_best_first, path_to,
                      select_best_f)
 
@@ -65,22 +66,30 @@ class IterationReport:
     committed_actions: tuple = ()
     target_open_rank: Optional[int] = None  # 1 = top of open
     identity_action_taken: bool = False
-    unused_budget: int = 0
     phases: tuple = ()                      # (('explore', n) | ('proof', n), ...)
 
-    def tally_proof(self, res: ProofResult) -> None:
-        self.proofs_attempted += 1
-        if isinstance(res, Proven):
-            self.proofs_succeeded += 1
-        elif isinstance(res, Exhausted):
-            self.proofs_exhausted += 1
-        else:
-            self.proofs_budget_out += 1
+    @property
+    def unused_budget(self) -> int:
+        return self.bound - self.expansions_goal - self.expansions_proof
 
-    def end_search(self, phases) -> None:
-        """Record the phase log and what is left of the bound."""
-        self.phases = tuple(phases)
-        self.unused_budget = self.bound - self.expansions_goal - self.expansions_proof
+    def log(self, phase: str, n: int) -> None:
+        """Charge n expansions to an 'explore' or 'proof' phase."""
+        if phase == "explore":
+            self.expansions_goal += n
+        else:
+            self.expansions_proof += n
+        self.phases += ((phase, n),)
+
+    def log_proofs(self, results) -> None:
+        for res in results:
+            self.proofs_attempted += 1
+            if isinstance(res, Proven):
+                self.proofs_succeeded += 1
+            elif isinstance(res, Exhausted):
+                self.proofs_exhausted += 1
+            else:
+                self.proofs_budget_out += 1
+        self.log("proof", sum(res.expansions for res in results))
 
 
 @dataclass
@@ -94,10 +103,6 @@ class EpisodeResult:
     @property
     def iterations(self) -> int:
         return len(self.reports)
-
-
-def evaluator_for(config: PlannerConfig) -> Evaluator:
-    return config.evaluator if config.algorithm == RTFS else FCOST
 
 
 def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
@@ -161,6 +166,16 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
     return results, used, proven_paths
 
 
+def _explore(graph: SearchGraph, limit: int, domain, cache: DeadEndCache,
+             report: IterationReport) -> ExpansionOutcome:
+    """Goal search for up to limit expansions under the iteration's
+    evaluator, logged as one explore phase; stops on a popped goal."""
+    budget = ExpansionBudget(limit)
+    outcome = expand_best_first(graph, graph.evaluator, budget, domain, cache=cache)
+    report.log("explore", budget.used)
+    return outcome
+
+
 def _commit(report: IterationReport, graph: SearchGraph, target,
             config: PlannerConfig, rank: Optional[int] = None) -> IterationReport:
     """Commit toward target, reached from the open node of the given rank;
@@ -187,11 +202,7 @@ def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     the best frontier node (or straight to a popped goal)."""
     bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
-    budget = ExpansionBudget(bound)
-    outcome = expand_best_first(graph, graph.evaluator, budget, domain,
-                                stop_on_goal=True, cache=cache)
-    report.expansions_goal = budget.used
-    report.end_search([("explore", budget.used)])
+    outcome = _explore(graph, bound, domain, cache, report)
     if outcome.goal_found:
         return _commit_goal(report, graph, outcome.goal, config, domain, cache)
     target = select_best_f(graph)
@@ -219,33 +230,19 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     report = IterationReport(bound=bound)
     b = INITIAL_PROOF_BUDGET
     proven_paths: list = []
-    phases: list = []
-    goal_state = None
-    open_emptied = False
-    while report.expansions_goal + report.expansions_proof < bound:
-        remaining = bound - report.expansions_goal - report.expansions_proof
-        budget = ExpansionBudget(min(b, remaining))
-        outcome = expand_best_first(graph, FCOST, budget, domain,
-                                    stop_on_goal=True, cache=cache)
-        report.expansions_goal += budget.used
-        phases.append(("explore", budget.used))
-        if outcome.goal_found:
-            goal_state = outcome.goal
-            break
-        if outcome.kind == "open_empty":
-            open_emptied = True
-            break
-        remaining = bound - report.expansions_goal - report.expansions_proof
-        if remaining <= 0:
+    outcome = BUDGET_EXHAUSTED
+    while report.unused_budget > 0:
+        outcome = _explore(graph, min(b, report.unused_budget), domain, cache,
+                           report)
+        if outcome is not BUDGET_EXHAUSTED or report.unused_budget <= 0:
             break
         target = select_best_f(graph)
         if target is None:
-            open_emptied = True
+            outcome = OPEN_EMPTY
             break
-        res = _prove_target(graph, target, min(b, remaining), domain, cache)
-        report.tally_proof(res)
-        report.expansions_proof += res.expansions
-        phases.append(("proof", res.expansions))
+        res = _prove_target(graph, target, min(b, report.unused_budget), domain,
+                            cache)
+        report.log_proofs((res,))
         if isinstance(res, Proven):
             proven_paths.append(res.path)
             b = INITIAL_PROOF_BUDGET
@@ -253,9 +250,8 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
             if isinstance(res, Exhausted):
                 cache_dead_ends(cache, res, graph)
             b *= 2
-    report.end_search(phases)
-    if goal_state is not None:
-        return _commit_goal(report, graph, goal_state, config, domain, cache)
+    if outcome.goal_found:
+        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
     propagate_safety(graph, domain, proven_paths)
     selection = safe_toward_best(graph)
     if selection is not None:
@@ -263,12 +259,12 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         dijkstra_h_update(graph, domain, cache)
         return _commit(report, graph, target, config, rank)
     identity = domain.identity_action(graph.root)
-    if identity is not None and not open_emptied:
+    if identity is not None and outcome is not OPEN_EMPTY:
         dijkstra_h_update(graph, domain, cache)
         report.committed_actions = (identity,)
         report.identity_action_taken = True
         return report
-    report.outcome = "failure" if open_emptied else "terminated"
+    report.outcome = "failure" if outcome is OPEN_EMPTY else "terminated"
     return report
 
 
@@ -285,52 +281,30 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     """
     bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
-    phases: list = []
     proven_paths: list = []
-    goal_state = None
-    open_emptied = False
-
-    def run_slice(explore_budget: int, safety_budget: int) -> None:
-        nonlocal goal_state, open_emptied
-        if explore_budget > 0:
-            budget = ExpansionBudget(explore_budget)
-            outcome = expand_best_first(graph, graph.evaluator, budget, domain,
-                                        stop_on_goal=True, cache=cache)
-            report.expansions_goal += budget.used
-            phases.append(("explore", budget.used))
-            if outcome.goal_found:
-                goal_state = outcome.goal
-                return
-            if outcome.kind == "open_empty":
-                open_emptied = True
-                return
-        if safety_budget > 0:
-            results, used, paths = allocate_proofs_rtfs0(graph, safety_budget,
-                                                         domain, cache)
-            report.expansions_proof += used
-            proven_paths.extend(paths)
-            phases.append(("proof", used))
-            for res in results:
-                report.tally_proof(res)
-
+    outcome = BUDGET_EXHAUSTED
     # without carryover, the remainder is re-split by the same ratio until it
     # is gone or a slice makes no progress; the first slice explores at least
     # one node, or a bound too small for the ratio would never leave the root
     leftover = bound
     explore_budget = max(int(bound * config.exploration_ratio), 1)
     while leftover > 0:
-        run_slice(explore_budget, leftover - explore_budget)
-        if goal_state is not None or open_emptied or config.allow_budget_carryover:
+        if explore_budget > 0:
+            outcome = _explore(graph, explore_budget, domain, cache, report)
+            if outcome is not BUDGET_EXHAUSTED:
+                break
+        if leftover > explore_budget:
+            results, _, paths = allocate_proofs_rtfs0(
+                graph, leftover - explore_budget, domain, cache)
+            report.log_proofs(results)
+            proven_paths.extend(paths)
+        if config.allow_budget_carryover or report.unused_budget == leftover:
             break
-        remaining = bound - report.expansions_goal - report.expansions_proof
-        if remaining == leftover:
-            break
-        leftover = remaining
+        leftover = report.unused_budget
         explore_budget = int(leftover * config.exploration_ratio)
-    report.end_search(phases)
-    if goal_state is not None:
-        return _commit_goal(report, graph, goal_state, config, domain, cache)
-    if open_emptied:
+    if outcome.goal_found:
+        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
+    if outcome is OPEN_EMPTY:
         # an emptied open list leaves no open node to commit toward
         report.outcome = "failure"
         return report
@@ -395,7 +369,8 @@ def run_episode(domain, start, config: PlannerConfig,
     cache = cache or DeadEndCache()
     if graph is None:
         graph = SearchGraph()
-    evaluator = evaluator_for(config)
+    evaluator = config.evaluator if config.algorithm == RTFS else FCOST
+    carry = config.algorithm == RTFS and config.allow_budget_carryover
     state = start
     actions: list = []
     reports: list = []
@@ -408,18 +383,16 @@ def run_episode(domain, start, config: PlannerConfig,
                 return EpisodeResult("goal", state, actions, reports, start)
             if len(reports) >= max_iterations:
                 return EpisodeResult("max_iterations", state, actions, reports, start)
-            bound = config.iteration_bound
-            if config.algorithm == RTFS and config.allow_budget_carryover:
-                bound += carryover
             graph.begin_iteration(state, evaluator, domain, cache)
-            report = iteration_step(graph, config, domain, cache, bound)
+            report = iteration_step(graph, config, domain, cache,
+                                    config.iteration_bound + carryover)
             reports.append(report)
             if report.outcome in ("failure", "terminated"):
                 return EpisodeResult(report.outcome, state, actions, reports, start)
             for action in report.committed_actions:
                 state = apply_action(domain, state, action)
                 actions.append(action)
-            carryover = report.unused_budget if config.algorithm == RTFS else 0
+            carryover = report.unused_budget if carry else 0
     finally:
         if collecting:
             gc.enable()

@@ -243,10 +243,9 @@ def _require_f_keys(graph: SearchGraph) -> None:
 
 
 def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
-                      budget: ExpansionBudget, domain,
-                      stop_on_goal: bool = True, *, cache) -> ExpansionOutcome:
+                      budget: ExpansionBudget, domain, *, cache) -> ExpansionOutcome:
     """Expand evaluator-best open nodes until the budget, the open list, or
-    (optionally) a popped goal stops the loop.
+    a popped goal stops the loop.
 
     Duplicate reaching relaxes g strictly; reaching a closed node with a
     smaller g reopens it. Cache-flagged dead ends are never generated onto
@@ -287,7 +286,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
             state = node.state
             if state in marks:
                 cache.dead_reexpansions += 1
-            if stop_on_goal and node.goal:
+            if node.goal:
                 outcome = ExpansionOutcome("goal", state)
                 break
             succs = node.succs

@@ -81,8 +81,7 @@ def _make_instance(index: int, base_seed: int):
 def _build_lss(domain, root, budget: int, cache: DeadEndCache) -> SearchGraph:
     graph = SearchGraph()
     graph.begin_iteration(root, FCOST, domain, cache)
-    expand_best_first(graph, FCOST, ExpansionBudget(budget), domain,
-                      stop_on_goal=True, cache=cache)
+    expand_best_first(graph, FCOST, ExpansionBudget(budget), domain, cache=cache)
     return graph
 
 

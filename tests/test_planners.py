@@ -272,7 +272,7 @@ def test_rtfs_terminates_when_no_safe_target():
 def test_allocator_single_success_leaves_budget():
     domain = _schedule_domain()
     graph = fresh(domain, "e0")
-    expand_best_first(graph, FCOST, ExpansionBudget(30), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(30), domain,
                       cache=DeadEndCache(enabled=False))
     # top of open is e30 whose proof takes exactly 20 expansions
     results, used, paths = allocate_proofs_rtfs0(graph, 90, domain, DeadEndCache())
@@ -291,7 +291,7 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
                         d_safe={"trap": 4, "t2": 5, "ok": 1, "pad": 0, "r": 2})
     cache = DeadEndCache()
     graph = fresh(domain, "r", cache)
-    expand_best_first(graph, FCOST, ExpansionBudget(1), domain, True, cache=cache)
+    expand_best_first(graph, FCOST, ExpansionBudget(1), domain, cache=cache)
     results, used, paths = allocate_proofs_rtfs0(graph, 50, domain, cache)
     assert [type(r) for r in results] == [Exhausted, Proven]
     # the trap and its descendant are flagged and off the open list
@@ -306,7 +306,7 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
 def test_allocator_zero_budget_returns_nothing():
     domain = chain_domain(5)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
     results, used, paths = allocate_proofs_rtfs0(graph, 0, domain, DeadEndCache())
     assert results == [] and used == 0 and paths == []
@@ -318,7 +318,7 @@ def test_target_is_safe_parent_of_top_node():
     succ = {"r": [("a", "mid", 1.0)], "mid": [("b", "leaf", 1.0)], "leaf": []}
     domain = ListDomain(succ, h={"r": 2, "mid": 1, "leaf": 0})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
     graph.nodes["mid"].safety = SafetyStatus.IMPLICITLY_SAFE
     target, rank = safe_toward_best(graph)
@@ -330,7 +330,7 @@ def test_scan_skips_unqualified_lower_f_nodes():
             "m": [("c", "s2", 1.0)], "u1": [], "s2": []}
     domain = ListDomain(succ, h={"r": 0, "u1": 0.5, "m": 0.5, "s2": 0.5})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
     # expanded: r, m; open: u1 (f=1.5, no safe ancestor), s2 (f=2.0, parent m)
     graph.nodes["m"].safety = SafetyStatus.IMPLICITLY_SAFE
@@ -341,7 +341,7 @@ def test_scan_skips_unqualified_lower_f_nodes():
 def test_no_safe_nodes_means_no_target():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
     assert safe_toward_best(graph) is None
 
@@ -349,7 +349,7 @@ def test_no_safe_nodes_means_no_target():
 def test_root_only_safety_does_not_qualify():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, True,
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
     graph.nodes[0].safety = SafetyStatus.EXPLICITLY_SAFE
     assert safe_toward_best(graph) is None
@@ -443,12 +443,23 @@ def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
 
 def test_budget_compliance_on_every_logged_iteration():
     inst = airspace.generate(400, 10, 0.1, 6)
-    for algo, kw in (("lss-lrta", {}), ("safe-rts", {}),
-                     ("rtfs", {}), ("rtfs", {"allow_budget_carryover": False})):
-        config = PlannerConfig(algo, 40, **kw)
-        result = run_episode(inst, inst.start, config, max_iterations=200)
-        for report in result.reports:
-            assert report.expansions_goal + report.expansions_proof <= report.bound
+    track = right_turn_track()
+    worlds = ((inst, inst.start), (track, track.start_state(track.starts[0])))
+    for domain, start in worlds:
+        for algo, kw in (("lss-lrta", {}), ("safe-rts", {}),
+                         ("rtfs", {}), ("rtfs", {"allow_budget_carryover": False})):
+            config = PlannerConfig(algo, 40, **kw)
+            result = run_episode(domain, start, config, max_iterations=200)
+            assert result.iterations > 1
+            for report in result.reports:
+                spent = report.expansions_goal + report.expansions_proof
+                assert spent <= report.bound
+                assert report.unused_budget == report.bound - spent
+                logged = {"explore": 0, "proof": 0}
+                for phase, n in report.phases:
+                    logged[phase] += n
+                assert logged == {"explore": report.expansions_goal,
+                                  "proof": report.expansions_proof}
 
 
 def test_rtfs0_and_safe_rts_build_identical_lss_when_no_proof_succeeds():

@@ -62,7 +62,7 @@ def test_overspeed_state_flagged_by_propagation_after_expansion():
     doomed = (9, 1, 3, 0, False)
     graph = SearchGraph()
     graph.begin_iteration(doomed, FCOST, track, DeadEndCache(enabled=False))
-    expand_best_first(graph, FCOST, ExpansionBudget(1), track, stop_on_goal=True,
+    expand_best_first(graph, FCOST, ExpansionBudget(1), track,
                       cache=DeadEndCache(enabled=False))
     cache = DeadEndCache()
     propagate_dead_ends(graph, track, cache)

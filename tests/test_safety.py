@@ -14,13 +14,12 @@ from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, expand_best_first)
 
 
-def build(domain, root, budget, cache=None, stop_on_goal=True):
+def build(domain, root, budget, cache=None):
     if cache is None:
         cache = DeadEndCache(enabled=False)
     graph = SearchGraph()
     graph.begin_iteration(root, FCOST, domain, cache)
-    expand_best_first(graph, FCOST, ExpansionBudget(budget), domain,
-                      stop_on_goal=stop_on_goal, cache=cache)
+    expand_best_first(graph, FCOST, ExpansionBudget(budget), domain, cache=cache)
     return graph
 
 
@@ -108,7 +107,7 @@ def test_closure_marks_all_ancestor_chains():
             "r": [("x", "a1", 1.0), ("x", "b1", 1.0)],
             "z": []}
     domain = ListDomain(succ, safe={"z"})
-    graph = build(domain, "r", 10, stop_on_goal=False)
+    graph = build(domain, "r", 10)
     propagate_safety(graph, domain, [])
     marked = {n.state for n in graph.touched if n.safety in _SAFE}
     assert marked == {"r", "a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5", "z"}
@@ -142,7 +141,7 @@ def test_dead_nodes_are_never_marked_safe():
 
 def test_terminal_non_goal_is_flagged():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []})
-    graph = build(domain, "r", 2, stop_on_goal=False)
+    graph = build(domain, "r", 2)
     cache = DeadEndCache()
     count = propagate_dead_ends(graph, domain, cache)
     assert count == 2  # the terminal and then the root
@@ -153,7 +152,7 @@ def test_terminal_non_goal_is_flagged():
 def test_one_live_successor_prevents_flagging():
     domain = ListDomain({"r": [("a", "t", 1.0), ("b", "live", 1.0)],
                          "t": [], "live": [("c", "more", 1.0)]})
-    graph = build(domain, "r", 2, stop_on_goal=False)  # expands r, t
+    graph = build(domain, "r", 2)  # expands r, t
     cache = DeadEndCache()
     propagate_dead_ends(graph, domain, cache)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
@@ -170,7 +169,7 @@ def test_full_binary_tree_collapses():
     for i in range(8):
         succ[(3, i)] = []
     domain = ListDomain(succ)
-    graph = build(domain, (0, 0), 15, stop_on_goal=False)
+    graph = build(domain, (0, 0), 15)
     cache = DeadEndCache()
     count = propagate_dead_ends(graph, domain, cache)
     assert count == 15
@@ -190,7 +189,7 @@ def test_known_terminal_flagged_without_expansion():
     domain = ListDomain({"r": [("a", "crash", 1.0), ("b", "x", 1.0)],
                          "x": [("c", "y", 1.0)]},
                         terminal={"crash"})
-    graph = build(domain, "r", 1, stop_on_goal=False)  # expands only r
+    graph = build(domain, "r", 1)  # expands only r
     propagate_dead_ends(graph, domain, DeadEndCache())
     assert graph.nodes["crash"].safety == SafetyStatus.DEAD_END
     assert not graph.nodes["crash"].expanded
@@ -198,7 +197,7 @@ def test_known_terminal_flagged_without_expansion():
 
 def test_goals_are_never_flagged():
     domain = ListDomain({"r": [("a", "g", 1.0)], "g": []}, goals={"g"})
-    graph = build(domain, "r", 2, stop_on_goal=False)
+    graph = build(domain, "r", 2)
     propagate_dead_ends(graph, domain, DeadEndCache())
     assert graph.nodes["g"].safety != SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END

@@ -13,13 +13,13 @@ from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          path_to, select_best_f)
 
 
-def build(domain, root, budget, evaluator=FCOST, stop_on_goal=True, cache=None):
+def build(domain, root, budget, evaluator=FCOST, cache=None):
     if cache is None:
         cache = DeadEndCache(enabled=False)
     graph = SearchGraph()
     graph.begin_iteration(root, evaluator, domain, cache)
     outcome = expand_best_first(graph, evaluator, ExpansionBudget(budget), domain,
-                                stop_on_goal=stop_on_goal, cache=cache)
+                                cache=cache)
     return graph, outcome
 
 
@@ -49,7 +49,7 @@ def test_goal_root_stops_with_one_expansion():
     graph = SearchGraph()
     graph.begin_iteration(4, FCOST, domain, DeadEndCache(enabled=False))
     budget = ExpansionBudget(10)
-    outcome = expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True,
+    outcome = expand_best_first(graph, FCOST, budget, domain,
                                 cache=DeadEndCache(enabled=False))
     assert outcome.kind == "goal" and outcome.goal == 4
     assert budget.used == 1
@@ -101,14 +101,20 @@ def test_open_empty_leaves_no_touched_node_on_open():
         cache = DeadEndCache(enabled=seed % 2 == 0)
         graph = SearchGraph()
         graph.begin_iteration(0, evaluator, domain, cache)
-        expand_best_first(graph, evaluator, ExpansionBudget(3), domain,
-                          stop_on_goal=False, cache=cache)
+        # random_dag goals are sinks, so going on past a popped goal builds
+        # the graph that expanding straight through it would
+        budget = ExpansionBudget(3)
+        while expand_best_first(graph, evaluator, budget, domain,
+                                cache=cache).kind == "goal":
+            pass
         # flag part of the open list so that some pops hit blocked states
         for node in graph.touched[1::2]:
             if node.on_open:
                 cache_dead_ends(cache, Exhausted(frozenset({node.state}), 0))
-        outcome = expand_best_first(graph, evaluator, ExpansionBudget(10_000),
-                                    domain, stop_on_goal=False, cache=cache)
+        budget = ExpansionBudget(10_000)
+        outcome = expand_best_first(graph, evaluator, budget, domain, cache=cache)
+        while outcome.kind == "goal":
+            outcome = expand_best_first(graph, evaluator, budget, domain, cache=cache)
         assert outcome.kind == "open_empty"
         assert not any(n.on_open for n in graph.touched)
 
@@ -132,7 +138,7 @@ def test_select_tie_breaks_toward_high_g():
 
 def test_select_empty_open_returns_none():
     domain = ListDomain({"r": []}, h={"r": 0})
-    graph, _ = build(domain, "r", 5, stop_on_goal=False)
+    graph, _ = build(domain, "r", 5)
     assert select_best_f(graph) is None
 
 
@@ -151,7 +157,7 @@ def test_unreachable_from_frontier_goes_infinite():
     domain = ListDomain({"r": [("a", "t", 1.0), ("b", "x", 1.0)], "t": [],
                          "x": [("c", "y", 1.0)]},
                         h={"r": 0, "t": 0, "x": 0, "y": 5})
-    graph, _ = build(domain, "r", 3, stop_on_goal=False)  # expands r, t, x
+    graph, _ = build(domain, "r", 3)  # expands r, t, x
     dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
     assert math.isinf(graph.nodes["t"].h)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
@@ -194,7 +200,7 @@ def _bellman_backup_oracle(graph, domain):
 def test_backup_matches_bellman_oracle_on_random_dags():
     for seed in range(12):
         domain = random_dag(seed, size=50)
-        graph, _ = build(domain, 0, 4 + seed % 17, stop_on_goal=True)
+        graph, _ = build(domain, 0, 4 + seed % 17)
         expected = _bellman_backup_oracle(graph, domain)
         dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
         for state, h in expected.items():
@@ -210,7 +216,7 @@ def test_monotone_learning_and_consistency_preserved():
     state = inst.start
     for _ in range(8):
         graph.begin_iteration(state, FCOST, inst, DeadEndCache(enabled=False))
-        expand_best_first(graph, FCOST, ExpansionBudget(15), inst, stop_on_goal=True,
+        expand_best_first(graph, FCOST, ExpansionBudget(15), inst,
                           cache=DeadEndCache(enabled=False))
         before = {n.state: n.h for n in graph.touched}
         dijkstra_h_update(graph, inst, DeadEndCache(enabled=False))
@@ -261,7 +267,7 @@ def test_diamond_keeps_first_discovered_equal_g_parent():
             "b": [("bt", "t", 1.0)],
             "t": []}
     domain = ListDomain(succ, h={"r": 2, "a": 1, "b": 1, "t": 0})
-    graph, _ = build(domain, "r", 3, stop_on_goal=False)
+    graph, _ = build(domain, "r", 3)
     # oracle: enumerate all r->t paths, both cost 2; relaxation is strict,
     # so the parent recorded is the first path in expansion order
     paths = [["ra", "at"], ["rb", "bt"]]
@@ -278,7 +284,7 @@ def test_expansion_count_equals_budget_used():
         graph = SearchGraph()
         graph.begin_iteration(0, FCOST, domain, DeadEndCache(enabled=False))
         budget = ExpansionBudget(13)
-        expand_best_first(graph, FCOST, budget, domain, stop_on_goal=True,
+        expand_best_first(graph, FCOST, budget, domain,
                           cache=DeadEndCache(enabled=False))
         expanded = sum(1 for n in graph.touched if n.expanded)
         assert budget.used == expanded
@@ -295,8 +301,7 @@ def test_weighted_one_matches_fcost_expansion_order():
             for _ in range(25):
                 before = {n.state for n in graph.touched if n.expanded}
                 outcome = expand_best_first(graph, evaluator, ExpansionBudget(1),
-                                            domain, stop_on_goal=True,
-                                            cache=DeadEndCache(enabled=False))
+                                            domain, cache=DeadEndCache(enabled=False))
                 new = {n.state for n in graph.touched if n.expanded} - before
                 if not new:
                     break
@@ -318,7 +323,7 @@ def test_cheaper_path_reopens_a_closed_node():
     graph = SearchGraph()
     graph.begin_iteration("r", FCOST, domain, DeadEndCache(enabled=False))
     budget = ExpansionBudget(5)
-    expand_best_first(graph, FCOST, budget, domain, stop_on_goal=False,
+    expand_best_first(graph, FCOST, budget, domain,
                       cache=DeadEndCache(enabled=False))
     node = graph.nodes["a"]
     assert budget.used == 5  # r, a (g=10), t, b, a again (g=2)
@@ -404,7 +409,7 @@ def test_walk_after_a_reopen_matches_the_sort():
             "a": [("at", "t", 1.0)], "b": [("ba", "a", 1.0)], "t": [], "e": []}
     domain = ListDomain(succ, h={"b": 10.0, "e": 30.0})
     for evaluator in (FCOST, Evaluator("wastar", 1.1), Evaluator("greedy")):
-        graph, _ = build(domain, "r", 4, evaluator=evaluator, stop_on_goal=False)
+        graph, _ = build(domain, "r", 4, evaluator=evaluator)
         a = graph.nodes["a"]
         assert a.on_open and not a.expanded and a.succs is not None
         check_open_order(graph)
