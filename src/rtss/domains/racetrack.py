@@ -58,7 +58,10 @@ class RacetrackInstance:
     goals: set
     name: str = "racetrack"
 
+    # memos: successors and h are deterministic, and no caller mutates a
+    # successor list, so states share them for the instance's lifetime
     _h_cache: dict = field(default_factory=dict, repr=False)
+    _succ_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def instance_id(self) -> str:
@@ -76,6 +79,9 @@ class RacetrackInstance:
     # -- domain handle -----------------------------------------------------
 
     def successors(self, state) -> list:
+        cached = self._succ_cache.get(state)
+        if cached is not None:
+            return cached
         x, y, vx, vy, crashed = state
         if crashed or (x, y) in self.goals:
             return []
@@ -92,6 +98,7 @@ class RacetrackInstance:
                 out.append(((ax, ay), (p2x, p2y, v2x, v2y, False), 1.0))
             else:
                 out.append(((ax, ay), (p2x, p2y, v2x, v2y, True), 1.0))
+        self._succ_cache[state] = out
         return out
 
     def is_goal(self, state) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -25,6 +26,7 @@ from .safety import DeadEndCache
 from .search import Evaluator
 
 OFFLINE_ASTAR = "astar-offline"
+_CHUNKS_PER_JOB = 4    # grid cells go to the pool in about 4 chunks per worker
 
 CSV_COLUMNS = ("instanceId", "algorithm", "iterationBound", "explorationRatio",
                "evaluator", "seed", "outcome", "gat", "velocity",
@@ -290,6 +292,8 @@ def _run_cell(args) -> RunRecord:
                                      safe_states=safe_states)
         return record
     except Exception as exc:  # a failed run becomes a row, never aborts the grid
+        print(f"rtss: cell {instance_id}/{algo_spec['name']}/{bound} failed: {exc!r}",
+              file=sys.stderr)
         return RunRecord(instance_id, algo_spec["name"], bound,
                          algo_spec.get("ratio"), algo_spec.get("evaluator", "astar"),
                          seed, f"error:{type(exc).__name__}", 0.0, 0.0, 0, 0,
@@ -321,8 +325,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
                                   safe_sets.get(instance_id)))
                     run_index += 1
     if jobs > 1:
+        # a chunk is pickled in one dumps, so its cells share one copy of
+        # the instance (and its successor memo) in the worker
+        chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell, cells))
+            records = list(pool.map(_run_cell, cells, chunksize=chunksize))
     else:
         records = [_run_cell(c) for c in cells]
     if config.output:

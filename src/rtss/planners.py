@@ -139,11 +139,12 @@ def _prove_target(graph: SearchGraph, target, limit: int, domain,
 
 
 def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
-                          cache: DeadEndCache) -> tuple[list[ProofResult], int, list]:
+                          cache: DeadEndCache) -> tuple[list[ProofResult], list]:
     """The RTFS-0 proof allocator: prove the best open node, prune on
     exhaustion and move to the next best, stop on success or budget out.
 
-    Returns (results, expansions_used, proven_paths).
+    Returns (results, proven_paths); the results' expansions sum to the
+    expansions used.
     """
     results: list[ProofResult] = []
     proven_paths: list = []
@@ -163,7 +164,7 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
         cache_dead_ends(cache, res)
         prune_exhausted(graph, res, cache)
         propagate_dead_ends(graph, domain, cache)
-    return results, used, proven_paths
+    return results, proven_paths
 
 
 def _explore(graph: SearchGraph, limit: int, domain, cache: DeadEndCache,
@@ -294,7 +295,7 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
             if outcome is not BUDGET_EXHAUSTED:
                 break
         if leftover > explore_budget:
-            results, _, paths = allocate_proofs_rtfs0(
+            results, paths = allocate_proofs_rtfs0(
                 graph, leftover - explore_budget, domain, cache)
             report.log_proofs(results)
             proven_paths.extend(paths)

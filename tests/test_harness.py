@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 from conftest import ListDomain, chain_domain
+from rtss import harness
 from rtss.domains import airspace
 from rtss.harness import (CSV_COLUMNS, ExperimentConfig, RunRecord,
                           replay_actions, run_experiment, simulate_episode,
@@ -134,6 +136,46 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path):
     run_experiment(c1, jobs=1)
     run_experiment(c2, jobs=3)
     assert open(c1.output, "rb").read() == open(c2.output, "rb").read()
+
+
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
+
+
+def test_chunked_racetrack_grid_matches_serial_byte_for_byte(tmp_path):
+    # 90 cells at two workers go out in chunks of 11, so cells share an
+    # unpickled instance and its successor memo
+    path = os.path.join(EXPERIMENTS, "racetrack-gat.json")
+    c1 = ExperimentConfig.from_json(path)
+    c2 = ExperimentConfig.from_json(path)
+    c1.output = str(tmp_path / "serial.csv")
+    c2.output = str(tmp_path / "parallel.csv")
+    records = run_experiment(c1, jobs=1)
+    assert len(records) >= 16
+    run_experiment(c2, jobs=2)
+    assert open(c1.output, "rb").read() == open(c2.output, "rb").read()
+
+
+def test_checked_in_experiment_grids_validate():
+    paths = sorted(glob.glob(os.path.join(EXPERIMENTS, "*.json")))
+    assert paths
+    for path in paths:
+        ExperimentConfig.from_json(path).validate()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_cell_reports_its_exception_on_stderr(tmp_path, capfd,
+                                                     monkeypatch, jobs):
+    def broken(*_args, **_kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "simulate_episode", broken)
+    config = _config(tmp_path, algorithms=[{"name": "safe-rts"}], bounds=[5, 7])
+    records = run_experiment(config, jobs=jobs)
+    assert all(r.outcome == "error:RuntimeError" for r in records)
+    err = capfd.readouterr().err.splitlines()
+    expected = [f"rtss: cell {r.instance_id}/safe-rts/{r.iteration_bound} "
+                "failed: RuntimeError('boom')" for r in records]
+    assert sorted(err) == sorted(expected)
 
 
 def test_csv_rows_always_have_the_declared_column_count(tmp_path):

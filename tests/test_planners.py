@@ -275,9 +275,9 @@ def test_allocator_single_success_leaves_budget():
     expand_best_first(graph, FCOST, ExpansionBudget(30), domain,
                       cache=DeadEndCache(enabled=False))
     # top of open is e30 whose proof takes exactly 20 expansions
-    results, used, paths = allocate_proofs_rtfs0(graph, 90, domain, DeadEndCache())
+    results, paths = allocate_proofs_rtfs0(graph, 90, domain, DeadEndCache())
     assert len(results) == 1 and isinstance(results[0], Proven)
-    assert used == 20
+    assert sum(r.expansions for r in results) == 20
     assert paths[0][0] == "e30"
 
 
@@ -292,7 +292,7 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
     cache = DeadEndCache()
     graph = fresh(domain, "r", cache)
     expand_best_first(graph, FCOST, ExpansionBudget(1), domain, cache=cache)
-    results, used, paths = allocate_proofs_rtfs0(graph, 50, domain, cache)
+    results, paths = allocate_proofs_rtfs0(graph, 50, domain, cache)
     assert [type(r) for r in results] == [Exhausted, Proven]
     # the trap and its descendant are flagged and off the open list
     assert "trap" in cache.flags and "t2" in cache.flags
@@ -308,8 +308,8 @@ def test_allocator_zero_budget_returns_nothing():
     graph = fresh(domain, 0)
     expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
                       cache=DeadEndCache(enabled=False))
-    results, used, paths = allocate_proofs_rtfs0(graph, 0, domain, DeadEndCache())
-    assert results == [] and used == 0 and paths == []
+    results, paths = allocate_proofs_rtfs0(graph, 0, domain, DeadEndCache())
+    assert results == [] and sum(r.expansions for r in results) == 0 and paths == []
 
 
 # -- safe_toward_best -------------------------------------------------------------------

@@ -188,3 +188,13 @@ def test_start_sampling_is_seeded_and_cycles():
     assert a == b
     assert a != c
     assert len(track.sample_starts(20, 7)) == 20  # cycles past the pool
+
+
+def test_memoised_successors_match_a_cold_instance():
+    warm = right_turn_track()
+    states = reachable_states(warm, [warm.start_state(c) for c in warm.starts])
+    assert len(states) > 1000
+    for state in states:
+        first = warm.successors(state)
+        assert warm.successors(state) == first
+        assert right_turn_track().successors(state) == first
