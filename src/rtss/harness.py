@@ -26,7 +26,7 @@ from .safety import DeadEndCache
 from .search import Evaluator
 
 OFFLINE_ASTAR = "astar-offline"
-_CHUNKS_PER_JOB = 4    # grid cells go to the pool in about 4 chunks per worker
+_CHUNKS_PER_JOB = 4    # racetrack grid cells go to the pool in about 4 chunks per worker
 
 CSV_COLUMNS = ("instanceId", "algorithm", "iterationBound", "explorationRatio",
                "evaluator", "seed", "outcome", "gat", "velocity",
@@ -325,9 +325,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
                                   safe_sets.get(instance_id)))
                     run_index += 1
     if jobs > 1:
-        # a chunk is pickled in one dumps, so its cells share one copy of
-        # the instance (and its successor memo) in the worker
-        chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
+        # a chunk is pickled in one dumps, so its cells share one copy of a
+        # racetrack instance and its successor memo in the worker; cells of
+        # other domains share no memo and go out one at a time, which
+        # balances their uneven run times across the workers
+        chunksize = 1
+        if config.domain["type"] == "racetrack":
+            chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_cell, cells, chunksize=chunksize))
     else:

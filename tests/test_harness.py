@@ -128,31 +128,32 @@ def test_csv_is_byte_identical_across_runs(tmp_path):
     assert open(c1.output, "rb").read() == open(c2.output, "rb").read()
 
 
-def test_parallel_grid_matches_serial_byte_for_byte(tmp_path):
-    c1 = _config(tmp_path, output=str(tmp_path / "serial.csv"),
-                 bounds=[10, 20])
-    c2 = _config(tmp_path, output=str(tmp_path / "parallel.csv"),
-                 bounds=[10, 20])
-    run_experiment(c1, jobs=1)
-    run_experiment(c2, jobs=3)
-    assert open(c1.output, "rb").read() == open(c2.output, "rb").read()
-
-
 EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
 
 
-def test_chunked_racetrack_grid_matches_serial_byte_for_byte(tmp_path):
-    # 90 cells at two workers go out in chunks of 11, so cells share an
-    # unpickled instance and its successor memo
-    path = os.path.join(EXPERIMENTS, "racetrack-gat.json")
-    c1 = ExperimentConfig.from_json(path)
-    c2 = ExperimentConfig.from_json(path)
-    c1.output = str(tmp_path / "serial.csv")
-    c2.output = str(tmp_path / "parallel.csv")
-    records = run_experiment(c1, jobs=1)
-    assert len(records) >= 16
-    run_experiment(c2, jobs=2)
-    assert open(c1.output, "rb").read() == open(c2.output, "rb").read()
+def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
+    # 30 airspace cells at three workers go out one cell at a time; the 90
+    # racetrack-gat cells at two workers go out in chunks of 11, so cells
+    # share an unpickled instance and its successor memo
+    chunksizes = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kw):
+            chunksizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kw)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    racetrack = ExperimentConfig.from_json(os.path.join(EXPERIMENTS,
+                                                        "racetrack-gat.json"))
+    cases = [(_config(tmp_path, bounds=[10, 20, 30]), 3), (racetrack, 2)]
+    for i, (config, jobs) in enumerate(cases):
+        config.output = str(tmp_path / f"serial{i}.csv")
+        run_experiment(config, jobs=1)
+        serial = open(config.output, "rb").read()
+        config.output = str(tmp_path / f"parallel{i}.csv")
+        run_experiment(config, jobs=jobs)
+        assert open(config.output, "rb").read() == serial
+    assert chunksizes == [1, 11]
 
 
 def test_checked_in_experiment_grids_validate():
