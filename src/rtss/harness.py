@@ -14,10 +14,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from .domains import airspace, racetrack
+from .domains.oracles import true_safe_set
 from .planners import (RTFS, SAFE_LSS_LRTA, EpisodeResult,
                        PlannerConfig, SafeFilteredDomain, apply_action,
                        offline_astar, run_episode)
@@ -300,42 +302,56 @@ def _run_cell(args) -> RunRecord:
                          0.0, None, 0)
 
 
+def _sweep(args) -> set:
+    """Ground-truth safe set of one domain, rooted at all of its grid starts.
+    A state reachable from one start has all of its successors reachable from
+    it, so the union of roots changes none of the membership tests that a
+    safe-lss-lrta episode from that start makes."""
+    domain, roots = args
+    return true_safe_set(domain, roots=roots)
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full instance x algorithm x bound x repetition grid and write
     the CSV. Per-run seeds derive from the config seed and the run index, so
     execution order (or parallelism) cannot change any result."""
     config.validate()
     instances = _build_instances(config)
-    needs_oracle = any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms)
-    safe_sets: dict[str, set] = {}
-    if needs_oracle:
-        from .domains.oracles import true_safe_set
-        for instance_id, domain, start in instances:
-            if instance_id not in safe_sets:
-                safe_sets[instance_id] = true_safe_set(domain, roots=[start])
-    cells = []
-    run_index = 0
-    for _rep in range(config.repetitions):
-        for instance_id, domain, start in instances:
-            for algo_spec in config.algorithms:
-                for bound in config.bounds:
-                    cells.append((run_index, instance_id, domain, start,
-                                  algo_spec, bound, config.config_seed,
-                                  config.cache_enabled, config.max_iterations,
-                                  safe_sets.get(instance_id)))
-                    run_index += 1
-    if jobs > 1:
-        # a chunk is pickled in one dumps, so its cells share one copy of a
-        # racetrack instance and its successor memo in the worker; cells of
-        # other domains share no memo and go out one at a time, which
-        # balances their uneven run times across the workers
-        chunksize = 1
-        if config.domain["type"] == "racetrack":
-            chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    sweeps: dict[int, tuple[Any, list]] = {}     # id(domain) -> (domain, starts)
+    if any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms):
+        for _instance_id, domain, start in instances:
+            sweeps.setdefault(id(domain), (domain, []))[1].append(start)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # the sweeps run as pool tasks, so the parent's instances stay cold
+        # and pickle small; only safe-lss-lrta cells carry a safe set
+        safe_sets = {}
+        if sweeps:
+            run = pool.map if pool else map
+            safe_sets = dict(zip(sweeps, run(_sweep, sweeps.values())))
+        cells = []
+        run_index = 0
+        for _rep in range(config.repetitions):
+            for instance_id, domain, start in instances:
+                for algo_spec in config.algorithms:
+                    safe = (safe_sets[id(domain)]
+                            if algo_spec["name"] == SAFE_LSS_LRTA else None)
+                    for bound in config.bounds:
+                        cells.append((run_index, instance_id, domain, start,
+                                      algo_spec, bound, config.config_seed,
+                                      config.cache_enabled, config.max_iterations,
+                                      safe))
+                        run_index += 1
+        if pool:
+            # a chunk is pickled in one dumps, so its cells share one copy of
+            # a racetrack instance and its successor memo in the worker; cells
+            # of other domains share no memo and go out one at a time, which
+            # balances their uneven run times across the workers
+            chunksize = 1
+            if config.domain["type"] == "racetrack":
+                chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
             records = list(pool.map(_run_cell, cells, chunksize=chunksize))
-    else:
-        records = [_run_cell(c) for c in cells]
+        else:
+            records = [_run_cell(c) for c in cells]
     if config.output:
         write_csv(config.output, records)
     return records

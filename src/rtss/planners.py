@@ -332,7 +332,11 @@ class SafeFilteredDomain:
                 if s2 in self._safe]
 
     def __getattr__(self, name):
-        return getattr(self._domain, name)
+        # runs only on a miss: keep what it finds, so the next lookup of h,
+        # is_goal or f_safe is a plain instance attribute
+        value = getattr(self._domain, name)
+        setattr(self, name, value)
+        return value
 
 
 def iteration_step(graph: SearchGraph, config: PlannerConfig, domain,

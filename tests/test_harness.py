@@ -156,6 +156,56 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
     assert chunksizes == [1, 11]
 
 
+ORACLE_GRIDS = {
+    "airspace": dict(domain={"type": "airspace", "length": 200, "maxAltitude": 5,
+                             "pObs": 0.1, "seeds": [1, 2]},
+                     algorithms=[{"name": "safe-lss-lrta"}, {"name": "astar-offline"}]),
+    "racetrack": dict(domain={"type": "racetrack", "path": "builtin:right-turn",
+                              "startSamples": 3, "startSeed": 5},
+                      algorithms=[{"name": "safe-lss-lrta"}]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+def test_oracle_grid_sweeps_each_domain_once_in_the_pool(tmp_path, monkeypatch,
+                                                         grid):
+    # one ground-truth sweep per domain object, rooted at all of its starts:
+    # two airspace instances, and one track for the three racetrack starts.
+    # At two workers the sweeps run in the pool, so the parent's counter
+    # stays at zero, and only safe-lss-lrta cells carry the safe set.
+    sweeps = []
+    sweep = harness.true_safe_set
+
+    def counted(domain, roots):
+        sweeps.append(len(roots))
+        return sweep(domain, roots=roots)
+
+    cells = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kw):
+            if fn is harness._run_cell:
+                cells.extend(iterables[0])
+            return super().map(fn, *iterables, **kw)
+
+    monkeypatch.setattr(harness, "true_safe_set", counted)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    config = _config(tmp_path, bounds=[10, 30], **ORACLE_GRIDS[grid])
+    config.output = str(tmp_path / "serial.csv")
+    run_experiment(config, jobs=1)
+    assert sweeps == ([1, 1] if grid == "airspace" else [3])
+    serial = open(config.output, "rb").read()
+    del sweeps[:]
+    config.output = str(tmp_path / "parallel.csv")
+    run_experiment(config, jobs=2)
+    assert open(config.output, "rb").read() == serial
+    assert sweeps == []
+    assert len(cells) == serial.count(b"\n") - 1
+    for cell in cells:
+        assert (cell[9] is not None) == (cell[4]["name"] == "safe-lss-lrta")
+    assert b"error" not in serial and b"dead_end" not in serial
+
+
 def test_checked_in_experiment_grids_validate():
     paths = sorted(glob.glob(os.path.join(EXPERIMENTS, "*.json")))
     assert paths

@@ -426,6 +426,19 @@ def test_safe_lss_never_enters_dead_end_on_airspace():
     assert record.outcome == "goal"
 
 
+def test_filtered_domain_keeps_what_it_delegates():
+    inst = airspace.generate(200, 5, 0.1, 3)
+    wrapper = SafeFilteredDomain(inst, set(inst.all_states()))  # hides nothing
+    assert "h" not in vars(wrapper)
+    wrapper.h(inst.start)
+    assert vars(wrapper)["h"] == inst.h
+    config = PlannerConfig("safe-lss-lrta", 20)
+    wrapped = run_episode(wrapper, inst.start, config)
+    assert wrapped.outcome == "goal"
+    assert wrapped == run_episode(inst, inst.start, config)
+    assert {"h", "is_goal", "f_safe"} <= vars(wrapper).keys()
+
+
 def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
     inst = airspace.generate(200, 5, 0.0, 2)  # no dead ends at all
     safe = true_safe_set(inst)
