@@ -294,8 +294,11 @@ def _run_cell(args) -> RunRecord:
                                      safe_states=safe_states)
         return record
     except Exception as exc:  # a failed run becomes a row, never aborts the grid
-        print(f"rtss: cell {instance_id}/{algo_spec['name']}/{bound} failed: {exc!r}",
-              file=sys.stderr)
+        # one write per line: print() sends the newline separately, and the
+        # workers of a pool share stderr, so their lines could interleave
+        sys.stderr.write(f"rtss: cell {instance_id}/{algo_spec['name']}/{bound} "
+                         f"failed: {exc!r}\n")
+        sys.stderr.flush()
         return RunRecord(instance_id, algo_spec["name"], bound,
                          algo_spec.get("ratio"), algo_spec.get("evaluator", "astar"),
                          seed, f"error:{type(exc).__name__}", 0.0, 0.0, 0, 0,
