@@ -103,7 +103,7 @@ def _cmd_run(args, parser) -> int:
         print(f"{len(records)} runs -> {config.output}"
               + (f" ({bad} errored)" if bad else ""))
         return 0
-    if not (args.domain and args.algorithm and args.bound):
+    if not (args.domain and args.algorithm and args.bound is not None):
         parser.error("run needs either --config or --domain/--algorithm/--bound")
     if args.algorithm == "rtfs" and not 0.0 < args.ratio < 1.0:
         parser.error("--ratio must lie strictly inside (0, 1)")

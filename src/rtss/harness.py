@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Optional
 
 from .domains import airspace, racetrack
@@ -28,7 +29,6 @@ from .safety import DeadEndCache
 from .search import Evaluator
 
 OFFLINE_ASTAR = "astar-offline"
-_CHUNKS_PER_JOB = 4    # racetrack grid cells go to the pool in about 4 chunks per worker
 
 CSV_COLUMNS = ("instanceId", "algorithm", "iterationBound", "explorationRatio",
                "evaluator", "seed", "outcome", "gat", "velocity",
@@ -236,20 +236,16 @@ def _require(value, kind: type, field: str):
     return value
 
 
-def _build_instances(config: ExperimentConfig) -> list[tuple[str, Any, Any]]:
-    """Materialize (instance_id, domain, start) triples for the grid."""
+def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, Any]]]:
+    """Materialize the grid's distinct domains, and an (instance_id, domain
+    index, start) triple for each of its instances."""
     spec = config.domain
     kind = spec["type"]
-    out = []
     if kind == "airspace":
-        for seed in spec["seeds"]:
-            inst = airspace.generate(spec["length"], spec["maxAltitude"],
-                                     spec["pObs"], seed)
-            out.append((inst.instance_id, inst, inst.start))
+        domains = tuple(airspace.generate(spec["length"], spec["maxAltitude"],
+                                          spec["pObs"], seed) for seed in spec["seeds"])
     elif kind == "airspace_files":
-        for path in spec["paths"]:
-            inst = airspace.load_instance(path)
-            out.append((inst.instance_id, inst, inst.start))
+        domains = tuple(airspace.load_instance(path) for path in spec["paths"])
     elif kind == "racetrack":
         path = spec["path"]
         if path == "builtin:right-turn":
@@ -258,12 +254,11 @@ def _build_instances(config: ExperimentConfig) -> list[tuple[str, Any, Any]]:
             inst = racetrack.load(path)
         count = spec.get("startSamples", len(inst.starts))
         starts = inst.sample_starts(count, spec.get("startSeed", config.config_seed))
-        for i, cell in enumerate(starts):
-            out.append((f"{inst.instance_id}#start{i}@{cell[0]}-{cell[1]}",
-                        inst, inst.start_state(cell)))
+        return (inst,), [(f"{inst.instance_id}#start{i}@{cell[0]}-{cell[1]}", 0,
+                          inst.start_state(cell)) for i, cell in enumerate(starts)]
     else:
         raise ValueError(f"unknown domain type {kind!r}")
-    return out
+    return domains, [(inst.instance_id, i, inst.start) for i, inst in enumerate(domains)]
 
 
 def _planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
@@ -280,11 +275,22 @@ def _planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
     )
 
 
+_domains: tuple = ()    # the running grid's distinct domains, named by index
+
+
+def _hold_domains(domains) -> None:
+    """Pool initializer: each worker receives the grid's domains once, so one
+    copy of a domain, and of any successor memo it keeps, serves the grid."""
+    global _domains
+    _domains = domains
+
+
 def _run_cell(args) -> RunRecord:
-    (run_index, instance_id, domain, start, algo_spec, bound,
+    (run_index, instance_id, domain_index, start, algo_spec, bound,
      config_seed, cache_enabled, max_iterations, safe_states) = args
     seed = mix64(config_seed ^ run_index)
     try:
+        domain = _domains[domain_index]
         if algo_spec["name"] == OFFLINE_ASTAR:
             return simulate_offline_astar(domain, start, instance_id, seed)
         planner = _planner_config(algo_spec, bound)
@@ -310,51 +316,41 @@ def _sweep(args) -> set:
     A state reachable from one start has all of its successors reachable from
     it, so the union of roots changes none of the membership tests that a
     safe-lss-lrta episode from that start makes."""
-    domain, roots = args
-    return true_safe_set(domain, roots=roots)
+    domain_index, roots = args
+    return true_safe_set(_domains[domain_index], roots=roots)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full instance x algorithm x bound x repetition grid and write
     the CSV. Per-run seeds derive from the config seed and the run index, so
     execution order (or parallelism) cannot change any result."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     config.validate()
-    instances = _build_instances(config)
-    sweeps: dict[int, tuple[Any, list]] = {}     # id(domain) -> (domain, starts)
+    domains, grid = _build_grid(config)
+    sweeps: dict[int, list] = {}    # domain index -> its grid starts
     if any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms):
-        for _instance_id, domain, start in instances:
-            sweeps.setdefault(id(domain), (domain, []))[1].append(start)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        # the sweeps run as pool tasks, so the parent's instances stay cold
-        # and pickle small; only safe-lss-lrta cells carry a safe set
-        safe_sets = {}
-        if sweeps:
-            run = pool.map if pool else map
-            safe_sets = dict(zip(sweeps, run(_sweep, sweeps.values())))
-        cells = []
-        run_index = 0
-        for _rep in range(config.repetitions):
-            for instance_id, domain, start in instances:
-                for algo_spec in config.algorithms:
-                    safe = (safe_sets[id(domain)]
-                            if algo_spec["name"] == SAFE_LSS_LRTA else None)
-                    for bound in config.bounds:
-                        cells.append((run_index, instance_id, domain, start,
-                                      algo_spec, bound, config.config_seed,
-                                      config.cache_enabled, config.max_iterations,
-                                      safe))
-                        run_index += 1
-        if pool:
-            # a chunk is pickled in one dumps, so its cells share one copy of
-            # a racetrack instance and its successor memo in the worker; cells
-            # of other domains share no memo and go out one at a time, which
-            # balances their uneven run times across the workers
-            chunksize = 1
-            if config.domain["type"] == "racetrack":
-                chunksize = max(1, len(cells) // (_CHUNKS_PER_JOB * jobs))
-            records = list(pool.map(_run_cell, cells, chunksize=chunksize))
-        else:
-            records = [_run_cell(c) for c in cells]
+        for _instance_id, d, start in grid:
+            sweeps.setdefault(d, []).append(start)
+    # cells go out one at a time, which balances their uneven run times
+    pool = (ProcessPoolExecutor(max_workers=jobs, initializer=_hold_domains,
+                                initargs=(domains,)) if jobs > 1 else nullcontext())
+    _hold_domains(domains)
+    try:
+        with pool:
+            run = pool.map if jobs > 1 else map
+            # the sweeps run as pool tasks, so the parent's instances stay
+            # cold; only safe-lss-lrta cells carry a safe set
+            safe_sets = dict(zip(sweeps, run(_sweep, sweeps.items())))
+            cells = [(run_index, instance_id, d, start, spec, bound,
+                      config.config_seed, config.cache_enabled, config.max_iterations,
+                      safe_sets[d] if spec["name"] == SAFE_LSS_LRTA else None)
+                     for run_index, (_rep, (instance_id, d, start), spec, bound)
+                     in enumerate(product(range(config.repetitions), grid,
+                                          config.algorithms, config.bounds))]
+            records = list(run(_run_cell, cells))
+    finally:
+        _hold_domains(())
     if config.output:
         write_csv(config.output, records)
     return records

@@ -26,7 +26,9 @@ class SafetyStatus(IntEnum):
 
 
 _SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
-# a module constant, because looking a member up on the enum class is slow
+# module constants, because looking a member up on the enum class is slow
+_UNKNOWN = SafetyStatus.UNKNOWN
+_EXPLICITLY_SAFE = SafetyStatus.EXPLICITLY_SAFE
 _DEAD_END = SafetyStatus.DEAD_END
 
 
@@ -90,18 +92,18 @@ class SearchNode:
     __slots__ = ("state", "g", "h", "goal", "parent", "preds", "succs",
                  "safety", "on_open", "expanded", "stamp", "open_seq")
 
-    def __init__(self, state, h: float, goal: bool):
+    def __init__(self, state, domain, stamp: int):
         self.state = state
         self.g = INF
-        self.h = h
-        self.goal = goal            # domain.is_goal(state), asked once
+        self.h = domain.h(state)
+        self.goal = goal = domain.is_goal(state)    # asked once, as is f_safe
         self.parent = None          # (parent_state, action, edge_cost)
         self.preds: list = []       # discovered in-edges this iteration
         self.succs = None           # cached successor list once expanded
-        self.safety = SafetyStatus.UNKNOWN
+        self.safety = _EXPLICITLY_SAFE if goal or domain.f_safe(state) else _UNKNOWN
         self.on_open = False
         self.expanded = False
-        self.stamp = 0
+        self.stamp = stamp          # 0: not part of any iteration yet
         self.open_seq = -1
 
     def __repr__(self):
@@ -148,7 +150,7 @@ class SearchGraph:
         self._domain = domain
         self._cache = cache
         self.root = root_state
-        node = self.touch(root_state)
+        node = self.touch(root_state, self.nodes.get(root_state))
         node.g = 0.0
         node.on_open = True
         self._seq += 1
@@ -157,17 +159,18 @@ class SearchGraph:
         self.open = [(g_weight * node.g + h_weight * node.h, -node.g, self._seq,
                       root_state)]
 
-    def touch(self, state, node: Optional[SearchNode] = None) -> SearchNode:
-        """Fetch the node for a state, stamping it into the current iteration.
-        A caller that has already looked the node up passes it in.
+    def touch(self, state, node: Optional[SearchNode]) -> SearchNode:
+        """Stamp a state's node into the current iteration. The caller looked
+        the node up; for a new state (None) it is built already stamped.
 
         open_seq is left as it was: sequence numbers never repeat and the
         open list starts empty each iteration, so an old one matches no entry.
         """
-        if node is None:
-            node = self.ensure_node(state)
         stamp = self.stamp
-        if node.stamp != stamp:
+        if node is None:
+            node = self.nodes[state] = SearchNode(state, self._domain, stamp)
+            self.touched.append(node)
+        elif node.stamp != stamp:
             node.stamp = stamp
             node.g = INF
             node.parent = None
@@ -176,7 +179,7 @@ class SearchGraph:
             node.expanded = False
             if node.safety == _DEAD_END and state not in self._cache.blocked:
                 # dead-end knowledge only persists through an enabled cache
-                node.safety = SafetyStatus.UNKNOWN
+                node.safety = _UNKNOWN
                 node.h = self._domain.h(state)
             self.touched.append(node)
         return node
@@ -185,11 +188,7 @@ class SearchGraph:
         """Node record for a state, created on first sight; not stamped."""
         node = self.nodes.get(state)
         if node is None:
-            domain = self._domain
-            node = SearchNode(state, domain.h(state), domain.is_goal(state))
-            if node.goal or domain.f_safe(state):
-                node.safety = SafetyStatus.EXPLICITLY_SAFE
-            self.nodes[state] = node
+            node = self.nodes[state] = SearchNode(state, self._domain, 0)
         return node
 
     def open_nodes_in_f_order(self) -> list[SearchNode]:
@@ -262,6 +261,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
     used, limit = budget.used, budget.limit
     blocked = cache.blocked
     marks = cache.exhausted_marks
+    touch = graph.touch
     outcome = BUDGET_EXHAUSTED
     try:
         while used < limit:
@@ -299,7 +299,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
                     continue
                 child = nodes.get(s2)
                 if child is None or child.stamp != stamp:
-                    child = graph.touch(s2, child)
+                    child = touch(s2, child)
                 child.preds.append((state, cost))
                 if child.safety == _DEAD_END:
                     continue
@@ -342,7 +342,7 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache) -> int:
     nodes = graph.nodes
     dead = SafetyStatus.DEAD_END
     closed = []                     # (node, h before the update)
-    heap = []
+    heap = []                       # (h, unique seq, node): nodes never compare
     for node in graph.touched:
         if node.safety == dead:
             continue
@@ -350,15 +350,14 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache) -> int:
             closed.append((node, node.h))
             node.h = INF
         elif node.expanded or node.on_open:
-            heap.append((node.h, len(heap) + 1, node.state))
+            heap.append((node.h, len(heap) + 1, node))
     if not closed:
         return 0
     heapify(heap)
     seq = len(heap)
     pending = len(closed)
     while heap and pending:
-        hval, _, state = heappop(heap)
-        node = nodes[state]
+        hval, _, node = heappop(heap)
         # only closed nodes are relaxed, and each relaxation strictly lowers
         # h, so one entry at most matches a node's h and it pops only once
         if hval != node.h:
@@ -372,7 +371,7 @@ def dijkstra_h_update(graph: SearchGraph, domain, cache) -> int:
                     and pred.safety != dead and not pred.goal):
                 pred.h = cand
                 seq += 1
-                heappush(heap, (cand, seq, pred_state))
+                heappush(heap, (cand, seq, pred))
     changes = 0
     for node, prev in closed:
         if node.h < prev:

@@ -53,6 +53,27 @@ def test_ratio_of_one_is_a_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_bound_below_one_exits_two_naming_the_bound(tmp_path, capsys, bound):
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
+                   "--bound", bound)
+    assert code == 2
+    assert "iteration_bound must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "experiments",
+                          "racetrack-gat.json")
+    code = run_cli("run", "--config", config, "--jobs", jobs,
+                   "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_unknown_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli("generate", "--domain", "airspace", "--nonsense", "1")

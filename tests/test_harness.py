@@ -1,6 +1,7 @@
 import glob
 import json
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -132,15 +133,23 @@ EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
 
 
 def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
-    # 30 airspace cells at three workers go out one cell at a time; the 90
-    # racetrack-gat cells at two workers go out in chunks of 11, so cells
-    # share an unpickled instance and its successor memo
-    chunksizes = []
+    # 30 airspace cells at three workers and the 90 racetrack-gat cells at two
+    # go out one at a time, naming their domain by index; each worker receives
+    # the grid's distinct domains once, through the pool initializer, so the
+    # cells of one track share an unpickled instance and its successor memo
+    initargs, cells = [], []
 
     class Pool(harness.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kw):
-            chunksizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kw)
+        def __init__(self, *args, **kw):
+            assert kw["initializer"] is harness._hold_domains
+            initargs.append(kw["initargs"])
+            super().__init__(*args, **kw)
+
+        def map(self, fn, *iterables, **kw):
+            assert kw.get("chunksize", 1) == 1
+            if fn is harness._run_cell:
+                cells.append(list(iterables[0]))
+            return super().map(fn, *iterables, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
     racetrack = ExperimentConfig.from_json(os.path.join(EXPERIMENTS,
@@ -153,7 +162,33 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
         config.output = str(tmp_path / f"parallel{i}.csv")
         run_experiment(config, jobs=jobs)
         assert open(config.output, "rb").read() == serial
-    assert chunksizes == [1, 11]
+    assert [len(c) for c in cells] == [30, 90]
+    for (domains,), grid_cells, distinct in zip(initargs, cells, [5, 1]):
+        assert len(domains) == len({d.instance_id for d in domains}) == distinct
+        assert all(type(c[2]) is int for c in grid_cells)
+        assert {c[2] for c in grid_cells} == set(range(distinct))
+        for cell in grid_cells:
+            assert cell[1].split("#")[0] == domains[cell[2]].instance_id
+
+
+def test_parallel_grid_under_spawn_matches_serial(tmp_path, monkeypatch):
+    # spawned workers share no memory with the parent: the initializer's
+    # pickled domains are all they have (forkserver, the Linux default from
+    # Python 3.14, starts workers the same way)
+    spawn = multiprocessing.get_context("spawn")
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, mp_context=spawn, **kw)
+
+    config = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, "racetrack-gat.json"))
+    config.output = str(tmp_path / "serial.csv")
+    run_experiment(config, jobs=1)
+    serial = open(config.output, "rb").read()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    config.output = str(tmp_path / "spawn.csv")
+    run_experiment(config, jobs=2)
+    assert open(config.output, "rb").read() == serial
 
 
 ORACLE_GRIDS = {

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ListDomain, chain_domain, random_h_dag
+from rtss.domains import airspace
+from rtss.domains.oracles import reachable_states
+from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
 from rtss.safety import DeadEndCache, Exhausted, cache_dead_ends
@@ -21,6 +24,45 @@ def build(domain, root, budget, evaluator=FCOST, cache=None):
     outcome = expand_best_first(graph, evaluator, ExpansionBudget(budget), domain,
                                 cache=cache)
     return graph, outcome
+
+
+# -- node creation -------------------------------------------------------------
+
+@pytest.mark.parametrize("world", ["airspace", "racetrack"])
+def test_touch_builds_a_new_node_as_lookup_then_restamp_did(world):
+    # touch builds a new state's node stamped in one step; it must match, slot
+    # for slot, a node built unstamped by ensure_node and then touched
+    if world == "airspace":
+        domain = airspace.generate(12, 3, 0.2, 1)
+        root = domain.start
+    else:
+        domain = right_turn_track()
+        root = domain.start_state(domain.starts[0])
+    states = [s for s in reachable_states(domain, [root]) if s != root]
+    assert any(domain.is_goal(s) for s in states)
+    assert any(domain.f_safe(s) for s in states)
+    if world == "racetrack":
+        assert any(domain.is_terminal(s) for s in states)      # crashed
+    one_step, two_step = SearchGraph(), SearchGraph()
+    for graph in (one_step, two_step):
+        graph.begin_iteration(root, FCOST, domain, DeadEndCache(enabled=True))
+    for state in states:
+        touched = len(one_step.touched)
+        node = one_step.touch(state, None)
+        assert one_step.nodes[state] is node and one_step.touched[touched:] == [node]
+        assert one_step.touch(state, node) is node and len(one_step.touched) == touched + 1
+        goal = domain.is_goal(state)
+        assert node.h == domain.h(state) and node.goal == goal
+        assert node.safety == (SafetyStatus.EXPLICITLY_SAFE
+                               if goal or domain.f_safe(state) else SafetyStatus.UNKNOWN)
+        assert math.isinf(node.g) and node.parent is None and node.preds == []
+        assert node.stamp == one_step.stamp and node.succs is None
+        assert not node.on_open and not node.expanded and node.open_seq == -1
+        old = two_step.ensure_node(state)
+        assert old.stamp == 0 and two_step.touch(state, old) is old
+        assert ({slot: getattr(node, slot) for slot in node.__slots__}
+                == {slot: getattr(old, slot) for slot in old.__slots__})
+    assert len(one_step.touched) == len(two_step.touched) == len(states) + 1
 
 
 # -- expand_best_first ---------------------------------------------------------
