@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 from . import harness, plotting, verification
 from .domains import airspace, racetrack
@@ -125,7 +126,7 @@ def _cmd_run(args, parser) -> int:
         config, domain, start, seed=seed, cache_enabled=not args.no_cache,
         max_iterations=args.max_iterations, safe_states=safe_states)
     if args.out:
-        harness.write_csv(args.out, [record])
+        harness.write_csv(args.out, harness.CSV_COLUMNS, [record.row()])
     print(f"{record.instance_id} {record.algorithm} bound={record.iteration_bound}"
           f" outcome={record.outcome} gat={record.gat:g}"
           f" velocity={record.velocity:.3f} expansions={record.total_expansions}")
@@ -136,11 +137,7 @@ def _cmd_stats(args) -> int:
     inst = airspace.load_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
     rows = airspace.safety_proof_stats(inst, args.samples, seed=seed)
-    table = airspace.stats_csv_rows(rows)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        for row in table:
-            f.write(",".join(harness._fmt(v) if not isinstance(v, str) else v
-                             for v in row) + "\n")
+    harness.write_csv(args.out, airspace.STATS_CSV_COLUMNS, map(astuple, rows))
     print(f"wrote {args.out} ({len(rows)} altitude rows)")
     return 0
 

@@ -213,8 +213,15 @@ def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> Airspac
     return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
 
 
+STATS_CSV_COLUMNS = ("altitude", "samples", "safetyProbability",
+                     "meanProofLengthStates", "meanProofLengthTransitions",
+                     "meanSuccessfulProofExpansions", "meanFailedProofExpansions")
+
+
 @dataclass(frozen=True)
 class AltitudeStats:
+    """One stats CSV row; the fields are in STATS_CSV_COLUMNS order."""
+
     altitude: int
     samples: int
     safety_probability: float
@@ -276,21 +283,6 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     return rows
 
 
-STATS_CSV_COLUMNS = ("altitude", "samples", "safetyProbability",
-                     "meanProofLengthStates", "meanProofLengthTransitions",
-                     "meanSuccessfulProofExpansions", "meanFailedProofExpansions")
-
-
-def stats_csv_rows(rows: list[AltitudeStats]) -> list[list]:
-    out = [list(STATS_CSV_COLUMNS)]
-    for r in rows:
-        out.append([r.altitude, r.samples, r.safety_probability,
-                    r.mean_proof_length_states, r.mean_proof_length_transitions,
-                    r.mean_successful_proof_expansions,
-                    r.mean_failed_proof_expansions])
-    return out
-
-
 def write_instance(instance: AirspaceInstance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(instance.to_text())
@@ -306,15 +298,15 @@ def load_instance(path_or_text: str, *, is_text: bool = False) -> AirspaceInstan
     lines = text.splitlines()
     if not lines or lines[0].strip() != "airspace v1":
         raise ValueError("not an airspace v1 file")
-    fields = lines[1].split()
     try:
+        fields = lines[1].split()
         header = {fields[i]: fields[i + 1] for i in range(0, len(fields), 2)}
         length = int(header["length"])
         max_altitude = int(header["maxAltitude"])
         p_obs = float(header["pObs"])
         seed = int(header["seed"])
     except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed airspace header: {lines[1]!r}") from exc
+        raise ValueError(f"malformed airspace header: {''.join(lines[1:2])!r}") from exc
     rows = max_altitude - 1
     body = lines[2:2 + rows]
     if len(body) != rows:

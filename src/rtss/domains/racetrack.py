@@ -70,12 +70,6 @@ class RacetrackInstance:
     def start_state(self, cell: tuple[int, int]) -> tuple:
         return (cell[0], cell[1], 0, 0, False)
 
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def cell_free(self, x: int, y: int) -> bool:
-        return self.in_bounds(x, y) and not self.blocked[y][x]
-
     # -- domain handle -----------------------------------------------------
 
     def successors(self, state) -> list:
@@ -85,19 +79,17 @@ class RacetrackInstance:
         x, y, vx, vy, crashed = state
         if crashed or (x, y) in self.goals:
             return []
+        width, height, blocked = self.width, self.height, self.blocked
         out = []
         for ax, ay in _ACCELS:
             v2x, v2y = vx + ax, vy + ay
             p2x, p2y = x + v2x, y + v2y
-            ok = True
+            crash = False
             for cx, cy in supercover_cells(x, y, p2x, p2y):
-                if not self.cell_free(cx, cy):
-                    ok = False
+                if not (0 <= cx < width and 0 <= cy < height) or blocked[cy][cx]:
+                    crash = True
                     break
-            if ok:
-                out.append(((ax, ay), (p2x, p2y, v2x, v2y, False), 1.0))
-            else:
-                out.append(((ax, ay), (p2x, p2y, v2x, v2y, True), 1.0))
+            out.append(((ax, ay), (p2x, p2y, v2x, v2y, crash), 1.0))
         self._succ_cache[state] = out
         return out
 
@@ -176,13 +168,13 @@ def load(path_or_text: str, *, is_text: bool = False,
     lines = text.splitlines()
     if not lines or lines[0].strip() != "racetrack v1":
         raise ValueError("not a racetrack v1 file")
-    fields = lines[1].split()
     try:
+        fields = lines[1].split()
         header = {fields[i]: fields[i + 1] for i in range(0, len(fields), 2)}
         width = int(header["width"])
         height = int(header["height"])
     except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed racetrack header: {lines[1]!r}") from exc
+        raise ValueError(f"malformed racetrack header: {''.join(lines[1:2])!r}") from exc
     rows = lines[2:2 + height]
     if len(rows) != height:
         raise ValueError(f"expected {height} map rows, found {len(rows)}")

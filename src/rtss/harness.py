@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .domains import airspace, racetrack
 from .domains.oracles import true_safe_set
@@ -71,11 +71,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, records: list[RunRecord]) -> None:
+def write_csv(path: str, columns: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header line and one line per row; None and NaN cells stay
+    empty, and floats keep 10 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            f.write(",".join(_fmt(v) for v in rec.row()) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _instance_id(domain, instance_id: str) -> str:
@@ -147,15 +149,15 @@ def simulate_offline_astar(domain, start, instance_id: str = "",
     """The perfect-agent reference: plan offline, then execute; planning
     effort does not count toward GAT."""
     solved = offline_astar(domain, start)
-    instance_id = _instance_id(domain, instance_id)
     if solved is None:
-        return RunRecord(instance_id, OFFLINE_ASTAR, 0, None, "astar", seed,
-                         "failure", 0.0, 0.0, 0, 0, 0.0, None, 0)
-    actions, _cost, expansions = solved
-    entered, gat, velocity = _audit(domain, start, actions)
-    return RunRecord(instance_id, OFFLINE_ASTAR, 0, None, "astar", seed,
-                     "dead_end" if entered else "goal", gat, velocity,
-                     expansions, 0, 0.0, None, 0)
+        outcome, gat, velocity, expansions = "failure", 0.0, 0.0, 0
+    else:
+        actions, _cost, expansions = solved
+        entered, gat, velocity = _audit(domain, start, actions)
+        outcome = "dead_end" if entered else "goal"
+    return RunRecord(_instance_id(domain, instance_id), OFFLINE_ASTAR, 0, None,
+                     "astar", seed, outcome, gat, velocity, expansions, 0, 0.0,
+                     None, 0)
 
 
 # -- experiment grids ---------------------------------------------------------
@@ -196,25 +198,34 @@ class ExperimentConfig:
             raise ValueError("bound grid is empty")
         for bound in self.bounds:
             _require(bound, int, "bounds")
-        _require(self.repetitions, int, "repetitions")
+        _at_least_one(self.repetitions, "repetitions")
         _require(self.config_seed, int, "configSeed")
-        _require(self.max_iterations, int, "maxIterations")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        kind = self.domain.get("type")
+        _at_least_one(self.max_iterations, "maxIterations")
+        _require(self.cache_enabled, bool, "cacheEnabled")
+        _require(self.output, str, "output")
+        domain = self.domain
+        kind = domain.get("type")
         if kind == "airspace":
             for key in ("length", "maxAltitude", "pObs", "seeds"):
-                if key not in self.domain:
+                if key not in domain:
                     raise ValueError(f"airspace domain spec is missing {key!r}")
-            _require(self.domain["seeds"], list, "domain.seeds")
+            _require(domain["length"], int, "domain.length")
+            _require(domain["maxAltitude"], int, "domain.maxAltitude")
+            _require(domain["pObs"], (int, float), "domain.pObs")
+            if not _require(domain["seeds"], list, "domain.seeds"):
+                raise ValueError("domain.seeds is empty")
+            for seed in domain["seeds"]:
+                _require(seed, int, "domain.seeds")
         elif kind == "airspace_files":
-            for p in _require(self.domain.get("paths", []), list, "domain.paths"):
+            for p in _require(domain.get("paths", []), list, "domain.paths"):
                 if not os.path.exists(p):
                     raise ValueError(f"instance file not found: {p}")
         elif kind == "racetrack":
-            path = self.domain.get("path")
+            path = domain.get("path")
             if path != "builtin:right-turn" and not (path and os.path.exists(path)):
                 raise ValueError(f"racetrack map not found: {path}")
+            _at_least_one(domain.get("startSamples", 1), "domain.startSamples")
+            _require(domain.get("startSeed", 0), int, "domain.startSeed")
         else:
             raise ValueError(f"unknown domain type {kind!r}")
         for i, spec in enumerate(self.algorithms):
@@ -226,14 +237,21 @@ class ExperimentConfig:
                     raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
 
 
-_EXPECTED = {list: "a list", dict: "an object", int: "an integer"}
+_EXPECTED = {list: "a list", dict: "an object", int: "an integer", str: "a string",
+             bool: "true or false", (int, float): "a number"}
 
 
-def _require(value, kind: type, field: str):
-    if not isinstance(value, kind):
+def _require(value, kind, field: str):
+    # JSON true and false load as bool, which Python counts as an int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{field} must be {_EXPECTED[kind]}, "
                          f"not {type(value).__name__} {value!r:.40}")
     return value
+
+
+def _at_least_one(value, field: str) -> None:
+    if _require(value, int, field) < 1:
+        raise ValueError(f"{field} must be >= 1")
 
 
 def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, Any]]]:
@@ -352,5 +370,5 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     finally:
         _hold_domains(())
     if config.output:
-        write_csv(config.output, records)
+        write_csv(config.output, CSV_COLUMNS, (r.row() for r in records))
     return records

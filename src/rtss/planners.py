@@ -95,10 +95,8 @@ class IterationReport:
 @dataclass
 class EpisodeResult:
     outcome: str                            # goal | failure | terminated | max_iterations
-    final_state: Any
     actions: list
     reports: list
-    start: Any
 
     @property
     def iterations(self) -> int:
@@ -179,21 +177,17 @@ def _explore(graph: SearchGraph, limit: int, domain, cache: DeadEndCache,
 
 def _commit(report: IterationReport, graph: SearchGraph, target,
             config: PlannerConfig, rank: Optional[int] = None) -> IterationReport:
-    """Commit toward target, reached from the open node of the given rank;
-    a target without a rank is a goal, and its whole path is committed."""
+    """Commit toward target, reached from the open node of the given rank.
+    A target without a rank is a popped goal: its whole path is committed,
+    and the episode ends there, so no iteration is left to use an h-backup."""
     actions = path_to(graph, target)
-    if rank is not None and config.commit_mode == "single":
+    if rank is None:
+        report.outcome = "goal"
+    elif config.commit_mode == "single":
         actions = actions[:1]
     report.committed_actions = tuple(actions)
     report.target_open_rank = rank
     return report
-
-
-def _commit_goal(report: IterationReport, graph: SearchGraph, goal,
-                 config: PlannerConfig, domain, cache) -> IterationReport:
-    dijkstra_h_update(graph, domain, cache)
-    report.outcome = "goal"
-    return _commit(report, graph, goal, config)
 
 
 def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
@@ -205,7 +199,7 @@ def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     report = IterationReport(bound=bound)
     outcome = _explore(graph, bound, domain, cache, report)
     if outcome.goal_found:
-        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
+        return _commit(report, graph, outcome.goal, config)
     target = select_best_f(graph)
     if target is None:
         report.outcome = "failure"
@@ -252,7 +246,7 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
                 cache_dead_ends(cache, res, graph)
             b *= 2
     if outcome.goal_found:
-        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
+        return _commit(report, graph, outcome.goal, config)
     propagate_safety(graph, domain, proven_paths)
     selection = safe_toward_best(graph)
     if selection is not None:
@@ -304,7 +298,7 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         leftover = report.unused_budget
         explore_budget = int(leftover * config.exploration_ratio)
     if outcome.goal_found:
-        return _commit_goal(report, graph, outcome.goal, config, domain, cache)
+        return _commit(report, graph, outcome.goal, config)
     if outcome is OPEN_EMPTY:
         # an emptied open list leaves no open node to commit toward
         report.outcome = "failure"
@@ -385,15 +379,15 @@ def run_episode(domain, start, config: PlannerConfig,
     try:
         while True:
             if domain.is_goal(state):
-                return EpisodeResult("goal", state, actions, reports, start)
+                return EpisodeResult("goal", actions, reports)
             if len(reports) >= max_iterations:
-                return EpisodeResult("max_iterations", state, actions, reports, start)
+                return EpisodeResult("max_iterations", actions, reports)
             graph.begin_iteration(state, evaluator, domain, cache)
             report = iteration_step(graph, config, domain, cache,
                                     config.iteration_bound + carryover)
             reports.append(report)
             if report.outcome in ("failure", "terminated"):
-                return EpisodeResult(report.outcome, state, actions, reports, start)
+                return EpisodeResult(report.outcome, actions, reports)
             for action in report.committed_actions:
                 state = apply_action(domain, state, action)
                 actions.append(action)

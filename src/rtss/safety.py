@@ -221,18 +221,8 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
     for node in graph.touched:
         if node.safety == dead or node.goal:
             continue
-        if node.expanded:
-            # _succs_all_dead, inlined for the pass over every touched node
-            for _a, s2, _c in node.succs or ():
-                child = nodes.get(s2)
-                if child is not None and child.stamp == stamp:
-                    if child.safety != dead:
-                        break
-                elif s2 not in blocked:
-                    break
-            else:
-                worklist.append(node)
-        elif domain.is_terminal(node.state):
+        if (_succs_all_dead(node, nodes, stamp, blocked) if node.expanded
+                else domain.is_terminal(node.state)):
             worklist.append(node)
     count = 0
     while worklist:

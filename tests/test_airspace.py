@@ -62,6 +62,8 @@ def test_loader_rejects_malformed_input():
     with pytest.raises(ValueError):
         load_instance("racetrack v1\n", is_text=True)
     with pytest.raises(ValueError):
+        load_instance("airspace v1\n", is_text=True)
+    with pytest.raises(ValueError):
         load_instance("airspace v1\nlength x\n", is_text=True)
     with pytest.raises(ValueError):
         load_instance("airspace v1\nlength 4 maxAltitude 3 pObs 0.1 seed 1\n..|.\n....\n",

@@ -4,6 +4,7 @@ import pytest
 
 from rtss.cli import main
 from rtss.domains import airspace, racetrack
+from rtss.harness import CSV_COLUMNS
 
 
 def run_cli(*argv):
@@ -33,7 +34,9 @@ def test_adhoc_run_reaches_goal(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "outcome=goal" in out
-    assert csv_path.exists()
+    header, *rows = csv_path.read_text().splitlines()
+    assert header.split(",") == list(CSV_COLUMNS)
+    assert len(rows) == 1 and len(rows[0].split(",")) == len(CSV_COLUMNS)
 
 
 def test_adhoc_run_on_racetrack_map(tmp_path):
@@ -72,6 +75,16 @@ def test_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     assert code == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("head", ["airspace v1", "racetrack v1"])
+def test_one_line_instance_file_exits_two(tmp_path, capsys, head):
+    path = tmp_path / "short.txt"
+    path.write_text(head + "\n")
+    code = run_cli("run", "--domain", str(path), "--algorithm", "safe-rts",
+                   "--bound", "10")
+    assert code == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_a_usage_error():
@@ -164,6 +177,11 @@ _GOOD_CONFIG = {
 }
 
 
+
+def _track(**fields):
+    return {"type": "racetrack", "path": "builtin:right-turn", **fields}
+
+
 @pytest.mark.parametrize("patch, field", [
     ({"domain": dict(_GOOD_CONFIG["domain"], seeds=5)}, "domain.seeds"),
     ({"algorithms": ["safe-rts"]}, "algorithms[0]"),
@@ -178,17 +196,34 @@ _GOOD_CONFIG = {
     ({"maxIterations": 1.5}, "maxIterations"),
     ({"configSeed": "x"}, "configSeed"),
     (None, "experiment config"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], seeds=["x"])}, "domain.seeds"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], length="30")}, "domain.length"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], maxAltitude=3.0)}, "domain.maxAltitude"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], pObs="0.1")}, "domain.pObs"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], pObs=False)}, "domain.pObs"),
+    ({"domain": _track(startSamples="x")}, "domain.startSamples"),
+    ({"domain": _track(startSeed=1.5)}, "domain.startSeed"),
+    ({"cacheEnabled": "no"}, "cacheEnabled"),
+    ({"output": 5}, "output"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], seeds=[])}, "domain.seeds"),
+    ({"domain": _track(startSamples=-3)}, "domain.startSamples"),
+    ({"maxIterations": 0}, "maxIterations"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
         "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
         "repetitions-string", "max-iterations-float", "config-seed-string",
-        "top-level-list"])
+        "top-level-list", "seed-string", "length-string", "max-altitude-float",
+        "p-obs-string", "p-obs-bool", "start-samples-string", "start-seed-float",
+        "cache-enabled-string", "output-number", "seeds-empty",
+        "start-samples-negative", "max-iterations-zero"])
 def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
     import json
-    config = [_GOOD_CONFIG] if patch is None else {**_GOOD_CONFIG, **patch}
+    out = tmp_path / "bad.csv"
+    # the output path rides in the config, so an "output" patch replaces it
+    good = {**_GOOD_CONFIG, "output": str(out)}
+    config = [good] if patch is None else {**good, **patch}
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(config))
-    out = tmp_path / "bad.csv"
-    assert run_cli("run", "--config", str(config_path), "--out", str(out)) == 2
+    assert run_cli("run", "--config", str(config_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not out.exists()

@@ -1,9 +1,11 @@
 """Guard against code in `src/rtss` that nothing in `src/rtss` uses.
 
-Every top-level or method `def` or `class` in the package must be named at
-least once more somewhere in `src/rtss` outside the package `__init__.py`
-files: a re-export there would otherwise keep a name alive that only tests
-call. Dunder methods are exempt, because Python calls them.
+Every top-level or method `def` or `class`, and every annotated class field
+(a dataclass field, say), in the package must be named at least once more
+somewhere in `src/rtss` outside the package `__init__.py` files: a
+re-export there would otherwise keep a name alive that only tests call, and
+a field that nothing reads is only ever written. Dunder methods are exempt,
+because Python calls them.
 
 This matches word tokens in the source text (comments and docstrings
 included), not bindings, so it misses a dead definition whose name is
@@ -31,6 +33,9 @@ def _definitions(tree: ast.Module):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
                     yield member.name
+                elif (isinstance(member, ast.AnnAssign)
+                      and isinstance(member.target, ast.Name)):
+                    yield member.target.id
 
 
 def test_every_definition_is_named_again_in_the_package():

@@ -22,6 +22,8 @@ def test_load_rejects_bad_maps():
     with pytest.raises(ValueError):
         load("racetrack v2\n", is_text=True)
     with pytest.raises(ValueError):
+        load("racetrack v1\n", is_text=True)
+    with pytest.raises(ValueError):
         load("racetrack v1\nwidth x height 3\n", is_text=True)
     with pytest.raises(ValueError):  # no goal
         load("racetrack v1\nwidth 3 height 1\n@..\n", is_text=True)
