@@ -106,25 +106,16 @@ def _cmd_run(args, parser) -> int:
         return 0
     if not (args.domain and args.algorithm and args.bound is not None):
         parser.error("run needs either --config or --domain/--algorithm/--bound")
-    if args.algorithm == "rtfs" and not 0.0 < args.ratio < 1.0:
-        parser.error("--ratio must lie strictly inside (0, 1)")
-    try:
-        evaluator = Evaluator.parse(args.evaluator)
-    except (ValueError, IndexError):
-        parser.error(f"bad --evaluator {args.evaluator!r}")
-    domain, start = _load_domain_file(args.domain)
-    seed = args.seed if args.seed is not None else _default_seed()
     config = PlannerConfig(algorithm=args.algorithm, iteration_bound=args.bound,
-                           exploration_ratio=args.ratio, evaluator=evaluator,
+                           exploration_ratio=args.ratio,
+                           evaluator=Evaluator.parse(args.evaluator),
                            commit_mode=args.commit,
                            allow_budget_carryover=not args.no_carryover)
-    safe_states = None
-    if args.algorithm == "safe-lss-lrta":
-        from .domains.oracles import true_safe_set
-        safe_states = true_safe_set(domain, roots=[start])
+    domain, start = _load_domain_file(args.domain)
+    seed = args.seed if args.seed is not None else _default_seed()
     record, _ = harness.simulate_episode(
         config, domain, start, seed=seed, cache_enabled=not args.no_cache,
-        max_iterations=args.max_iterations, safe_states=safe_states)
+        max_iterations=args.max_iterations)
     if args.out:
         harness.write_csv(args.out, harness.CSV_COLUMNS, [record.row()])
     print(f"{record.instance_id} {record.algorithm} bound={record.iteration_bound}"
@@ -169,13 +160,10 @@ def main(argv=None) -> int:
             return _cmd_stats(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
+        return _cmd_plot(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 def console_main() -> None:

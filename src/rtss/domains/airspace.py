@@ -232,12 +232,11 @@ class AltitudeStats:
 
 
 def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
-                       seed: int = 0, proof_budget: int = 1_000_000,
-                       min_altitude: int = 3) -> list[AltitudeStats]:
+                       seed: int = 0) -> list[AltitudeStats]:
     """Empirical difficulty of safety proofs, per altitude.
 
-    Random free cells at each altitude from min_altitude up are proven with
-    an effectively unbounded budget and a fresh cache each. Proof length is
+    Random free cells at each altitude from 3 up are proven with an
+    effectively unbounded budget and a fresh cache each. Proof length is
     reported two ways: transitions along the proven path, and states
     counted through touchdown at altitude 0 (the path's safe endpoint sits
     at altitude 1 and its final descent to ground always exists, so that is
@@ -249,7 +248,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
         raise ValueError("samples_per_altitude must be >= 1")
     rng = SplitMix64(seed)
     rows = []
-    for altitude in range(min_altitude, instance.max_altitude + 1):
+    for altitude in range(3, instance.max_altitude + 1):
         successes = 0
         transitions_total = 0
         success_exp_total = 0
@@ -259,7 +258,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
             state = instance.sample_state(altitude, rng)
             if state is None:
                 continue
-            result = prove_safety(state, proof_budget, instance, DeadEndCache())
+            result = prove_safety(state, 1_000_000, instance, DeadEndCache())
             if isinstance(result, Proven):
                 successes += 1
                 transitions_total += len(result.path) - 1

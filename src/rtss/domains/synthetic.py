@@ -85,8 +85,8 @@ def _distance_to(edges: dict, targets: set) -> dict:
 
 
 def random_dag(seed: int, size: int = 60, edge_chance: float = 0.08,
-               goal_chance: float = 0.5, hint_fraction: float = 0.15) -> GraphDomain:
-    """Seeded random DAG with goals on some sinks and strong safety hints.
+               hint_fraction: float = 0.15) -> GraphDomain:
+    """Seeded random DAG: goals on about half the sinks, strong safety hints.
 
     Edges only go from lower to higher ids, so the graph is acyclic and
     sinks without a goal are genuine terminal dead ends. Hints are sampled
@@ -101,7 +101,7 @@ def random_dag(seed: int, size: int = 60, edge_chance: float = 0.08,
     if not edges[0]:
         edges[0].append(1 + rng.randrange(size - 1))
     sinks = [i for i in range(size) if not edges[i]]
-    goals = {i for i in sinks if rng.uniform() < goal_chance}
+    goals = {i for i in sinks if rng.uniform() < 0.5}
     if not goals and sinks:
         goals = {sinks[rng.randrange(len(sinks))]}
     # truly safe nodes: backward reachability from the goals

@@ -80,10 +80,6 @@ def write_csv(path: str, columns: Iterable[str], rows: Iterable[Iterable]) -> No
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _instance_id(domain, instance_id: str) -> str:
-    return instance_id or getattr(domain, "instance_id", "instance")
-
-
 def replay_actions(domain, start, actions) -> tuple[Any, bool]:
     """Re-apply an action log against the dynamics; returns (final state,
     entered_dead_end). A dead end is a terminal or successor-free non-goal."""
@@ -105,16 +101,27 @@ def _audit(domain, start, actions) -> tuple[bool, float, float]:
     return entered_dead_end, gat, velocity
 
 
+def _labels(config: Optional[PlannerConfig]) -> tuple[int, Optional[float], str]:
+    """The iterationBound, explorationRatio and evaluator columns of a run's
+    row; a config of None is offline A*, which has no bound."""
+    if config is None:
+        return 0, None, "astar"
+    if config.algorithm == RTFS:
+        return config.iteration_bound, config.exploration_ratio, config.evaluator.name
+    return config.iteration_bound, None, "astar"
+
+
 def simulate_episode(config: PlannerConfig, domain, start,
                      instance_id: str = "", seed: int = 0,
                      cache_enabled: bool = True,
                      max_iterations: int = 100_000,
                      safe_states: Optional[set] = None) -> tuple[RunRecord, EpisodeResult]:
-    """Run one planner episode and audit it into a RunRecord."""
+    """Run one planner episode and audit it into a RunRecord. Safe-LSS-LRTA*
+    plans over safe_states, swept from start when none is given."""
     planning_domain = domain
     if config.algorithm == SAFE_LSS_LRTA:
         if safe_states is None:
-            raise ValueError("safe-lss-lrta needs the ground-truth safe set")
+            safe_states = true_safe_set(domain, roots=[start])
         planning_domain = SafeFilteredDomain(domain, safe_states)
     cache = DeadEndCache(enabled=cache_enabled)
     result = run_episode(planning_domain, start, config, cache=cache,
@@ -124,13 +131,13 @@ def simulate_episode(config: PlannerConfig, domain, start,
     proof = sum(r.expansions_proof for r in result.reports)
     ranks = [r.target_open_rank for r in result.reports
              if r.target_open_rank is not None]
+    bound, ratio, evaluator = _labels(config)
     record = RunRecord(
-        instance_id=_instance_id(domain, instance_id),
+        instance_id=instance_id or domain.instance_id,
         algorithm=config.algorithm,
-        iteration_bound=config.iteration_bound,
-        exploration_ratio=(config.exploration_ratio
-                           if config.algorithm == RTFS else None),
-        evaluator=(config.evaluator.name if config.algorithm == RTFS else "astar"),
+        iteration_bound=bound,
+        exploration_ratio=ratio,
+        evaluator=evaluator,
         seed=seed,
         outcome="dead_end" if entered_dead_end else result.outcome,
         gat=gat,
@@ -155,9 +162,8 @@ def simulate_offline_astar(domain, start, instance_id: str = "",
         actions, _cost, expansions = solved
         entered, gat, velocity = _audit(domain, start, actions)
         outcome = "dead_end" if entered else "goal"
-    return RunRecord(_instance_id(domain, instance_id), OFFLINE_ASTAR, 0, None,
-                     "astar", seed, outcome, gat, velocity, expansions, 0, 0.0,
-                     None, 0)
+    return RunRecord(instance_id or domain.instance_id, OFFLINE_ASTAR, *_labels(None),
+                     seed, outcome, gat, velocity, expansions, 0, 0.0, None, 0)
 
 
 # -- experiment grids ---------------------------------------------------------
@@ -218,11 +224,11 @@ class ExperimentConfig:
                 _require(seed, int, "domain.seeds")
         elif kind == "airspace_files":
             for p in _require(domain.get("paths", []), list, "domain.paths"):
-                if not os.path.exists(p):
+                if not os.path.exists(_require(p, str, "domain.paths")):
                     raise ValueError(f"instance file not found: {p}")
         elif kind == "racetrack":
-            path = domain.get("path")
-            if path != "builtin:right-turn" and not (path and os.path.exists(path)):
+            path = _require(domain.get("path"), str, "domain.path")
+            if path != "builtin:right-turn" and not os.path.exists(path):
                 raise ValueError(f"racetrack map not found: {path}")
             _at_least_one(domain.get("startSamples", 1), "domain.startSamples")
             _require(domain.get("startSeed", 0), int, "domain.startSeed")
@@ -230,6 +236,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown domain type {kind!r}")
         for i, spec in enumerate(self.algorithms):
             _require(spec, dict, f"algorithms[{i}]")
+            _require(spec.get("carryover", True), bool, f"algorithms[{i}].carryover")
             for bound in self.bounds:
                 try:
                     _planner_config(spec, bound)
@@ -307,11 +314,12 @@ def _run_cell(args) -> RunRecord:
     (run_index, instance_id, domain_index, start, algo_spec, bound,
      config_seed, cache_enabled, max_iterations, safe_states) = args
     seed = mix64(config_seed ^ run_index)
+    # validate() built this config for every spec and bound, so it cannot raise
+    planner = _planner_config(algo_spec, bound)
     try:
         domain = _domains[domain_index]
-        if algo_spec["name"] == OFFLINE_ASTAR:
+        if planner is None:
             return simulate_offline_astar(domain, start, instance_id, seed)
-        planner = _planner_config(algo_spec, bound)
         record, _ = simulate_episode(planner, domain, start, instance_id, seed,
                                      cache_enabled=cache_enabled,
                                      max_iterations=max_iterations,
@@ -323,10 +331,8 @@ def _run_cell(args) -> RunRecord:
         sys.stderr.write(f"rtss: cell {instance_id}/{algo_spec['name']}/{bound} "
                          f"failed: {exc!r}\n")
         sys.stderr.flush()
-        return RunRecord(instance_id, algo_spec["name"], bound,
-                         algo_spec.get("ratio"), algo_spec.get("evaluator", "astar"),
-                         seed, f"error:{type(exc).__name__}", 0.0, 0.0, 0, 0,
-                         0.0, None, 0)
+        return RunRecord(instance_id, algo_spec["name"], *_labels(planner), seed,
+                         f"error:{type(exc).__name__}", 0.0, 0.0, 0, 0, 0.0, None, 0)
 
 
 def _sweep(args) -> set:

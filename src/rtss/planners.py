@@ -127,15 +127,6 @@ def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
     return None
 
 
-def _prove_target(graph: SearchGraph, target, limit: int, domain,
-                  cache: DeadEndCache) -> ProofResult:
-    """Prove target within limit expansions; one already marked safe is free."""
-    if graph.nodes[target].safety in _SAFE:
-        return Proven((target,), 0)
-    return prove_safety(target, limit, domain, cache,
-                        known_safe=graph.safety_lookup)
-
-
 def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
                           cache: DeadEndCache) -> tuple[list[ProofResult], list]:
     """The RTFS-0 proof allocator: prove the best open node, prune on
@@ -151,7 +142,8 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
         best = next(graph.open_nodes_in_key_order(), None)
         if best is None:
             break
-        res = _prove_target(graph, best.state, budget_limit - used, domain, cache)
+        res = prove_safety(best.state, budget_limit - used, domain, cache,
+                           known_safe=graph.safety_lookup)
         used += res.expansions
         results.append(res)
         if isinstance(res, Proven):
@@ -191,11 +183,9 @@ def _commit(report: IterationReport, graph: SearchGraph, target,
 
 
 def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                       cache: DeadEndCache,
-                       bound: Optional[int] = None) -> IterationReport:
+                       cache: DeadEndCache, bound: int) -> IterationReport:
     """One LSS-LRTA* iteration: bounded A*, heuristic backup, commit toward
     the best frontier node (or straight to a popped goal)."""
-    bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
     outcome = _explore(graph, bound, domain, cache, report)
     if outcome.goal_found:
@@ -204,13 +194,12 @@ def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     if target is None:
         report.outcome = "failure"
         return report
-    dijkstra_h_update(graph, domain, cache)
+    dijkstra_h_update(graph, cache)
     return _commit(report, graph, target, config, rank=1)
 
 
 def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                       cache: DeadEndCache,
-                       bound: Optional[int] = None) -> IterationReport:
+                       cache: DeadEndCache, bound: int) -> IterationReport:
     """One SafeRTS iteration.
 
     Goal search and safety proofs alternate inside one shared expansion
@@ -221,7 +210,6 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     safe-toward-best, falling back to the identity action and finally to
     termination when no safe move exists.
     """
-    bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
     b = INITIAL_PROOF_BUDGET
     proven_paths: list = []
@@ -235,8 +223,8 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         if target is None:
             outcome = OPEN_EMPTY
             break
-        res = _prove_target(graph, target, min(b, report.unused_budget), domain,
-                            cache)
+        res = prove_safety(target, min(b, report.unused_budget), domain, cache,
+                           known_safe=graph.safety_lookup)
         report.log_proofs((res,))
         if isinstance(res, Proven):
             proven_paths.append(res.path)
@@ -251,11 +239,11 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     selection = safe_toward_best(graph)
     if selection is not None:
         target, rank = selection
-        dijkstra_h_update(graph, domain, cache)
+        dijkstra_h_update(graph, cache)
         return _commit(report, graph, target, config, rank)
     identity = domain.identity_action(graph.root)
     if identity is not None and outcome is not OPEN_EMPTY:
-        dijkstra_h_update(graph, domain, cache)
+        dijkstra_h_update(graph, cache)
         report.committed_actions = (identity,)
         report.identity_action_taken = True
         return report
@@ -264,8 +252,7 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
 
 
 def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                   cache: DeadEndCache,
-                   bound: Optional[int] = None) -> IterationReport:
+                   cache: DeadEndCache, bound: int) -> IterationReport:
     """One RTFS iteration: build the whole local search space first, then
     spend the rest of the bound on safety proofs, then propagate h, dead
     ends, and safety before picking the safe-toward-best target.
@@ -274,7 +261,6 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     unused remainder is reported so the driver can add it to the next
     iteration, otherwise it is re-split by the same ratio within this one.
     """
-    bound = bound or config.iteration_bound
     report = IterationReport(bound=bound)
     proven_paths: list = []
     outcome = BUDGET_EXHAUSTED
@@ -303,7 +289,7 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         # an emptied open list leaves no open node to commit toward
         report.outcome = "failure"
         return report
-    dijkstra_h_update(graph, domain, cache)
+    dijkstra_h_update(graph, cache)
     propagate_dead_ends(graph, domain, cache)
     propagate_safety(graph, domain, proven_paths)
     selection = safe_toward_best(graph)
@@ -334,7 +320,7 @@ class SafeFilteredDomain:
 
 
 def iteration_step(graph: SearchGraph, config: PlannerConfig, domain,
-                   cache: DeadEndCache, bound: Optional[int] = None) -> IterationReport:
+                   cache: DeadEndCache, bound: int) -> IterationReport:
     if config.algorithm in (LSS_LRTA, SAFE_LSS_LRTA):
         return lss_lrta_iteration(graph, config, domain, cache, bound)
     if config.algorithm == SAFE_RTS:
@@ -351,8 +337,7 @@ def apply_action(domain, state, action):
 
 def run_episode(domain, start, config: PlannerConfig,
                 cache: Optional[DeadEndCache] = None,
-                max_iterations: int = 100_000,
-                graph: Optional[SearchGraph] = None) -> EpisodeResult:
+                max_iterations: int = 100_000) -> EpisodeResult:
     """Drive planner iterations from start until goal, failure, termination,
     or the iteration guard trips. Committed actions are applied against the
     domain dynamics as the agent moves.
@@ -366,8 +351,7 @@ def run_episode(domain, start, config: PlannerConfig,
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
     cache = cache or DeadEndCache()
-    if graph is None:
-        graph = SearchGraph()
+    graph = SearchGraph()
     evaluator = config.evaluator if config.algorithm == RTFS else FCOST
     carry = config.algorithm == RTFS and config.allow_budget_carryover
     state = start
@@ -397,8 +381,7 @@ def run_episode(domain, start, config: PlannerConfig,
             gc.enable()
 
 
-def offline_astar(domain, start, expansion_limit: int = 10_000_000
-                  ) -> Optional[tuple[list, float, int]]:
+def offline_astar(domain, start) -> Optional[tuple[list, float, int]]:
     """Full A* to the goal; returns (actions, cost, expansions) or None when
     the space exhausts without one. Same tie-breaking as the online search."""
     g_best = {start: 0.0}
@@ -421,7 +404,7 @@ def offline_astar(domain, start, expansion_limit: int = 10_000_000
                 cur = prev
             path.reverse()
             return path, g, expansions
-        if expansions >= expansion_limit:
+        if expansions >= 10_000_000:
             raise RuntimeError("offline A* expansion limit exceeded")
         for action, s2, cost in domain.successors(state):
             g2 = g + cost

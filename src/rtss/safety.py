@@ -84,6 +84,8 @@ def prove_safety(target, limit: int, domain, cache: DeadEndCache,
     marks = cache.exhausted_marks
     if target in blocked:
         raise ValueError("prove_safety called on a cache-flagged target")
+    if known_safe is not None and known_safe(target):
+        return Proven((target,), 0)
     f_safe = domain.f_safe
     is_goal = domain.is_goal
     is_terminal = domain.is_terminal

@@ -47,8 +47,8 @@ class Evaluator:
     def __post_init__(self):
         if self.kind not in ("astar", "wastar", "greedy"):
             raise ValueError(f"unknown evaluator kind {self.kind!r}")
-        if self.kind == "wastar" and self.weight < 1.0:
-            raise ValueError("wastar weight must be >= 1")
+        if self.kind == "wastar" and not 1.0 <= self.weight < math.inf:
+            raise ValueError("wastar weight must be finite and >= 1")
 
     @property
     def key_weights(self) -> tuple[float, float]:
@@ -70,9 +70,12 @@ class Evaluator:
 
     @staticmethod
     def parse(text: str) -> "Evaluator":
-        if text.startswith("wastar:"):
-            return Evaluator("wastar", float(text.split(":", 1)[1]))
-        return Evaluator(text)
+        try:
+            if text.startswith("wastar:"):
+                return Evaluator("wastar", float(text.split(":", 1)[1]))
+            return Evaluator(text)
+        except ValueError as exc:
+            raise ValueError(f"bad evaluator {text!r}: {exc}") from None
 
 
 FCOST = Evaluator("astar")
@@ -329,7 +332,7 @@ def select_best_f(graph: SearchGraph) -> Optional[Any]:
     return None
 
 
-def dijkstra_h_update(graph: SearchGraph, domain, cache) -> int:
+def dijkstra_h_update(graph: SearchGraph, cache) -> int:
     """Back up heuristic values from the frontier through the expanded set.
 
     Expanded non-goal nodes are reset to infinity, then relaxed backwards

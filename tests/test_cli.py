@@ -4,7 +4,9 @@ import pytest
 
 from rtss.cli import main
 from rtss.domains import airspace, racetrack
-from rtss.harness import CSV_COLUMNS
+from rtss.domains.oracles import true_safe_set
+from rtss.harness import CSV_COLUMNS, simulate_episode, write_csv
+from rtss.planners import PlannerConfig
 
 
 def run_cli(*argv):
@@ -50,10 +52,36 @@ def test_adhoc_run_on_racetrack_map(tmp_path):
 def test_ratio_of_one_is_a_usage_error(tmp_path):
     map_path = tmp_path / "track.txt"
     map_path.write_text(racetrack.RIGHT_TURN_TRACK)
-    with pytest.raises(SystemExit) as err:
-        run_cli("run", "--domain", str(map_path), "--algorithm", "rtfs",
-                "--bound", "50", "--ratio", "1.0")
-    assert err.value.code == 2
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "rtfs",
+                   "--bound", "50", "--ratio", "1.0")
+    assert code == 2
+
+
+@pytest.mark.parametrize("evaluator", ["wastar:x", "dsafe", "wastar:0.5", "wastar:nan",
+                                       "wastar:inf"])
+def test_bad_evaluator_exits_two_naming_it(tmp_path, capsys, evaluator):
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "rtfs",
+                   "--bound", "50", "--evaluator", evaluator)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(evaluator) in err
+
+
+def test_adhoc_safe_lss_lrta_run_sweeps_from_its_start(tmp_path):
+    inst = airspace.generate(60, 4, 0.15, 3)
+    inst_path = tmp_path / "inst.txt"
+    airspace.write_instance(inst, str(inst_path))
+    csv_path = tmp_path / "run.csv"
+    code = run_cli("run", "--domain", str(inst_path), "--algorithm", "safe-lss-lrta",
+                   "--bound", "20", "--seed", "4", "--out", str(csv_path))
+    record, _ = simulate_episode(PlannerConfig("safe-lss-lrta", 20), inst, inst.start,
+                                 seed=4, safe_states=true_safe_set(inst, roots=[inst.start]))
+    assert code == (0 if record.outcome == "goal" else 1)
+    expected = tmp_path / "expected.csv"
+    write_csv(str(expected), CSV_COLUMNS, [record.row()])
+    assert csv_path.read_text() == expected.read_text()
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
@@ -208,13 +236,17 @@ def _track(**fields):
     ({"domain": dict(_GOOD_CONFIG["domain"], seeds=[])}, "domain.seeds"),
     ({"domain": _track(startSamples=-3)}, "domain.startSamples"),
     ({"maxIterations": 0}, "maxIterations"),
+    ({"domain": {"type": "airspace_files", "paths": [1]}}, "domain.paths"),
+    ({"domain": _track(path=1)}, "domain.path"),
+    ({"algorithms": [{"name": "rtfs", "carryover": "false"}]}, "algorithms[0].carryover"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
         "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
         "repetitions-string", "max-iterations-float", "config-seed-string",
         "top-level-list", "seed-string", "length-string", "max-altitude-float",
         "p-obs-string", "p-obs-bool", "start-samples-string", "start-seed-float",
         "cache-enabled-string", "output-number", "seeds-empty",
-        "start-samples-negative", "max-iterations-zero"])
+        "start-samples-negative", "max-iterations-zero", "paths-number",
+        "path-number", "carryover-string"])
 def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
     import json
     out = tmp_path / "bad.csv"

@@ -362,3 +362,65 @@ def test_offline_astar_rows_join_the_grid(tmp_path):
     assert len(records) == 2
     assert all(r.algorithm == "astar-offline" and r.outcome == "goal"
                for r in records)
+
+
+def test_airspace_files_grid_matches_the_generated_grid(tmp_path):
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"inst{seed}.txt"
+        airspace.write_instance(airspace.generate(60, 3, 0.1, seed), str(path))
+        paths.append(str(path))
+    generated = _config(tmp_path, output=str(tmp_path / "generated.csv"),
+                        domain={"type": "airspace", "length": 60, "maxAltitude": 3,
+                                "pObs": 0.1, "seeds": [1, 2]})
+    loaded = _config(tmp_path, output=str(tmp_path / "loaded.csv"),
+                     domain={"type": "airspace_files", "paths": paths})
+    run_experiment(generated)
+    run_experiment(loaded)
+    expected = open(generated.output, "rb").read()
+    assert expected.count(b"\n") == 1 + 2 * 2 * 3
+    assert open(loaded.output, "rb").read() == expected
+
+
+def test_racetrack_map_file_grid_matches_the_builtin_track(tmp_path):
+    from rtss.domains.racetrack import RIGHT_TURN_TRACK
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(RIGHT_TURN_TRACK)
+    outputs = []
+    for path in ("builtin:right-turn", str(map_path)):
+        config = _config(tmp_path, output=str(tmp_path / f"{len(outputs)}.csv"),
+                         domain={"type": "racetrack", "path": path,
+                                 "startSamples": 3, "startSeed": 2},
+                         bounds=[20])
+        run_experiment(config)
+        outputs.append(open(config.output).read())
+    builtin, from_file = outputs
+    assert builtin.count("right-turn#start") == 3 * 2
+    # a loaded map is named after its path
+    assert from_file.replace(f"{map_path}#start", "right-turn#start") == builtin
+
+
+def test_error_rows_carry_the_labels_of_their_success_rows(tmp_path, monkeypatch):
+    # the labels a failed cell records come from the parsed planner config,
+    # not from the raw spec: safe-rts ignores ratio and evaluator, rtfs
+    # names its evaluator canonically, and offline A* has no bound
+    config = _config(tmp_path, bounds=[30], domain={
+        "type": "airspace", "length": 60, "maxAltitude": 3, "pObs": 0.1,
+        "seeds": [1]}, algorithms=[
+            {"name": "safe-rts", "ratio": 0.3, "evaluator": "greedy"},
+            {"name": "rtfs", "ratio": 0.3, "evaluator": "wastar:1.10"},
+            {"name": "rtfs", "evaluator": "greedy", "carryover": False},
+            {"name": "safe-lss-lrta"}, {"name": "astar-offline"}])
+    succeeded = run_experiment(config)
+
+    def broken(*_args, **_kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "simulate_episode", broken)
+    monkeypatch.setattr(harness, "simulate_offline_astar", broken)
+    failed = run_experiment(config)
+    assert [r.outcome for r in failed] == ["error:RuntimeError"] * 5
+    assert [r.row()[:6] for r in failed] == [r.row()[:6] for r in succeeded]
+    assert [r.row()[2:5] for r in failed] == [
+        [30, None, "astar"], [30, 0.3, "wastar:1.1"], [30, 0.5, "greedy"],
+        [30, None, "astar"], [0, None, "astar"]]

@@ -11,6 +11,12 @@ This matches word tokens in the source text (comments and docstrings
 included), not bindings, so it misses a dead definition whose name is
 common enough to appear elsewhere for another reason (`f`, `h`, `name`).
 It catches names that appear nowhere else at all.
+
+Every parameter of every function, nested ones included, must also be
+named in that function's body: a parameter that nothing reads only makes
+its callers pass a value. `self`, `cls` and `_`-prefixed names are exempt,
+and so are dunder methods and the methods the `Domain` protocol
+(`domains/base.py`) names, whose signatures the protocol fixes.
 """
 from __future__ import annotations
 
@@ -38,6 +44,13 @@ def _definitions(tree: ast.Module):
                     yield member.target.id
 
 
+def _protocol_methods() -> set:
+    tree = ast.parse((SRC / "domains" / "base.py").read_text(encoding="utf-8"))
+    return {member.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Domain"
+            for member in node.body if isinstance(member, ast.FunctionDef)}
+
+
 def test_every_definition_is_named_again_in_the_package():
     defined = Counter()
     tokens = Counter()
@@ -52,3 +65,24 @@ def test_every_definition_is_named_again_in_the_package():
                     if tokens[name] <= count and name not in ORACLES
                     and not (name.startswith("__") and name.endswith("__")))
     assert unused == []
+
+
+def test_every_parameter_is_named_in_its_function_body():
+    exempt = _protocol_methods()
+    assert "successors" in exempt
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name in exempt
+                    or (fn.name.startswith("__") and fn.name.endswith("__"))):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            named = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)}
+            unread += [f"{path.relative_to(SRC)}:{fn.name}({p})" for p in params
+                       if p not in named and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    assert unread == []

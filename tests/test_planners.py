@@ -52,7 +52,7 @@ def test_chain_bound_two_full_path_commits_two_actions():
     domain = chain_domain(5)
     config = PlannerConfig("lss-lrta", 2, commit_mode="full")
     graph = fresh(domain, 0)
-    report = lss_lrta_iteration(graph, config, domain, DeadEndCache())
+    report = lss_lrta_iteration(graph, config, domain, DeadEndCache(), 2)
     assert report.committed_actions == ((0, 1), (1, 2))
     assert report.expansions_goal == 2
 
@@ -108,7 +108,7 @@ def test_safe_rts_budget_schedule():
     domain = _schedule_domain()
     config = PlannerConfig("safe-rts", 60)
     graph = fresh(domain, "e0")
-    report = safe_rts_iteration(graph, config, domain, DeadEndCache())
+    report = safe_rts_iteration(graph, config, domain, DeadEndCache(), 60)
     assert report.phases == (("explore", 10), ("proof", 10),
                              ("explore", 20), ("proof", 20))
     assert report.expansions_goal == 30 and report.expansions_proof == 30
@@ -129,7 +129,7 @@ def test_safe_rts_identity_fallback_when_nothing_is_provable():
                         h={f"n{k}": 0.0 for k in range(201)})
     config = PlannerConfig("safe-rts", 20)
     graph = fresh(domain, "n0")
-    report = safe_rts_iteration(graph, config, domain, DeadEndCache())
+    report = safe_rts_iteration(graph, config, domain, DeadEndCache(), 20)
     assert report.identity_action_taken
     assert report.committed_actions == (("stay", "n0"),)
     assert report.target_open_rank is None
@@ -141,7 +141,7 @@ def test_safe_rts_terminates_without_identity_or_safety():
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
     report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 20), domain,
-                                DeadEndCache())
+                                DeadEndCache(), 20)
     assert report.outcome == "terminated"
 
 
@@ -149,7 +149,7 @@ def test_safe_rts_airspace_root_at_ground_always_moves():
     inst = airspace.generate(100, 4, 0.2, 9)
     graph = fresh(inst, (0, 0))
     report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 30), inst,
-                                DeadEndCache())
+                                DeadEndCache(), 30)
     assert report.outcome in ("advanced", "goal")
     assert report.committed_actions
 
@@ -165,7 +165,7 @@ def test_safe_rts_commits_only_through_safe_states():
             if inst.is_goal(state):
                 break
             graph.begin_iteration(state, FCOST, inst, cache)
-            report = safe_rts_iteration(graph, config, inst, cache)
+            report = safe_rts_iteration(graph, config, inst, cache, 40)
             if report.outcome != "advanced":
                 break
             cur = state
@@ -183,7 +183,7 @@ def test_rtfs_budget_split_half():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.5),
-                            inst, DeadEndCache())
+                            inst, DeadEndCache(), 100)
     assert report.phases[0] == ("explore", 50)
     assert report.expansions_goal == 50
 
@@ -192,7 +192,7 @@ def test_rtfs_budget_split_tenth():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.1),
-                            inst, DeadEndCache())
+                            inst, DeadEndCache(), 100)
     assert report.phases[0] == ("explore", 10)
 
 
@@ -201,7 +201,7 @@ def test_rtfs_carryover_arithmetic():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5)
-    report = rtfs_iteration(graph, config, inst, DeadEndCache())
+    report = rtfs_iteration(graph, config, inst, DeadEndCache(), 100)
     proof_used = report.expansions_proof
     assert report.unused_budget == 100 - 50 - proof_used
     assert report.unused_budget > 0
@@ -215,7 +215,7 @@ def test_rtfs_redistribution_consumes_leftover_within_iteration():
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, inst, DeadEndCache())
+    report = rtfs_iteration(graph, config, inst, DeadEndCache(), 100)
     assert report.expansions_goal + report.expansions_proof == 100
     assert report.unused_budget == 0
 
@@ -224,7 +224,7 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, h={"r": 0, "t": 0})
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 10, allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache())
+    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 10)
     assert report.outcome == "failure"
     assert report.expansions_goal == 2  # nothing left to spend the rest on
 
@@ -239,7 +239,7 @@ def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 2, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache())
+    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 2)
     assert report.proofs_attempted == 2
     assert report.phases == (("explore", 1), ("proof", 0), ("proof", 0))
 
@@ -252,7 +252,7 @@ def test_rtfs_first_slice_explores_when_the_ratio_leaves_nothing():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 1, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache())
+    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 1)
     assert report.phases == (("explore", 1),)
     assert report.outcome == "advanced"
     assert report.committed_actions == ("a",)
@@ -263,7 +263,8 @@ def test_rtfs_terminates_when_no_safe_target():
     succ["n200"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
-    report = rtfs_iteration(graph, PlannerConfig("rtfs", 20), domain, DeadEndCache())
+    report = rtfs_iteration(graph, PlannerConfig("rtfs", 20), domain, DeadEndCache(),
+                            20)
     assert report.outcome == "terminated"
 
 
@@ -445,9 +446,9 @@ def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
     config = PlannerConfig("safe-lss-lrta", 15)
     plain = fresh(inst, inst.start)
     filtered = fresh(inst, inst.start)
-    a = lss_lrta_iteration(plain, config, inst, DeadEndCache())
+    a = lss_lrta_iteration(plain, config, inst, DeadEndCache(), 15)
     b = lss_lrta_iteration(filtered, config, SafeFilteredDomain(inst, safe),
-                           DeadEndCache())
+                           DeadEndCache(), 15)
     assert a.committed_actions == b.committed_actions
     assert a.expansions_goal == b.expansions_goal
 
@@ -484,7 +485,7 @@ def test_rtfs0_and_safe_rts_build_identical_lss_when_no_proof_succeeds():
                         d_safe={f"n{k}": 500 for k in range(301)})
     def lss(step_fn, config):
         graph = fresh(domain, "n0")
-        report = step_fn(graph, config, domain, DeadEndCache())
+        report = step_fn(graph, config, domain, DeadEndCache(), config.iteration_bound)
         assert report.proofs_succeeded == 0
         return {n.state for n in graph.touched if n.expanded}
     srts = lss(safe_rts_iteration, PlannerConfig("safe-rts", 20))

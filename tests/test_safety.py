@@ -237,6 +237,14 @@ def _world(kind, seed):
     return track, track.start_state(track.sample_starts(1, seed)[0])
 
 
+def _capturing(graphs: list):
+    """A SearchGraph factory that keeps each graph an episode builds."""
+    def make():
+        graphs.append(SearchGraph())
+        return graphs[-1]
+    return make
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("dag", "racetrack")), seed=st.integers(0, 10_000),
        evaluator=st.sampled_from(("astar", "wastar:1.1", "greedy")),
@@ -262,12 +270,14 @@ def test_dead_end_propagation_reaches_the_brute_force_fixpoint(kind, seed, evalu
         assert not any(graph.nodes[s].on_open for s in dead)
         return count
 
-    graph = SearchGraph()
+    graphs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planners, "propagate_dead_ends", checked)
+        mp.setattr(planners, "SearchGraph", _capturing(graphs))
         planners.run_episode(domain, start, config,
                              cache=DeadEndCache(enabled=cache_enabled),
-                             max_iterations=30, graph=graph)
+                             max_iterations=30)
+    [graph] = graphs
     for node in graph.nodes.values():
         assert node.goal == domain.is_goal(node.state)
 
@@ -278,9 +288,13 @@ def test_goal_slot_matches_the_domain_under_the_safe_filter(kind):
     for seed in range(4):
         domain, start = _world(kind, seed)
         filtered = planners.SafeFilteredDomain(domain, true_safe_set(domain, roots=[start]))
-        graph = SearchGraph()
-        planners.run_episode(filtered, start, planners.PlannerConfig("safe-lss-lrta", 8),
-                             max_iterations=50, graph=graph)
+        graphs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planners, "SearchGraph", _capturing(graphs))
+            planners.run_episode(filtered, start,
+                                 planners.PlannerConfig("safe-lss-lrta", 8),
+                                 max_iterations=50)
+        [graph] = graphs
         assert graph.nodes
         for node in graph.nodes.values():
             assert node.goal == filtered.is_goal(node.state) == domain.is_goal(node.state)

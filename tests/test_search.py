@@ -190,7 +190,7 @@ def test_single_edge_backup():
     domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)]},
                         h={"r": 0.0, "x": 0.0, "y": 3.0})
     graph, _ = build(domain, "r", 2)  # expands r and x; y on the frontier
-    dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
+    dijkstra_h_update(graph, DeadEndCache(enabled=False))
     assert graph.nodes["x"].h == 4.0
     assert graph.nodes["r"].h == 5.0
 
@@ -200,7 +200,7 @@ def test_unreachable_from_frontier_goes_infinite():
                          "x": [("c", "y", 1.0)]},
                         h={"r": 0, "t": 0, "x": 0, "y": 5})
     graph, _ = build(domain, "r", 3)  # expands r, t, x
-    dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
+    dijkstra_h_update(graph, DeadEndCache(enabled=False))
     assert math.isinf(graph.nodes["t"].h)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
 
@@ -210,7 +210,7 @@ def test_consistent_chain_needs_no_changes():
     graph, _ = build(domain, 0, 2)
     # independent oracle: exhaustive backward fixpoint over the expanded set
     expected = _bellman_backup_oracle(graph, domain)
-    changes = dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
+    changes = dijkstra_h_update(graph, DeadEndCache(enabled=False))
     assert changes == 0
     for state, h in expected.items():
         assert graph.nodes[state].h == h
@@ -244,7 +244,7 @@ def test_backup_matches_bellman_oracle_on_random_dags():
         domain = random_dag(seed, size=50)
         graph, _ = build(domain, 0, 4 + seed % 17)
         expected = _bellman_backup_oracle(graph, domain)
-        dijkstra_h_update(graph, domain, DeadEndCache(enabled=False))
+        dijkstra_h_update(graph, DeadEndCache(enabled=False))
         for state, h in expected.items():
             node = graph.nodes[state]
             if node.safety != SafetyStatus.DEAD_END:
@@ -261,7 +261,7 @@ def test_monotone_learning_and_consistency_preserved():
         expand_best_first(graph, FCOST, ExpansionBudget(15), inst,
                           cache=DeadEndCache(enabled=False))
         before = {n.state: n.h for n in graph.touched}
-        dijkstra_h_update(graph, inst, DeadEndCache(enabled=False))
+        dijkstra_h_update(graph, DeadEndCache(enabled=False))
         for n in graph.touched:
             assert n.h >= before[n.state] - 1e-12
             if n.expanded and not inst.is_goal(n.state) and n.succs \
