@@ -11,6 +11,7 @@ velocity component (a lower bound on the steps needed to stop).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from ..rng import SplitMix64
@@ -158,13 +159,14 @@ def _axis_steps(distance: int, speed: int) -> int:
 
 def load(path_or_text: str, *, is_text: bool = False,
          name: str = "racetrack") -> RacetrackInstance:
-    """Parse a racetrack v1 map: '#' blocked, '.' free, '*' goal, '@' start."""
+    """Parse a racetrack v1 map: '#' blocked, '.' free, '*' goal, '@' start.
+    A map file is named after its base name, wherever it lives."""
     if is_text:
         text = path_or_text
     else:
         with open(path_or_text, "r", encoding="utf-8") as f:
             text = f.read()
-        name = path_or_text
+        name = os.path.basename(path_or_text)
     lines = text.splitlines()
     if not lines or lines[0].strip() != "racetrack v1":
         raise ValueError("not a racetrack v1 file")

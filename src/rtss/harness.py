@@ -183,21 +183,17 @@ class ExperimentConfig:
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as f:
             raw = _require(json.load(f), dict, "experiment config")
-        return ExperimentConfig(
-            domain=raw["domain"],
-            algorithms=raw["algorithms"],
-            bounds=raw["bounds"],
-            repetitions=raw.get("repetitions", 1),
-            config_seed=raw.get("configSeed", 0),
-            cache_enabled=raw.get("cacheEnabled", True),
-            max_iterations=raw.get("maxIterations", 100_000),
-            output=raw.get("output", "results.csv"),
-        )
+        for key in sorted(raw.keys() - _CONFIG_FIELDS.keys()):
+            raise ValueError(f"experiment config has unknown key {key!r}")
+        for key in ("domain", "algorithms", "bounds"):
+            if key not in raw:
+                raise ValueError(f"experiment config is missing {key!r}")
+        return ExperimentConfig(**{_CONFIG_FIELDS[k]: v for k, v in raw.items()})
 
     def validate(self) -> None:
         _require(self.algorithms, list, "algorithms")
         _require(self.bounds, list, "bounds")
-        _require(self.domain, dict, "domain")
+        domain = _require(self.domain, dict, "domain")
         if not self.algorithms:
             raise ValueError("algorithm grid is empty")
         if not self.bounds:
@@ -209,12 +205,19 @@ class ExperimentConfig:
         _at_least_one(self.max_iterations, "maxIterations")
         _require(self.cache_enabled, bool, "cacheEnabled")
         _require(self.output, str, "output")
-        domain = self.domain
         kind = domain.get("type")
+        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
+            raise ValueError(f"unknown domain type {kind!r}")
+        specs = [("domain", domain, _DOMAIN_KEYS[kind])] + [
+            (f"algorithms[{i}]", _require(spec, dict, f"algorithms[{i}]"), _SPEC_KEYS)
+            for i, spec in enumerate(self.algorithms)]
+        for where, spec, (required, optional) in specs:
+            for key in sorted(spec.keys() - {"type", *required, *optional}):
+                raise ValueError(f"{where} has unknown key {key!r}")
+            for key in required:
+                if key not in spec:
+                    raise ValueError(f"{where} is missing {key!r}")
         if kind == "airspace":
-            for key in ("length", "maxAltitude", "pObs", "seeds"):
-                if key not in domain:
-                    raise ValueError(f"airspace domain spec is missing {key!r}")
             _require(domain["length"], int, "domain.length")
             _require(domain["maxAltitude"], int, "domain.maxAltitude")
             _require(domain["pObs"], (int, float), "domain.pObs")
@@ -223,19 +226,16 @@ class ExperimentConfig:
             for seed in domain["seeds"]:
                 _require(seed, int, "domain.seeds")
         elif kind == "airspace_files":
-            for p in _require(domain.get("paths", []), list, "domain.paths"):
+            for p in _require(domain["paths"], list, "domain.paths"):
                 if not os.path.exists(_require(p, str, "domain.paths")):
                     raise ValueError(f"instance file not found: {p}")
-        elif kind == "racetrack":
-            path = _require(domain.get("path"), str, "domain.path")
+        else:
+            path = _require(domain["path"], str, "domain.path")
             if path != "builtin:right-turn" and not os.path.exists(path):
                 raise ValueError(f"racetrack map not found: {path}")
             _at_least_one(domain.get("startSamples", 1), "domain.startSamples")
             _require(domain.get("startSeed", 0), int, "domain.startSeed")
-        else:
-            raise ValueError(f"unknown domain type {kind!r}")
         for i, spec in enumerate(self.algorithms):
-            _require(spec, dict, f"algorithms[{i}]")
             _require(spec.get("carryover", True), bool, f"algorithms[{i}].carryover")
             for bound in self.bounds:
                 try:
@@ -243,6 +243,18 @@ class ExperimentConfig:
                 except (ValueError, TypeError, AttributeError) as exc:
                     raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
 
+
+# experiment JSON key -> ExperimentConfig field
+_CONFIG_FIELDS = {"domain": "domain", "algorithms": "algorithms", "bounds": "bounds",
+                  "repetitions": "repetitions", "configSeed": "config_seed",
+                  "cacheEnabled": "cache_enabled", "maxIterations": "max_iterations",
+                  "output": "output"}
+# (required, optional) keys of a domain spec of each type, besides "type",
+# and of an algorithm spec
+_DOMAIN_KEYS = {"airspace": (("length", "maxAltitude", "pObs", "seeds"), ()),
+                "airspace_files": (("paths",), ()),
+                "racetrack": (("path",), ("startSamples", "startSeed"))}
+_SPEC_KEYS = (("name",), ("ratio", "evaluator", "commit", "carryover"))
 
 _EXPECTED = {list: "a list", dict: "an object", int: "an integer", str: "a string",
              bool: "true or false", (int, float): "a number"}

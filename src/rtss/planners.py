@@ -127,8 +127,8 @@ def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
     return None
 
 
-def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
-                          cache: DeadEndCache) -> tuple[list[ProofResult], list]:
+def allocate_proofs_rtfs0(graph: SearchGraph,
+                          budget_limit: int) -> tuple[list[ProofResult], list]:
     """The RTFS-0 proof allocator: prove the best open node, prune on
     exhaustion and move to the next best, stop on success or budget out.
 
@@ -142,8 +142,8 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
         best = next(graph.open_nodes_in_key_order(), None)
         if best is None:
             break
-        res = prove_safety(best.state, budget_limit - used, domain, cache,
-                           known_safe=graph.safety_lookup)
+        res = prove_safety(best.state, budget_limit - used, graph.domain,
+                           graph.cache, known_safe=graph.safety_lookup)
         used += res.expansions
         results.append(res)
         if isinstance(res, Proven):
@@ -151,18 +151,18 @@ def allocate_proofs_rtfs0(graph: SearchGraph, budget_limit: int, domain,
             break
         if isinstance(res, BudgetOut):
             break
-        cache_dead_ends(cache, res)
-        prune_exhausted(graph, res, cache)
-        propagate_dead_ends(graph, domain, cache)
+        cache_dead_ends(graph.cache, res)
+        prune_exhausted(graph, res)
+        propagate_dead_ends(graph)
     return results, proven_paths
 
 
-def _explore(graph: SearchGraph, limit: int, domain, cache: DeadEndCache,
-             report: IterationReport) -> ExpansionOutcome:
+def _explore(graph: SearchGraph, limit: int, report: IterationReport) -> ExpansionOutcome:
     """Goal search for up to limit expansions under the iteration's
     evaluator, logged as one explore phase; stops on a popped goal."""
     budget = ExpansionBudget(limit)
-    outcome = expand_best_first(graph, graph.evaluator, budget, domain, cache=cache)
+    outcome = expand_best_first(graph, graph.evaluator, budget, graph.domain,
+                                cache=graph.cache)
     report.log("explore", budget.used)
     return outcome
 
@@ -182,24 +182,24 @@ def _commit(report: IterationReport, graph: SearchGraph, target,
     return report
 
 
-def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                       cache: DeadEndCache, bound: int) -> IterationReport:
+def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig,
+                       bound: int) -> IterationReport:
     """One LSS-LRTA* iteration: bounded A*, heuristic backup, commit toward
     the best frontier node (or straight to a popped goal)."""
     report = IterationReport(bound=bound)
-    outcome = _explore(graph, bound, domain, cache, report)
+    outcome = _explore(graph, bound, report)
     if outcome.goal_found:
         return _commit(report, graph, outcome.goal, config)
     target = select_best_f(graph)
     if target is None:
         report.outcome = "failure"
         return report
-    dijkstra_h_update(graph, cache)
+    dijkstra_h_update(graph)
     return _commit(report, graph, target, config, rank=1)
 
 
-def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                       cache: DeadEndCache, bound: int) -> IterationReport:
+def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig,
+                       bound: int) -> IterationReport:
     """One SafeRTS iteration.
 
     Goal search and safety proofs alternate inside one shared expansion
@@ -215,35 +215,34 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     proven_paths: list = []
     outcome = BUDGET_EXHAUSTED
     while report.unused_budget > 0:
-        outcome = _explore(graph, min(b, report.unused_budget), domain, cache,
-                           report)
+        outcome = _explore(graph, min(b, report.unused_budget), report)
         if outcome is not BUDGET_EXHAUSTED or report.unused_budget <= 0:
             break
         target = select_best_f(graph)
         if target is None:
             outcome = OPEN_EMPTY
             break
-        res = prove_safety(target, min(b, report.unused_budget), domain, cache,
-                           known_safe=graph.safety_lookup)
+        res = prove_safety(target, min(b, report.unused_budget), graph.domain,
+                           graph.cache, known_safe=graph.safety_lookup)
         report.log_proofs((res,))
         if isinstance(res, Proven):
             proven_paths.append(res.path)
             b = INITIAL_PROOF_BUDGET
         else:
             if isinstance(res, Exhausted):
-                cache_dead_ends(cache, res, graph)
+                cache_dead_ends(graph.cache, res, graph)
             b *= 2
     if outcome.goal_found:
         return _commit(report, graph, outcome.goal, config)
-    propagate_safety(graph, domain, proven_paths)
+    propagate_safety(graph, proven_paths)
     selection = safe_toward_best(graph)
     if selection is not None:
         target, rank = selection
-        dijkstra_h_update(graph, cache)
+        dijkstra_h_update(graph)
         return _commit(report, graph, target, config, rank)
-    identity = domain.identity_action(graph.root)
+    identity = graph.domain.identity_action(graph.root)
     if identity is not None and outcome is not OPEN_EMPTY:
-        dijkstra_h_update(graph, cache)
+        dijkstra_h_update(graph)
         report.committed_actions = (identity,)
         report.identity_action_taken = True
         return report
@@ -251,8 +250,8 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     return report
 
 
-def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
-                   cache: DeadEndCache, bound: int) -> IterationReport:
+def rtfs_iteration(graph: SearchGraph, config: PlannerConfig,
+                   bound: int) -> IterationReport:
     """One RTFS iteration: build the whole local search space first, then
     spend the rest of the bound on safety proofs, then propagate h, dead
     ends, and safety before picking the safe-toward-best target.
@@ -271,12 +270,11 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
     explore_budget = max(int(bound * config.exploration_ratio), 1)
     while leftover > 0:
         if explore_budget > 0:
-            outcome = _explore(graph, explore_budget, domain, cache, report)
+            outcome = _explore(graph, explore_budget, report)
             if outcome is not BUDGET_EXHAUSTED:
                 break
         if leftover > explore_budget:
-            results, paths = allocate_proofs_rtfs0(
-                graph, leftover - explore_budget, domain, cache)
+            results, paths = allocate_proofs_rtfs0(graph, leftover - explore_budget)
             report.log_proofs(results)
             proven_paths.extend(paths)
         if config.allow_budget_carryover or report.unused_budget == leftover:
@@ -289,9 +287,9 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig, domain,
         # an emptied open list leaves no open node to commit toward
         report.outcome = "failure"
         return report
-    dijkstra_h_update(graph, cache)
-    propagate_dead_ends(graph, domain, cache)
-    propagate_safety(graph, domain, proven_paths)
+    dijkstra_h_update(graph)
+    propagate_dead_ends(graph)
+    propagate_safety(graph, proven_paths)
     selection = safe_toward_best(graph)
     if selection is None:
         report.outcome = "terminated"
@@ -319,13 +317,13 @@ class SafeFilteredDomain:
         return value
 
 
-def iteration_step(graph: SearchGraph, config: PlannerConfig, domain,
-                   cache: DeadEndCache, bound: int) -> IterationReport:
+def iteration_step(graph: SearchGraph, config: PlannerConfig,
+                   bound: int) -> IterationReport:
     if config.algorithm in (LSS_LRTA, SAFE_LSS_LRTA):
-        return lss_lrta_iteration(graph, config, domain, cache, bound)
+        return lss_lrta_iteration(graph, config, bound)
     if config.algorithm == SAFE_RTS:
-        return safe_rts_iteration(graph, config, domain, cache, bound)
-    return rtfs_iteration(graph, config, domain, cache, bound)
+        return safe_rts_iteration(graph, config, bound)
+    return rtfs_iteration(graph, config, bound)
 
 
 def apply_action(domain, state, action):
@@ -350,9 +348,8 @@ def run_episode(domain, start, config: PlannerConfig,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
-    cache = cache or DeadEndCache()
-    graph = SearchGraph()
-    evaluator = config.evaluator if config.algorithm == RTFS else FCOST
+    graph = SearchGraph(domain, config.evaluator if config.algorithm == RTFS else FCOST,
+                        cache or DeadEndCache())
     carry = config.algorithm == RTFS and config.allow_budget_carryover
     state = start
     actions: list = []
@@ -366,9 +363,8 @@ def run_episode(domain, start, config: PlannerConfig,
                 return EpisodeResult("goal", actions, reports)
             if len(reports) >= max_iterations:
                 return EpisodeResult("max_iterations", actions, reports)
-            graph.begin_iteration(state, evaluator, domain, cache)
-            report = iteration_step(graph, config, domain, cache,
-                                    config.iteration_bound + carryover)
+            graph.begin_iteration(state)
+            report = iteration_step(graph, config, config.iteration_bound + carryover)
             reports.append(report)
             if report.outcome in ("failure", "terminated"):
                 return EpisodeResult(report.outcome, actions, reports)

@@ -143,21 +143,20 @@ def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted,
     cache.flags |= exhausted.visited
     cache.exhausted_marks |= exhausted.visited
     if graph is not None and cache.enabled:
-        prune_exhausted(graph, exhausted, cache)
+        prune_exhausted(graph, exhausted)
     return len(cache.flags) - flagged
 
 
-def prune_exhausted(graph: SearchGraph, exhausted: Exhausted,
-                    cache: DeadEndCache) -> None:
+def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> None:
     """Drop an exhausted proof's states from the current search tree
     unconditionally (within-iteration pruning, even with the cache off)."""
     for state in exhausted.visited:
         node = graph.nodes.get(state)
         if node is not None and node.stamp == graph.stamp:
-            cache.mark_dead(node)
+            graph.cache.mark_dead(node)
 
 
-def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
+def propagate_safety(graph: SearchGraph, proven_paths) -> int:
     """Mark proven paths safe and close safety backwards over the graph.
 
     Path states are cached on their node records (created on demand when
@@ -169,6 +168,7 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
+    f_safe, is_goal = graph.domain.f_safe, graph.domain.is_goal
     unknown, implicit = SafetyStatus.UNKNOWN, SafetyStatus.IMPLICITLY_SAFE
     newly = 0
     worklist: deque = deque()
@@ -176,7 +176,7 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
         for i, state in enumerate(path):
             node = graph.ensure_node(state)
             last = i == len(path) - 1
-            explicit = last and (domain.f_safe(state) or domain.is_goal(state))
+            explicit = last and (f_safe(state) or is_goal(state))
             if node.safety == SafetyStatus.UNKNOWN:
                 node.safety = (SafetyStatus.EXPLICITLY_SAFE if explicit
                                else SafetyStatus.IMPLICITLY_SAFE)
@@ -207,7 +207,7 @@ def propagate_safety(graph: SearchGraph, domain, proven_paths) -> int:
     return newly
 
 
-def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
+def propagate_dead_ends(graph: SearchGraph) -> int:
     """Flag dead ends through the current search tree, to fixpoint.
 
     A node is dead when it is a generated terminal non-goal, or when it was
@@ -218,20 +218,20 @@ def propagate_dead_ends(graph: SearchGraph, domain, cache: DeadEndCache) -> int:
     stamp = graph.stamp
     nodes = graph.nodes
     dead = SafetyStatus.DEAD_END
-    blocked = cache.blocked
+    blocked = graph.cache.blocked
     worklist = deque()
     for node in graph.touched:
         if node.safety == dead or node.goal:
             continue
         if (_succs_all_dead(node, nodes, stamp, blocked) if node.expanded
-                else domain.is_terminal(node.state)):
+                else graph.domain.is_terminal(node.state)):
             worklist.append(node)
     count = 0
     while worklist:
         node = worklist.popleft()
         if node.safety == dead:
             continue
-        cache.mark_dead(node)
+        graph.cache.mark_dead(node)
         count += 1
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]

@@ -1,11 +1,12 @@
 """Budgeted best-first search infrastructure shared by every planner.
 
-One SearchGraph lives for a whole planner episode. Starting a new iteration
-does not erase the node store: nodes carry an iteration stamp, and touching
-a node under a fresh stamp lazily resets its root-relative fields (g,
-parent, discovered edges, open/closed membership) while learned heuristic
-values and safety knowledge survive, which is exactly what the agent is
-allowed to keep as it moves.
+One SearchGraph lives for a whole planner episode and holds the episode's
+domain, open-list evaluator and dead-end cache. A new iteration does not
+erase the node store: nodes carry an iteration stamp, and touching a node
+under a fresh stamp lazily resets its root-relative fields (g, parent,
+discovered edges, open/closed membership) while learned heuristic values
+and safety knowledge survive, which is exactly what the agent is allowed
+to keep as it moves.
 """
 from __future__ import annotations
 
@@ -129,36 +130,34 @@ OPEN_EMPTY = ExpansionOutcome("open_empty")
 
 
 class SearchGraph:
-    """Node store plus the open list of the current iteration."""
+    """Node store plus the open list of the current iteration, and the
+    episode's context: domain, evaluator and dead-end cache, set only here."""
 
-    def __init__(self):
+    def __init__(self, domain, evaluator: Evaluator, cache):
+        self.domain = domain
+        self.evaluator = evaluator
+        self.cache = cache
         self.nodes: dict[Any, SearchNode] = {}
         self.open: list = []        # (key, -g, open_seq, state); see Evaluator.key_weights
-        self.evaluator: Evaluator = FCOST
         self.stamp = 0
         self.root = None
         self.touched: list[SearchNode] = []
         self._seq = 0
-        self._domain = None
-        self._cache = None
 
     # -- iteration lifecycle -------------------------------------------------
 
-    def begin_iteration(self, root_state, evaluator: Evaluator, domain, cache):
+    def begin_iteration(self, root_state):
         """Reset root-relative state for a fresh planning iteration; the
         dead-end cache decides which dead nodes stay dead."""
         self.stamp += 1
         self.touched = []
-        self.evaluator = evaluator
-        self._domain = domain
-        self._cache = cache
         self.root = root_state
         node = self.touch(root_state, self.nodes.get(root_state))
         node.g = 0.0
         node.on_open = True
         self._seq += 1
         node.open_seq = self._seq
-        g_weight, h_weight = evaluator.key_weights
+        g_weight, h_weight = self.evaluator.key_weights
         self.open = [(g_weight * node.g + h_weight * node.h, -node.g, self._seq,
                       root_state)]
 
@@ -171,7 +170,7 @@ class SearchGraph:
         """
         stamp = self.stamp
         if node is None:
-            node = self.nodes[state] = SearchNode(state, self._domain, stamp)
+            node = self.nodes[state] = SearchNode(state, self.domain, stamp)
             self.touched.append(node)
         elif node.stamp != stamp:
             node.stamp = stamp
@@ -180,10 +179,10 @@ class SearchGraph:
             node.preds.clear()
             node.on_open = False
             node.expanded = False
-            if node.safety == _DEAD_END and state not in self._cache.blocked:
+            if node.safety == _DEAD_END and state not in self.cache.blocked:
                 # dead-end knowledge only persists through an enabled cache
                 node.safety = _UNKNOWN
-                node.h = self._domain.h(state)
+                node.h = self.domain.h(state)
             self.touched.append(node)
         return node
 
@@ -191,7 +190,7 @@ class SearchGraph:
         """Node record for a state, created on first sight; not stamped."""
         node = self.nodes.get(state)
         if node is None:
-            node = self.nodes[state] = SearchNode(state, self._domain, 0)
+            node = self.nodes[state] = SearchNode(state, self.domain, 0)
         return node
 
     def open_nodes_in_f_order(self) -> list[SearchNode]:
@@ -247,15 +246,17 @@ def _require_f_keys(graph: SearchGraph) -> None:
 def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
                       budget: ExpansionBudget, domain, *, cache) -> ExpansionOutcome:
     """Expand evaluator-best open nodes until the budget, the open list, or
-    a popped goal stops the loop.
+    a popped goal stops the loop. The evaluator, domain and cache must be
+    the graph's own.
 
     Duplicate reaching relaxes g strictly; reaching a closed node with a
     smaller g reopens it. Cache-flagged dead ends are never generated onto
     the open list, and popping one (possible only while the cache is
     disabled) is what the re-expansion instrumentation counts.
     """
-    if evaluator != graph.evaluator:
-        raise ValueError("evaluator does not match the one the open list was built with")
+    if (evaluator != graph.evaluator or domain is not graph.domain
+            or cache is not graph.cache):
+        raise ValueError("expand_best_first needs the graph's evaluator, domain and cache")
     nodes = graph.nodes
     heap = graph.open
     stamp = graph.stamp
@@ -332,7 +333,7 @@ def select_best_f(graph: SearchGraph) -> Optional[Any]:
     return None
 
 
-def dijkstra_h_update(graph: SearchGraph, cache) -> int:
+def dijkstra_h_update(graph: SearchGraph) -> int:
     """Back up heuristic values from the frontier through the expanded set.
 
     Expanded non-goal nodes are reset to infinity, then relaxed backwards
@@ -382,7 +383,7 @@ def dijkstra_h_update(graph: SearchGraph, cache) -> int:
         if node.h != prev:
             changes += 1
         if math.isinf(node.h):
-            cache.mark_dead(node)
+            graph.cache.mark_dead(node)
     return changes
 
 

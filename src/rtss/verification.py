@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .domains import airspace
-from .domains.oracles import (optimal_proof_oracle, optimal_proof_path,
-                              reachable_states, true_safe_set)
+from .domains.oracles import optimal_proof_oracle, optimal_proof_path, true_safe_set
 from .domains.synthetic import random_dag
 from .rng import SplitMix64, mix64
 from .safety import (DeadEndCache, Exhausted, Proven, cache_dead_ends,
@@ -79,8 +78,8 @@ def _make_instance(index: int):
 
 
 def _build_lss(domain, root, budget: int, cache: DeadEndCache) -> SearchGraph:
-    graph = SearchGraph()
-    graph.begin_iteration(root, FCOST, domain, cache)
+    graph = SearchGraph(domain, FCOST, cache)
+    graph.begin_iteration(root)
     expand_best_first(graph, FCOST, ExpansionBudget(budget), domain, cache=cache)
     return graph
 
@@ -118,7 +117,7 @@ def _restricted_proof_exists(graph: SearchGraph, state) -> bool:
 def check_closure_completeness(instances, check: Check) -> None:
     for domain, root, budget in instances:
         graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
-        propagate_safety(graph, domain, [])
+        propagate_safety(graph, [])
         for node in graph.touched:
             if not node.expanded or domain.is_goal(node.state):
                 continue
@@ -131,7 +130,7 @@ def check_closure_completeness(instances, check: Check) -> None:
 def check_frontier_advantage(instances, check: Check) -> None:
     for domain, root, budget in instances:
         graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
-        propagate_safety(graph, domain, [])
+        propagate_safety(graph, [])
         open_proofs = [optimal_proof_oracle(domain, n.state)
                        for n in graph.touched if n.on_open]
         best_open = min((p for p in open_proofs if p is not None), default=None)
@@ -173,7 +172,7 @@ def check_subsumed_proofs(instances, check: Check) -> None:
 
         def marked_set(paths):
             g = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
-            propagate_safety(g, domain, paths)
+            propagate_safety(g, paths)
             return {n.state for n in g.touched if n.safety in _SAFE}
 
         both = marked_set([proof_x, proof_y])
@@ -188,7 +187,7 @@ def _certify_cost(domain, root, budget: int, targets) -> int:
     expansions: each target is proven independently, consulting the graph's
     propagated safety marks, so closure-covered targets cost nothing."""
     graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
-    propagate_safety(graph, domain, [])
+    propagate_safety(graph, [])
     total = 0
     for t in targets:
         res = prove_safety(t, 1_000_000, domain, DeadEndCache(),
@@ -228,9 +227,9 @@ def check_soundness(instances, check: Check) -> None:
                 proven.append(res.path)
             elif isinstance(res, Exhausted):
                 cache_dead_ends(cache, res, graph)
-        dijkstra_h_update(graph, cache)
-        propagate_dead_ends(graph, domain, cache)
-        propagate_safety(graph, domain, proven)
+        dijkstra_h_update(graph)
+        propagate_dead_ends(graph)
+        propagate_safety(graph, proven)
         truth = true_safe_set(domain, roots=[root])
         for node in graph.nodes.values():
             if node.safety in _SAFE:

@@ -204,6 +204,7 @@ _GOOD_CONFIG = {
     "bounds": [10],
 }
 
+_DROP = object()     # a patch value that removes its key from the config
 
 
 def _track(**fields):
@@ -239,6 +240,19 @@ def _track(**fields):
     ({"domain": {"type": "airspace_files", "paths": [1]}}, "domain.paths"),
     ({"domain": _track(path=1)}, "domain.path"),
     ({"algorithms": [{"name": "rtfs", "carryover": "false"}]}, "algorithms[0].carryover"),
+    ({"cacheEnable": False}, "experiment config has unknown key 'cacheEnable'"),
+    ({"algorithms": [{"name": "rtfs", "ration": 0.3}]},
+     "algorithms[0] has unknown key 'ration'"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], startSeed=1)},
+     "domain has unknown key 'startSeed'"),
+    ({"domain": _track(seeds=[1])}, "domain has unknown key 'seeds'"),
+    ({"domain": _DROP}, "experiment config is missing 'domain'"),
+    ({"bounds": _DROP}, "experiment config is missing 'bounds'"),
+    ({"algorithms": [{"ratio": 0.3}]}, "algorithms[0] is missing 'name'"),
+    ({"domain": {"type": "airspace_files"}}, "domain is missing 'paths'"),
+    ({"domain": {"type": "racetrack"}}, "domain is missing 'path'"),
+    ({"domain": {k: v for k, v in _GOOD_CONFIG["domain"].items() if k != "pObs"}},
+     "domain is missing 'pObs'"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
         "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
         "repetitions-string", "max-iterations-float", "config-seed-string",
@@ -246,13 +260,17 @@ def _track(**fields):
         "p-obs-string", "p-obs-bool", "start-samples-string", "start-seed-float",
         "cache-enabled-string", "output-number", "seeds-empty",
         "start-samples-negative", "max-iterations-zero", "paths-number",
-        "path-number", "carryover-string"])
+        "path-number", "carryover-string", "unknown-top-level-key",
+        "unknown-algorithm-key", "unknown-airspace-key", "unknown-racetrack-key",
+        "missing-domain", "missing-bounds", "missing-algorithm-name",
+        "missing-paths", "missing-path", "missing-p-obs"])
 def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
     import json
     out = tmp_path / "bad.csv"
     # the output path rides in the config, so an "output" patch replaces it
     good = {**_GOOD_CONFIG, "output": str(out)}
-    config = [good] if patch is None else {**good, **patch}
+    config = ([good] if patch is None else
+              {k: v for k, v in {**good, **patch}.items() if v is not _DROP})
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(config))
     assert run_cli("run", "--config", str(config_path)) == 2

@@ -382,22 +382,27 @@ def test_airspace_files_grid_matches_the_generated_grid(tmp_path):
     assert open(loaded.output, "rb").read() == expected
 
 
-def test_racetrack_map_file_grid_matches_the_builtin_track(tmp_path):
+def test_racetrack_map_file_grid_matches_the_builtin_track(tmp_path, monkeypatch):
     from rtss.domains.racetrack import RIGHT_TURN_TRACK
     map_path = tmp_path / "track.txt"
     map_path.write_text(RIGHT_TURN_TRACK)
+    # the same map in another directory, named by a relative path
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "track.txt").write_text(RIGHT_TURN_TRACK)
+    monkeypatch.chdir(tmp_path)
     outputs = []
-    for path in ("builtin:right-turn", str(map_path)):
+    for path in ("builtin:right-turn", str(map_path), os.path.join(".", "b", "track.txt")):
         config = _config(tmp_path, output=str(tmp_path / f"{len(outputs)}.csv"),
                          domain={"type": "racetrack", "path": path,
                                  "startSamples": 3, "startSeed": 2},
                          bounds=[20])
         run_experiment(config)
-        outputs.append(open(config.output).read())
-    builtin, from_file = outputs
-    assert builtin.count("right-turn#start") == 3 * 2
-    # a loaded map is named after its path
-    assert from_file.replace(f"{map_path}#start", "right-turn#start") == builtin
+        outputs.append(open(config.output, "rb").read())
+    builtin, from_file, from_elsewhere = outputs
+    assert builtin.count(b"right-turn#start") == 3 * 2
+    # a loaded map is named after its file's base name, wherever it lives
+    assert from_file.replace(b"track.txt#start", b"right-turn#start") == builtin
+    assert from_elsewhere == from_file
 
 
 def test_error_rows_carry_the_labels_of_their_success_rows(tmp_path, monkeypatch):

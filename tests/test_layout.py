@@ -17,6 +17,9 @@ named in that function's body: a parameter that nothing reads only makes
 its callers pass a value. `self`, `cls` and `_`-prefixed names are exempt,
 and so are dunder methods and the methods the `Domain` protocol
 (`domains/base.py`) names, whose signatures the protocol fixes.
+
+Every name a module other than a package `__init__.py` imports must be
+used in that module (`from __future__ import ...` aside).
 """
 from __future__ import annotations
 
@@ -86,3 +89,23 @@ def test_every_parameter_is_named_in_its_function_body():
                        if p not in named and p not in ("self", "cls")
                        and not p.startswith("_")]
     assert unread == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = alias.name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(SRC)}: {name}" for bound, name in imported.items()
+                   if bound not in used]
+    assert unused == []

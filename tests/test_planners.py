@@ -18,11 +18,9 @@ from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, expand_best_first)
 
 
-def fresh(domain, root, cache=None, evaluator=FCOST):
-    if cache is None:
-        cache = DeadEndCache(enabled=False)
-    graph = SearchGraph()
-    graph.begin_iteration(root, evaluator, domain, cache)
+def fresh(domain, root, cache=None):
+    graph = SearchGraph(domain, FCOST, cache or DeadEndCache())
+    graph.begin_iteration(root)
     return graph
 
 
@@ -52,7 +50,7 @@ def test_chain_bound_two_full_path_commits_two_actions():
     domain = chain_domain(5)
     config = PlannerConfig("lss-lrta", 2, commit_mode="full")
     graph = fresh(domain, 0)
-    report = lss_lrta_iteration(graph, config, domain, DeadEndCache(), 2)
+    report = lss_lrta_iteration(graph, config, 2)
     assert report.committed_actions == ((0, 1), (1, 2))
     assert report.expansions_goal == 2
 
@@ -108,7 +106,7 @@ def test_safe_rts_budget_schedule():
     domain = _schedule_domain()
     config = PlannerConfig("safe-rts", 60)
     graph = fresh(domain, "e0")
-    report = safe_rts_iteration(graph, config, domain, DeadEndCache(), 60)
+    report = safe_rts_iteration(graph, config, 60)
     assert report.phases == (("explore", 10), ("proof", 10),
                              ("explore", 20), ("proof", 20))
     assert report.expansions_goal == 30 and report.expansions_proof == 30
@@ -129,7 +127,7 @@ def test_safe_rts_identity_fallback_when_nothing_is_provable():
                         h={f"n{k}": 0.0 for k in range(201)})
     config = PlannerConfig("safe-rts", 20)
     graph = fresh(domain, "n0")
-    report = safe_rts_iteration(graph, config, domain, DeadEndCache(), 20)
+    report = safe_rts_iteration(graph, config, 20)
     assert report.identity_action_taken
     assert report.committed_actions == (("stay", "n0"),)
     assert report.target_open_rank is None
@@ -140,16 +138,14 @@ def test_safe_rts_terminates_without_identity_or_safety():
     succ["n200"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
-    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 20), domain,
-                                DeadEndCache(), 20)
+    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 20), 20)
     assert report.outcome == "terminated"
 
 
 def test_safe_rts_airspace_root_at_ground_always_moves():
     inst = airspace.generate(100, 4, 0.2, 9)
     graph = fresh(inst, (0, 0))
-    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 30), inst,
-                                DeadEndCache(), 30)
+    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 30), 30)
     assert report.outcome in ("advanced", "goal")
     assert report.committed_actions
 
@@ -157,15 +153,14 @@ def test_safe_rts_airspace_root_at_ground_always_moves():
 def test_safe_rts_commits_only_through_safe_states():
     for seed in (1, 2, 3, 4, 5):
         inst = airspace.generate(400, 8, 0.1, seed)
-        cache = DeadEndCache()
-        graph = SearchGraph()
+        graph = SearchGraph(inst, FCOST, DeadEndCache())
         state = inst.start
         config = PlannerConfig("safe-rts", 40)
         for _ in range(30):
             if inst.is_goal(state):
                 break
-            graph.begin_iteration(state, FCOST, inst, cache)
-            report = safe_rts_iteration(graph, config, inst, cache, 40)
+            graph.begin_iteration(state)
+            report = safe_rts_iteration(graph, config, 40)
             if report.outcome != "advanced":
                 break
             cur = state
@@ -183,7 +178,7 @@ def test_rtfs_budget_split_half():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.5),
-                            inst, DeadEndCache(), 100)
+                            100)
     assert report.phases[0] == ("explore", 50)
     assert report.expansions_goal == 50
 
@@ -192,7 +187,7 @@ def test_rtfs_budget_split_tenth():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.1),
-                            inst, DeadEndCache(), 100)
+                            100)
     assert report.phases[0] == ("explore", 10)
 
 
@@ -201,7 +196,7 @@ def test_rtfs_carryover_arithmetic():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5)
-    report = rtfs_iteration(graph, config, inst, DeadEndCache(), 100)
+    report = rtfs_iteration(graph, config, 100)
     proof_used = report.expansions_proof
     assert report.unused_budget == 100 - 50 - proof_used
     assert report.unused_budget > 0
@@ -215,7 +210,7 @@ def test_rtfs_redistribution_consumes_leftover_within_iteration():
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, inst, DeadEndCache(), 100)
+    report = rtfs_iteration(graph, config, 100)
     assert report.expansions_goal + report.expansions_proof == 100
     assert report.unused_budget == 0
 
@@ -224,7 +219,7 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, h={"r": 0, "t": 0})
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 10, allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 10)
+    report = rtfs_iteration(graph, config, 10)
     assert report.outcome == "failure"
     assert report.expansions_goal == 2  # nothing left to spend the rest on
 
@@ -239,7 +234,7 @@ def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 2, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 2)
+    report = rtfs_iteration(graph, config, 2)
     assert report.proofs_attempted == 2
     assert report.phases == (("explore", 1), ("proof", 0), ("proof", 0))
 
@@ -252,7 +247,7 @@ def test_rtfs_first_slice_explores_when_the_ratio_leaves_nothing():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 1, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, domain, DeadEndCache(), 1)
+    report = rtfs_iteration(graph, config, 1)
     assert report.phases == (("explore", 1),)
     assert report.outcome == "advanced"
     assert report.committed_actions == ("a",)
@@ -263,8 +258,7 @@ def test_rtfs_terminates_when_no_safe_target():
     succ["n200"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
-    report = rtfs_iteration(graph, PlannerConfig("rtfs", 20), domain, DeadEndCache(),
-                            20)
+    report = rtfs_iteration(graph, PlannerConfig("rtfs", 20), 20)
     assert report.outcome == "terminated"
 
 
@@ -273,10 +267,9 @@ def test_rtfs_terminates_when_no_safe_target():
 def test_allocator_single_success_leaves_budget():
     domain = _schedule_domain()
     graph = fresh(domain, "e0")
-    expand_best_first(graph, FCOST, ExpansionBudget(30), domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(30), domain, cache=graph.cache)
     # top of open is e30 whose proof takes exactly 20 expansions
-    results, paths = allocate_proofs_rtfs0(graph, 90, domain, DeadEndCache())
+    results, paths = allocate_proofs_rtfs0(graph, 90)
     assert len(results) == 1 and isinstance(results[0], Proven)
     assert sum(r.expansions for r in results) == 20
     assert paths[0][0] == "e30"
@@ -293,7 +286,7 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
     cache = DeadEndCache()
     graph = fresh(domain, "r", cache)
     expand_best_first(graph, FCOST, ExpansionBudget(1), domain, cache=cache)
-    results, paths = allocate_proofs_rtfs0(graph, 50, domain, cache)
+    results, paths = allocate_proofs_rtfs0(graph, 50)
     assert [type(r) for r in results] == [Exhausted, Proven]
     # the trap and its descendant are flagged and off the open list
     assert "trap" in cache.flags and "t2" in cache.flags
@@ -307,9 +300,8 @@ def test_allocator_prunes_exhausted_top_and_moves_on():
 def test_allocator_zero_budget_returns_nothing():
     domain = chain_domain(5)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
-                      cache=DeadEndCache(enabled=False))
-    results, paths = allocate_proofs_rtfs0(graph, 0, domain, DeadEndCache())
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
+    results, paths = allocate_proofs_rtfs0(graph, 0)
     assert results == [] and paths == []
 
 
@@ -319,8 +311,7 @@ def test_target_is_safe_parent_of_top_node():
     succ = {"r": [("a", "mid", 1.0)], "mid": [("b", "leaf", 1.0)], "leaf": []}
     domain = ListDomain(succ, h={"r": 2, "mid": 1, "leaf": 0})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
     graph.nodes["mid"].safety = SafetyStatus.IMPLICITLY_SAFE
     target, rank = safe_toward_best(graph)
     assert target == "mid" and rank == 1
@@ -331,8 +322,7 @@ def test_scan_skips_unqualified_lower_f_nodes():
             "m": [("c", "s2", 1.0)], "u1": [], "s2": []}
     domain = ListDomain(succ, h={"r": 0, "u1": 0.5, "m": 0.5, "s2": 0.5})
     graph = fresh(domain, "r")
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
     # expanded: r, m; open: u1 (f=1.5, no safe ancestor), s2 (f=2.0, parent m)
     graph.nodes["m"].safety = SafetyStatus.IMPLICITLY_SAFE
     target, rank = safe_toward_best(graph)
@@ -342,16 +332,14 @@ def test_scan_skips_unqualified_lower_f_nodes():
 def test_no_safe_nodes_means_no_target():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
     assert safe_toward_best(graph) is None
 
 
 def test_root_only_safety_does_not_qualify():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
-    expand_best_first(graph, FCOST, ExpansionBudget(2), domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
     graph.nodes[0].safety = SafetyStatus.EXPLICITLY_SAFE
     assert safe_toward_best(graph) is None
 
@@ -445,10 +433,9 @@ def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
     safe = true_safe_set(inst)
     config = PlannerConfig("safe-lss-lrta", 15)
     plain = fresh(inst, inst.start)
-    filtered = fresh(inst, inst.start)
-    a = lss_lrta_iteration(plain, config, inst, DeadEndCache(), 15)
-    b = lss_lrta_iteration(filtered, config, SafeFilteredDomain(inst, safe),
-                           DeadEndCache(), 15)
+    filtered = fresh(SafeFilteredDomain(inst, safe), inst.start)
+    a = lss_lrta_iteration(plain, config, 15)
+    b = lss_lrta_iteration(filtered, config, 15)
     assert a.committed_actions == b.committed_actions
     assert a.expansions_goal == b.expansions_goal
 
@@ -485,7 +472,7 @@ def test_rtfs0_and_safe_rts_build_identical_lss_when_no_proof_succeeds():
                         d_safe={f"n{k}": 500 for k in range(301)})
     def lss(step_fn, config):
         graph = fresh(domain, "n0")
-        report = step_fn(graph, config, domain, DeadEndCache(), config.iteration_bound)
+        report = step_fn(graph, config, config.iteration_bound)
         assert report.proofs_succeeded == 0
         return {n.state for n in graph.touched if n.expanded}
     srts = lss(safe_rts_iteration, PlannerConfig("safe-rts", 20))

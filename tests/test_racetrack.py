@@ -62,12 +62,10 @@ def test_overspeed_into_wall_crashes():
 def test_overspeed_state_flagged_by_propagation_after_expansion():
     track = load(OPEN_STRIP, is_text=True)
     doomed = (9, 1, 3, 0, False)
-    graph = SearchGraph()
-    graph.begin_iteration(doomed, FCOST, track, DeadEndCache(enabled=False))
-    expand_best_first(graph, FCOST, ExpansionBudget(1), track,
-                      cache=DeadEndCache(enabled=False))
-    cache = DeadEndCache()
-    propagate_dead_ends(graph, track, cache)
+    graph = SearchGraph(track, FCOST, DeadEndCache())
+    graph.begin_iteration(doomed)
+    expand_best_first(graph, FCOST, ExpansionBudget(1), track, cache=graph.cache)
+    propagate_dead_ends(graph)
     assert graph.nodes[doomed].safety == SafetyStatus.DEAD_END
     # oracle: brute force agrees it is a true dead end
     reach = reachable_states(track, [doomed])

@@ -17,8 +17,8 @@ from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
 def build(domain, root, budget, cache=None):
     if cache is None:
         cache = DeadEndCache(enabled=False)
-    graph = SearchGraph()
-    graph.begin_iteration(root, FCOST, domain, cache)
+    graph = SearchGraph(domain, FCOST, cache)
+    graph.begin_iteration(root)
     expand_best_first(graph, FCOST, ExpansionBudget(budget), domain, cache=cache)
     return graph
 
@@ -90,7 +90,7 @@ def test_single_path_marks_exactly_its_nodes():
     domain = chain_domain(10)
     graph = build(domain, 0, 3)
     path = (5, 6, 7)
-    marked = propagate_safety(graph, domain, [path])
+    marked = propagate_safety(graph, [path])
     assert marked == 3
     for s in path:
         assert graph.nodes[s].safety in (SafetyStatus.IMPLICITLY_SAFE,
@@ -108,7 +108,7 @@ def test_closure_marks_all_ancestor_chains():
             "z": []}
     domain = ListDomain(succ, safe={"z"})
     graph = build(domain, "r", 10)
-    propagate_safety(graph, domain, [])
+    propagate_safety(graph, [])
     marked = {n.state for n in graph.touched if n.safety in _SAFE}
     assert marked == {"r", "a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5", "z"}
 
@@ -123,7 +123,7 @@ def test_subsumed_ancestor_proof_changes_nothing():
 
     def marked_with(paths):
         graph = build(domain, 0, 9)  # expands 0..8, so 3..6 edges are discovered
-        propagate_safety(graph, domain, paths)
+        propagate_safety(graph, paths)
         return {s for s, n in graph.nodes.items() if n.safety in _SAFE}
 
     assert marked_with([proof_x, proof_y]) == marked_with([proof_y])
@@ -133,7 +133,7 @@ def test_dead_nodes_are_never_marked_safe():
     domain = chain_domain(6)
     graph = build(domain, 0, 2)
     graph.nodes[2].safety = SafetyStatus.DEAD_END
-    propagate_safety(graph, domain, [(2, 3)])
+    propagate_safety(graph, [(2, 3)])
     assert graph.nodes[2].safety == SafetyStatus.DEAD_END
 
 
@@ -141,9 +141,8 @@ def test_dead_nodes_are_never_marked_safe():
 
 def test_terminal_non_goal_is_flagged():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []})
-    graph = build(domain, "r", 2)
-    cache = DeadEndCache()
-    count = propagate_dead_ends(graph, domain, cache)
+    graph = build(domain, "r", 2, DeadEndCache())
+    count = propagate_dead_ends(graph)
     assert count == 2  # the terminal and then the root
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety == SafetyStatus.DEAD_END
@@ -152,9 +151,8 @@ def test_terminal_non_goal_is_flagged():
 def test_one_live_successor_prevents_flagging():
     domain = ListDomain({"r": [("a", "t", 1.0), ("b", "live", 1.0)],
                          "t": [], "live": [("c", "more", 1.0)]})
-    graph = build(domain, "r", 2)  # expands r, t
-    cache = DeadEndCache()
-    propagate_dead_ends(graph, domain, cache)
+    graph = build(domain, "r", 2, DeadEndCache())  # expands r, t
+    propagate_dead_ends(graph)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END
 
@@ -169,9 +167,8 @@ def test_full_binary_tree_collapses():
     for i in range(8):
         succ[(3, i)] = []
     domain = ListDomain(succ)
-    graph = build(domain, (0, 0), 15)
-    cache = DeadEndCache()
-    count = propagate_dead_ends(graph, domain, cache)
+    graph = build(domain, (0, 0), 15, DeadEndCache())
+    count = propagate_dead_ends(graph)
     assert count == 15
     # oracle: brute-force backward closure over the explicit tree
     dead = {s for s, edges in succ.items() if not edges}
@@ -189,22 +186,23 @@ def test_known_terminal_flagged_without_expansion():
     domain = ListDomain({"r": [("a", "crash", 1.0), ("b", "x", 1.0)],
                          "x": [("c", "y", 1.0)]},
                         terminal={"crash"})
-    graph = build(domain, "r", 1)  # expands only r
-    propagate_dead_ends(graph, domain, DeadEndCache())
+    graph = build(domain, "r", 1, DeadEndCache())  # expands only r
+    propagate_dead_ends(graph)
     assert graph.nodes["crash"].safety == SafetyStatus.DEAD_END
     assert not graph.nodes["crash"].expanded
 
 
 def test_goals_are_never_flagged():
     domain = ListDomain({"r": [("a", "g", 1.0)], "g": []}, goals={"g"})
-    graph = build(domain, "r", 2)
-    propagate_dead_ends(graph, domain, DeadEndCache())
+    graph = build(domain, "r", 2, DeadEndCache())
+    propagate_dead_ends(graph)
     assert graph.nodes["g"].safety != SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END
 
 
-def _dead_end_fixpoint(graph, domain, cache):
+def _dead_end_fixpoint(graph):
     """Brute force: re-test every touched node until nothing changes."""
+    domain, cache = graph.domain, graph.cache
     stamp = graph.stamp
     dead = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
 
@@ -239,8 +237,8 @@ def _world(kind, seed):
 
 def _capturing(graphs: list):
     """A SearchGraph factory that keeps each graph an episode builds."""
-    def make():
-        graphs.append(SearchGraph())
+    def make(*args):
+        graphs.append(SearchGraph(*args))
         return graphs[-1]
     return make
 
@@ -258,15 +256,15 @@ def test_dead_end_propagation_reaches_the_brute_force_fixpoint(kind, seed, evalu
                                     allow_budget_carryover=seed % 2 == 0)
     propagate = planners.propagate_dead_ends
 
-    def checked(graph, domain, cache):
-        expected = _dead_end_fixpoint(graph, domain, cache)
-        flags = set(cache.flags)
+    def checked(graph):
+        expected = _dead_end_fixpoint(graph)
+        flags = set(graph.cache.flags)
         before = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
-        count = propagate(graph, domain, cache)
+        count = propagate(graph)
         dead = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
         assert dead == expected
         assert count == len(dead - before)
-        assert cache.flags == flags | (dead - before)
+        assert graph.cache.flags == flags | (dead - before)
         assert not any(graph.nodes[s].on_open for s in dead)
         return count
 

@@ -10,7 +10,7 @@ from rtss.domains.oracles import reachable_states
 from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
-from rtss.safety import DeadEndCache, Exhausted, cache_dead_ends
+from rtss.safety import DeadEndCache, Exhausted, cache_dead_ends, propagate_dead_ends
 from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, dijkstra_h_update, expand_best_first,
                          path_to, select_best_f)
@@ -19,8 +19,8 @@ from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
 def build(domain, root, budget, evaluator=FCOST, cache=None):
     if cache is None:
         cache = DeadEndCache(enabled=False)
-    graph = SearchGraph()
-    graph.begin_iteration(root, evaluator, domain, cache)
+    graph = SearchGraph(domain, evaluator, cache)
+    graph.begin_iteration(root)
     outcome = expand_best_first(graph, evaluator, ExpansionBudget(budget), domain,
                                 cache=cache)
     return graph, outcome
@@ -43,9 +43,10 @@ def test_touch_builds_a_new_node_as_lookup_then_restamp_did(world):
     assert any(domain.f_safe(s) for s in states)
     if world == "racetrack":
         assert any(domain.is_terminal(s) for s in states)      # crashed
-    one_step, two_step = SearchGraph(), SearchGraph()
+    one_step, two_step = (SearchGraph(domain, FCOST, DeadEndCache(enabled=True))
+                          for _ in range(2))
     for graph in (one_step, two_step):
-        graph.begin_iteration(root, FCOST, domain, DeadEndCache(enabled=True))
+        graph.begin_iteration(root)
     for state in states:
         touched = len(one_step.touched)
         node = one_step.touch(state, None)
@@ -88,11 +89,10 @@ def test_zero_budget_leaves_graph_unchanged():
 
 def test_goal_root_stops_with_one_expansion():
     domain = chain_domain(5)
-    graph = SearchGraph()
-    graph.begin_iteration(4, FCOST, domain, DeadEndCache(enabled=False))
+    graph = SearchGraph(domain, FCOST, DeadEndCache(enabled=False))
+    graph.begin_iteration(4)
     budget = ExpansionBudget(10)
-    outcome = expand_best_first(graph, FCOST, budget, domain,
-                                cache=DeadEndCache(enabled=False))
+    outcome = expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
     assert outcome.kind == "goal" and outcome.goal == 4
     assert budget.used == 1
 
@@ -114,12 +114,11 @@ def test_a_raising_domain_leaves_no_sequence_number_to_reuse():
     # the loop counts in locals; they must reach the graph and the budget even
     # when the domain raises, or a later push could repeat a live open_seq
     domain = RaisingDomain({"r": [("ra", "a", 1.0), ("rb", "b", 2.0)], "a": [], "b": []})
-    graph = SearchGraph()
-    graph.begin_iteration("r", FCOST, domain, DeadEndCache(enabled=False))
+    graph = SearchGraph(domain, FCOST, DeadEndCache(enabled=False))
+    graph.begin_iteration("r")
     budget = ExpansionBudget(5)
     with pytest.raises(RuntimeError):
-        expand_best_first(graph, FCOST, budget, domain,
-                          cache=DeadEndCache(enabled=False))
+        expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
     assert graph._seq == max(entry[-2] for entry in graph.open) == 3
     assert budget.used == 2
 
@@ -141,8 +140,8 @@ def test_open_empty_leaves_no_touched_node_on_open():
         domain = random_dag(seed, size=40, edge_chance=0.1)
         evaluator = (FCOST, Evaluator("wastar", 1.5), Evaluator("greedy"))[seed % 3]
         cache = DeadEndCache(enabled=seed % 2 == 0)
-        graph = SearchGraph()
-        graph.begin_iteration(0, evaluator, domain, cache)
+        graph = SearchGraph(domain, evaluator, cache)
+        graph.begin_iteration(0)
         # random_dag goals are sinks, so going on past a popped goal builds
         # the graph that expanding straight through it would
         budget = ExpansionBudget(3)
@@ -159,6 +158,31 @@ def test_open_empty_leaves_no_touched_node_on_open():
             outcome = expand_best_first(graph, evaluator, budget, domain, cache=cache)
         assert outcome.kind == "open_empty"
         assert not any(n.on_open for n in graph.touched)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_dead_node_stays_dead_in_a_later_iteration_only_through_the_cache(enabled):
+    # touch re-stamps a node from an earlier iteration; it keeps a dead mark
+    # only while the graph's own cache is enabled, and so blocks the state
+    domain = ListDomain({"r": [("a", "t", 1.0), ("b", "x", 1.0)], "t": [],
+                         "x": [("c", "y", 1.0)]},
+                        h={"r": 1.0, "t": 0.5, "x": 1.0, "y": 0.5})
+    graph, _ = build(domain, "r", 2, cache=DeadEndCache(enabled=enabled))  # r, t
+    assert propagate_dead_ends(graph) == 1
+    dead = graph.nodes["t"]
+    assert dead.safety == SafetyStatus.DEAD_END and math.isinf(dead.h)
+    graph.begin_iteration("r")
+    expand_best_first(graph, FCOST, ExpansionBudget(1), domain, cache=graph.cache)
+    if enabled:
+        # never generated again; re-stamping it by hand keeps it dead
+        assert dead.stamp != graph.stamp and not dead.on_open
+        assert graph.touch("t", dead) is dead and dead.stamp == graph.stamp
+        assert dead.safety == SafetyStatus.DEAD_END and math.isinf(dead.h)
+        assert not dead.on_open
+    else:
+        assert dead.stamp == graph.stamp
+        assert dead.safety == SafetyStatus.UNKNOWN and dead.h == domain.h("t") == 0.5
+        assert dead.on_open and dead.g == 1.0
 
 
 # -- select_best_f -------------------------------------------------------------
@@ -190,7 +214,7 @@ def test_single_edge_backup():
     domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)]},
                         h={"r": 0.0, "x": 0.0, "y": 3.0})
     graph, _ = build(domain, "r", 2)  # expands r and x; y on the frontier
-    dijkstra_h_update(graph, DeadEndCache(enabled=False))
+    dijkstra_h_update(graph)
     assert graph.nodes["x"].h == 4.0
     assert graph.nodes["r"].h == 5.0
 
@@ -200,7 +224,7 @@ def test_unreachable_from_frontier_goes_infinite():
                          "x": [("c", "y", 1.0)]},
                         h={"r": 0, "t": 0, "x": 0, "y": 5})
     graph, _ = build(domain, "r", 3)  # expands r, t, x
-    dijkstra_h_update(graph, DeadEndCache(enabled=False))
+    dijkstra_h_update(graph)
     assert math.isinf(graph.nodes["t"].h)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
 
@@ -210,7 +234,7 @@ def test_consistent_chain_needs_no_changes():
     graph, _ = build(domain, 0, 2)
     # independent oracle: exhaustive backward fixpoint over the expanded set
     expected = _bellman_backup_oracle(graph, domain)
-    changes = dijkstra_h_update(graph, DeadEndCache(enabled=False))
+    changes = dijkstra_h_update(graph)
     assert changes == 0
     for state, h in expected.items():
         assert graph.nodes[state].h == h
@@ -244,7 +268,7 @@ def test_backup_matches_bellman_oracle_on_random_dags():
         domain = random_dag(seed, size=50)
         graph, _ = build(domain, 0, 4 + seed % 17)
         expected = _bellman_backup_oracle(graph, domain)
-        dijkstra_h_update(graph, DeadEndCache(enabled=False))
+        dijkstra_h_update(graph)
         for state, h in expected.items():
             node = graph.nodes[state]
             if node.safety != SafetyStatus.DEAD_END:
@@ -254,14 +278,13 @@ def test_backup_matches_bellman_oracle_on_random_dags():
 def test_monotone_learning_and_consistency_preserved():
     from rtss.domains import airspace
     inst = airspace.generate(60, 6, 0.2, 3)
-    graph = SearchGraph()
+    graph = SearchGraph(inst, FCOST, DeadEndCache(enabled=False))
     state = inst.start
     for _ in range(8):
-        graph.begin_iteration(state, FCOST, inst, DeadEndCache(enabled=False))
-        expand_best_first(graph, FCOST, ExpansionBudget(15), inst,
-                          cache=DeadEndCache(enabled=False))
+        graph.begin_iteration(state)
+        expand_best_first(graph, FCOST, ExpansionBudget(15), inst, cache=graph.cache)
         before = {n.state: n.h for n in graph.touched}
-        dijkstra_h_update(graph, DeadEndCache(enabled=False))
+        dijkstra_h_update(graph)
         for n in graph.touched:
             assert n.h >= before[n.state] - 1e-12
             if n.expanded and not inst.is_goal(n.state) and n.succs \
@@ -323,11 +346,10 @@ def test_diamond_keeps_first_discovered_equal_g_parent():
 def test_expansion_count_equals_budget_used():
     for seed in range(10):
         domain = random_dag(seed, size=60)
-        graph = SearchGraph()
-        graph.begin_iteration(0, FCOST, domain, DeadEndCache(enabled=False))
+        graph = SearchGraph(domain, FCOST, DeadEndCache(enabled=False))
+        graph.begin_iteration(0)
         budget = ExpansionBudget(13)
-        expand_best_first(graph, FCOST, budget, domain,
-                          cache=DeadEndCache(enabled=False))
+        expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
         expanded = sum(1 for n in graph.touched if n.expanded)
         assert budget.used == expanded
 
@@ -337,13 +359,13 @@ def test_weighted_one_matches_fcost_expansion_order():
         domain = random_dag(seed, size=80)
         orders = []
         for evaluator in (FCOST, Evaluator("wastar", 1.0)):
-            graph = SearchGraph()
-            graph.begin_iteration(0, evaluator, domain, DeadEndCache(enabled=False))
+            graph = SearchGraph(domain, evaluator, DeadEndCache(enabled=False))
+            graph.begin_iteration(0)
             order = []
             for _ in range(25):
                 before = {n.state for n in graph.touched if n.expanded}
                 outcome = expand_best_first(graph, evaluator, ExpansionBudget(1),
-                                            domain, cache=DeadEndCache(enabled=False))
+                                            domain, cache=graph.cache)
                 new = {n.state for n in graph.touched if n.expanded} - before
                 if not new:
                     break
@@ -362,11 +384,10 @@ def test_cheaper_path_reopens_a_closed_node():
             "b": [("ba", "a", 1.0)],
             "t": []}
     domain = ListDomain(succ, h={"r": 0.0, "a": 0.0, "b": 10.0, "t": 0.0})
-    graph = SearchGraph()
-    graph.begin_iteration("r", FCOST, domain, DeadEndCache(enabled=False))
+    graph = SearchGraph(domain, FCOST, DeadEndCache(enabled=False))
+    graph.begin_iteration("r")
     budget = ExpansionBudget(5)
-    expand_best_first(graph, FCOST, budget, domain,
-                      cache=DeadEndCache(enabled=False))
+    expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
     node = graph.nodes["a"]
     assert budget.used == 5  # r, a (g=10), t, b, a again (g=2)
     assert node.expanded and node.g == 2.0
@@ -464,6 +485,22 @@ def test_select_best_f_rejects_a_graph_not_keyed_by_f():
         select_best_f(graph)
     with pytest.raises(ValueError):
         graph.open_nodes_in_f_order()
+
+
+@pytest.mark.parametrize("foreign", ["evaluator", "domain", "cache"])
+def test_expansion_refuses_a_context_that_is_not_the_graphs_own(foreign):
+    # one search runs under one domain, evaluator and cache: the graph's;
+    # an equal but distinct cache or domain is still another one
+    domain = chain_domain(5)
+    graph, _ = build(domain, 0, 1)
+    context = {"evaluator": FCOST, "domain": domain, "cache": graph.cache}
+    context[foreign] = {"evaluator": Evaluator("greedy"), "domain": chain_domain(5),
+                        "cache": DeadEndCache(enabled=False)}[foreign]
+    budget = ExpansionBudget(3)
+    with pytest.raises(ValueError, match="graph's evaluator, domain and cache"):
+        expand_best_first(graph, context["evaluator"], budget, context["domain"],
+                          cache=context["cache"])
+    assert budget.used == 0
 
 
 def _airspace_world(seed):
