@@ -13,6 +13,11 @@ One more digest pins a small `rtss stats` CSV, which only the safety
 proofs and successor generation produce, a set pins the obstacle grids
 that `airspace.generate` draws for the benchmark's instance sizes, and a
 last digest pins the random DAG worlds that the property suites run on.
+
+A CSV row sums a whole episode, so a change can keep every row and still
+move work between iterations or change what the dead-end cache learns. A
+last set of digests pins a few episodes below the rows: every field of
+every iteration report, the outcome, and the final cache counts.
 """
 from __future__ import annotations
 
@@ -22,8 +27,12 @@ import pytest
 
 from rtss.cli import main
 from rtss.domains.airspace import generate
+from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 from rtss.harness import ExperimentConfig, run_experiment
+from rtss.planners import PlannerConfig, run_episode
+from rtss.safety import DeadEndCache
+from rtss.search import Evaluator
 
 AIRSPACE = {"type": "airspace", "length": 300, "maxAltitude": 8, "pObs": 0.1,
             "seeds": [1, 2]}
@@ -116,3 +125,46 @@ def test_random_dag_worlds_match_their_recorded_digest():
             digest.update(repr((sorted(dag.edges.items()), sorted(dag.goals),
                                 sorted(dag.safe_hints))).encode())
     assert digest.hexdigest() == DAG_DIGEST
+
+
+
+# the airspace-L2000-rtfs-wastar grid's one cell
+WASTAR_CELL = PlannerConfig("rtfs", 300, evaluator=Evaluator.parse("wastar:1.1"),
+                            allow_budget_carryover=False)
+
+# episode -> (world, index into the racetrack grid's sampled starts, config,
+# SHA-256 over repr((outcome, reports, flags, exhausted marks, avoided and
+# dead re-expansions)) of the episode run with the cache on, then off)
+ITERATION_EPISODES = {
+    "airspace-L2000-rtfs-wastar@300": ("airspace", None, WASTAR_CELL,
+        "a214c77d0ca4cb14c695a5e7e03c250ca08ac1cbc508d22c43a6336b4d5b17ca"),
+    "airspace-L2000-safe-rts@100": ("airspace", None, PlannerConfig("safe-rts", 100),
+        "4c3f81b46ae6b7267772333bc4121f30aaf564dcdc799621606adf94f255aa4a"),
+    "right-turn-start0-rtfs@30": ("right-turn", 0, PlannerConfig("rtfs", 30),
+        "0acd93eb19e140eae2932e5147257ffa4eedd0d51291950efa20cfd03d904765"),
+    "right-turn-start0-safe-rts@30": ("right-turn", 0, PlannerConfig("safe-rts", 30),
+        "8b87a049b805f77367cf562e3902360ca2e851ca7d20bbf51a8ddf8ebff8ac69"),
+    "right-turn-start1-rtfs@30": ("right-turn", 1, PlannerConfig("rtfs", 30),
+        "f918b72825aa28e6e76c7eb8f2404536f20123b7ca227b731ec46af84ad4907a"),
+    "right-turn-start1-safe-rts@30": ("right-turn", 1, PlannerConfig("safe-rts", 30),
+        "ad9f508a2072d75bc9c91ba8820eae87e1a0133609ad56f21fd59d80db7c2335"),
+}
+
+
+@pytest.mark.parametrize("episode", list(ITERATION_EPISODES))
+def test_iteration_reports_and_final_cache_match_their_recorded_digest(episode):
+    world, start_index, config, expected = ITERATION_EPISODES[episode]
+    if world == "airspace":
+        domain = generate(2000, 20, 0.05, 1)
+        start = domain.start
+    else:
+        domain = right_turn_track()
+        start = domain.start_state(domain.sample_starts(3, 2)[start_index])
+    digest = hashlib.sha256()
+    for enabled in (True, False):
+        cache = DeadEndCache(enabled=enabled)
+        result = run_episode(domain, start, config, cache=cache, max_iterations=2000)
+        digest.update(repr((result.outcome, result.reports, len(cache.flags),
+                            len(cache.exhausted_marks), cache.avoided_reexpansions,
+                            cache.dead_reexpansions)).encode())
+    assert digest.hexdigest() == expected

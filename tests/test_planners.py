@@ -262,6 +262,34 @@ def test_rtfs_terminates_when_no_safe_target():
     assert report.outcome == "terminated"
 
 
+
+# -- the iteration tail's labels -------------------------------------------------------
+
+STAY = (("stay", "r"),)
+PLANNER_CONFIGS = (PlannerConfig("lss-lrta"), PlannerConfig("safe-rts"),
+                   PlannerConfig("rtfs"), PlannerConfig("rtfs", allow_budget_carryover=False))
+
+
+@pytest.mark.parametrize("config, bound, identity, outcome, actions", [
+    # bound 2: the budget runs out just as the open list empties
+    *[(PlannerConfig("lss-lrta"), 2, identity, "failure", ()) for identity in (False, True)],
+    (PlannerConfig("safe-rts"), 2, False, "terminated", ()),
+    (PlannerConfig("safe-rts"), 2, True, "advanced", STAY),
+    *[(config, 2, identity, "terminated", ())
+      for config in PLANNER_CONFIGS[2:] for identity in (False, True)],
+    # bound 10: the open list empties with budget left
+    *[(config, 10, identity, "failure", ())
+      for config in PLANNER_CONFIGS for identity in (False, True)],
+])
+def test_tail_labels_an_iteration_that_runs_out_of_open_nodes(config, bound, identity,
+                                                              outcome, actions):
+    # r -> t, and t has no successors; with identity, r also has r -> r
+    domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, h={"r": 0, "t": 0},
+                        identity={"r"} if identity else ())
+    report = iteration_step(fresh(domain, "r"), config, bound)
+    assert (report.outcome, report.committed_actions) == (outcome, actions)
+    assert report.identity_action_taken == (actions == STAY)
+
 # -- allocate_proofs_rtfs0 -------------------------------------------------------------
 
 def test_allocator_single_success_leaves_budget():
