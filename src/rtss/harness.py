@@ -283,7 +283,7 @@ def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, A
                                           spec["pObs"], seed) for seed in spec["seeds"])
     elif kind == "airspace_files":
         domains = tuple(airspace.load_instance(path) for path in spec["paths"])
-    elif kind == "racetrack":
+    else:   # "racetrack": validate admits no other type
         path = spec["path"]
         if path == "builtin:right-turn":
             inst = racetrack.right_turn_track()
@@ -293,8 +293,6 @@ def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, A
         starts = inst.sample_starts(count, spec.get("startSeed", config.config_seed))
         return (inst,), [(f"{inst.instance_id}#start{i}@{cell[0]}-{cell[1]}", 0,
                           inst.start_state(cell)) for i, cell in enumerate(starts)]
-    else:
-        raise ValueError(f"unknown domain type {kind!r}")
     return domains, [(inst.instance_id, i, inst.start) for i, inst in enumerate(domains)]
 
 

@@ -1,11 +1,12 @@
 """The planning algorithms: LSS-LRTA*, SafeRTS, and the RTFS scheme.
 
-Each planner exposes a single-iteration step working on a shared
-SearchGraph plus an episode driver that loops iterations, applies the
-committed actions, and carries learned heuristics, safety marks, and the
-dead-end cache from one iteration to the next. Two reference oracles ride
-along: offline A* (the velocity upper bound) and Safe-LSS-LRTA*, an
-LSS-LRTA* handed an ideal dead-end detector.
+An iteration runs the planner's own search phase, then one tail that all
+planners share: learn, select a target, commit toward it. The episode
+driver loops iterations, applies the committed actions, and carries
+learned heuristics, safety marks, and the dead-end cache from one
+iteration to the next. Two reference oracles ride along: offline A* (the
+velocity upper bound) and Safe-LSS-LRTA*, an LSS-LRTA* handed an ideal
+dead-end detector.
 """
 from __future__ import annotations
 
@@ -167,50 +168,15 @@ def _explore(graph: SearchGraph, limit: int, report: IterationReport) -> Expansi
     return outcome
 
 
-def _commit(report: IterationReport, graph: SearchGraph, target,
-            config: PlannerConfig, rank: Optional[int] = None) -> IterationReport:
-    """Commit toward target, reached from the open node of the given rank.
-    A target without a rank is a popped goal: its whole path is committed,
-    and the episode ends there, so no iteration is left to use an h-backup."""
-    actions = path_to(graph, target)
-    if rank is None:
-        report.outcome = "goal"
-    elif config.commit_mode == "single":
-        actions = actions[:1]
-    report.committed_actions = tuple(actions)
-    report.target_open_rank = rank
-    return report
-
-
-def lss_lrta_iteration(graph: SearchGraph, config: PlannerConfig,
-                       bound: int) -> IterationReport:
-    """One LSS-LRTA* iteration: bounded A*, heuristic backup, commit toward
-    the best frontier node (or straight to a popped goal)."""
-    report = IterationReport(bound=bound)
-    outcome = _explore(graph, bound, report)
-    if outcome.goal_found:
-        return _commit(report, graph, outcome.goal, config)
-    target = select_best_f(graph)
-    if target is None:
-        report.outcome = "failure"
-        return report
-    dijkstra_h_update(graph)
-    return _commit(report, graph, target, config, rank=1)
-
-
-def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig,
-                       bound: int) -> IterationReport:
-    """One SafeRTS iteration.
+def _safe_rts_search(graph: SearchGraph,
+                     report: IterationReport) -> tuple[ExpansionOutcome, list]:
+    """SafeRTS's search phase.
 
     Goal search and safety proofs alternate inside one shared expansion
     bound: explore for b expansions, then try to prove the node currently
     on top of open with the same allowance. A success resets b to its
     initial value and remembers the proven path; any failure doubles b.
-    When the bound is spent, safety is propagated, the target is chosen by
-    safe-toward-best, falling back to the identity action and finally to
-    termination when no safe move exists.
     """
-    report = IterationReport(bound=bound)
     b = INITIAL_PROOF_BUDGET
     proven_paths: list = []
     outcome = BUDGET_EXHAUSTED
@@ -220,8 +186,7 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig,
             break
         target = select_best_f(graph)
         if target is None:
-            outcome = OPEN_EMPTY
-            break
+            return OPEN_EMPTY, proven_paths
         res = prove_safety(target, min(b, report.unused_budget), graph.domain,
                            graph.cache, known_safe=graph.safety_lookup)
         report.log_proofs((res,))
@@ -232,42 +197,25 @@ def safe_rts_iteration(graph: SearchGraph, config: PlannerConfig,
             if isinstance(res, Exhausted):
                 cache_dead_ends(graph.cache, res, graph)
             b *= 2
-    if outcome.goal_found:
-        return _commit(report, graph, outcome.goal, config)
-    propagate_safety(graph, proven_paths)
-    selection = safe_toward_best(graph)
-    if selection is not None:
-        target, rank = selection
-        dijkstra_h_update(graph)
-        return _commit(report, graph, target, config, rank)
-    identity = graph.domain.identity_action(graph.root)
-    if identity is not None and outcome is not OPEN_EMPTY:
-        dijkstra_h_update(graph)
-        report.committed_actions = (identity,)
-        report.identity_action_taken = True
-        return report
-    report.outcome = "failure" if outcome is OPEN_EMPTY else "terminated"
-    return report
+    return outcome, proven_paths
 
 
-def rtfs_iteration(graph: SearchGraph, config: PlannerConfig,
-                   bound: int) -> IterationReport:
-    """One RTFS iteration: build the whole local search space first, then
-    spend the rest of the bound on safety proofs, then propagate h, dead
-    ends, and safety before picking the safe-toward-best target.
+def _rtfs_search(graph: SearchGraph, config: PlannerConfig,
+                 report: IterationReport) -> tuple[ExpansionOutcome, list]:
+    """RTFS's search phase: build the whole local search space first, then
+    spend the rest of the bound on safety proofs.
 
     The exploration ratio splits the bound; with carryover enabled the
     unused remainder is reported so the driver can add it to the next
     iteration, otherwise it is re-split by the same ratio within this one.
     """
-    report = IterationReport(bound=bound)
     proven_paths: list = []
     outcome = BUDGET_EXHAUSTED
     # without carryover, the remainder is re-split by the same ratio until it
     # is gone or a slice makes no progress; the first slice explores at least
     # one node, or a bound too small for the ratio would never leave the root
-    leftover = bound
-    explore_budget = max(int(bound * config.exploration_ratio), 1)
+    leftover = report.bound
+    explore_budget = max(int(leftover * config.exploration_ratio), 1)
     while leftover > 0:
         if explore_budget > 0:
             outcome = _explore(graph, explore_budget, report)
@@ -281,21 +229,62 @@ def rtfs_iteration(graph: SearchGraph, config: PlannerConfig,
             break
         leftover = report.unused_budget
         explore_budget = int(leftover * config.exploration_ratio)
+    return outcome, proven_paths
+
+
+def learn(graph: SearchGraph, config: PlannerConfig, proven_paths: list) -> None:
+    """What an iteration learns from its search: back h up over the closed
+    nodes, then, for RTFS, propagate dead ends, and, for SafeRTS and RTFS,
+    mark the proven paths safe and close safety backwards over the graph."""
+    dijkstra_h_update(graph)
+    if config.algorithm == RTFS:
+        propagate_dead_ends(graph)
+    if config.algorithm in (SAFE_RTS, RTFS):
+        propagate_safety(graph, proven_paths)
+
+
+def _finish(graph: SearchGraph, config: PlannerConfig, report: IterationReport,
+            outcome: ExpansionOutcome, proven_paths: list) -> IterationReport:
+    """The iteration tail every planner shares.
+
+    A popped goal commits its whole path, and an emptied open list is a
+    failure; neither learns first. Otherwise the iteration learns, then
+    picks its target: the best open node for the LSS planners, the
+    safe-toward-best node for SafeRTS and RTFS. Without a target, SafeRTS
+    alone falls back to the identity action; otherwise the safe planners
+    terminate and LSS-LRTA* fails.
+    """
+    safe = config.algorithm in (SAFE_RTS, RTFS)
+    rank = None
     if outcome.goal_found:
-        return _commit(report, graph, outcome.goal, config)
-    if outcome is OPEN_EMPTY:
-        # an emptied open list leaves no open node to commit toward
+        report.outcome = "goal"
+        target = outcome.goal
+    elif outcome is OPEN_EMPTY:
         report.outcome = "failure"
         return report
-    dijkstra_h_update(graph)
-    propagate_dead_ends(graph)
-    propagate_safety(graph, proven_paths)
-    selection = safe_toward_best(graph)
-    if selection is None:
-        report.outcome = "terminated"
-        return report
-    target, rank = selection
-    return _commit(report, graph, target, config, rank)
+    else:
+        learn(graph, config, proven_paths)
+        if safe:
+            selection = safe_toward_best(graph)
+        else:
+            target = select_best_f(graph)
+            selection = None if target is None else (target, 1)
+        if selection is None:
+            identity = (graph.domain.identity_action(graph.root)
+                        if config.algorithm == SAFE_RTS else None)
+            if identity is None:
+                report.outcome = "terminated" if safe else "failure"
+            else:
+                report.committed_actions = (identity,)
+                report.identity_action_taken = True
+            return report
+        target, rank = selection
+        report.target_open_rank = rank
+    actions = path_to(graph, target)
+    if rank is not None and config.commit_mode == "single":
+        actions = actions[:1]
+    report.committed_actions = tuple(actions)
+    return report
 
 
 class SafeFilteredDomain:
@@ -319,11 +308,16 @@ class SafeFilteredDomain:
 
 def iteration_step(graph: SearchGraph, config: PlannerConfig,
                    bound: int) -> IterationReport:
-    if config.algorithm in (LSS_LRTA, SAFE_LSS_LRTA):
-        return lss_lrta_iteration(graph, config, bound)
+    """One planner iteration: the planner's search phase within the bound,
+    then the shared tail that learns and commits."""
+    report = IterationReport(bound=bound)
     if config.algorithm == SAFE_RTS:
-        return safe_rts_iteration(graph, config, bound)
-    return rtfs_iteration(graph, config, bound)
+        outcome, proven_paths = _safe_rts_search(graph, report)
+    elif config.algorithm == RTFS:
+        outcome, proven_paths = _rtfs_search(graph, config, report)
+    else:
+        outcome, proven_paths = _explore(graph, bound, report), []
+    return _finish(graph, config, report, outcome, proven_paths)
 
 
 def apply_action(domain, state, action):

@@ -16,9 +16,10 @@ small worlds (alternating Airspace instances and random DAGs):
                         no more proof expansions in any larger LSS grown by
                         the same evaluator
 
-plus soundness: every safe mark is truly goal-reachable, every dead-end
-flag is truly goal-unreachable, and proofs never expand flagged states.
-The reference side is always an independent breadth-first oracle.
+plus soundness: after a few proofs and the planners' learning step
+(`planners.learn`, RTFS config), every safe mark is truly goal-reachable,
+every dead-end flag truly goal-unreachable, and no proof expands a flagged
+state. The reference side is always an independent breadth-first oracle.
 """
 from __future__ import annotations
 
@@ -27,11 +28,12 @@ from dataclasses import dataclass, field
 from .domains import airspace
 from .domains.oracles import optimal_proof_oracle, optimal_proof_path, true_safe_set
 from .domains.synthetic import random_dag
+from .planners import RTFS, PlannerConfig, learn
 from .rng import SplitMix64, mix64
 from .safety import (DeadEndCache, Exhausted, Proven, cache_dead_ends,
-                     propagate_dead_ends, propagate_safety, prove_safety)
+                     propagate_safety, prove_safety)
 from .search import (_SAFE, FCOST, ExpansionBudget, SafetyStatus, SearchGraph,
-                     dijkstra_h_update, expand_best_first)
+                     expand_best_first)
 
 SUITES = ("theorems", "oracles", "all")
 
@@ -227,9 +229,7 @@ def check_soundness(instances, check: Check) -> None:
                 proven.append(res.path)
             elif isinstance(res, Exhausted):
                 cache_dead_ends(cache, res, graph)
-        dijkstra_h_update(graph)
-        propagate_dead_ends(graph)
-        propagate_safety(graph, proven)
+        learn(graph, PlannerConfig(RTFS), proven)
         truth = true_safe_set(domain, roots=[root])
         for node in graph.nodes.values():
             if node.safety in _SAFE:

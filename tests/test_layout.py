@@ -20,6 +20,10 @@ and so are dunder methods and the methods the `Domain` protocol
 
 Every name a module other than a package `__init__.py` imports must be
 used in that module (`from __future__ import ...` aside).
+
+In `planners.py`, the calls that make up an iteration's shared steps each
+have exactly one call site: the planners share one explore step and one
+iteration tail, so a second site would be a planner-specific copy.
 """
 from __future__ import annotations
 
@@ -109,3 +113,12 @@ def test_every_imported_name_is_used_in_its_module():
         unused += [f"{path.relative_to(SRC)}: {name}" for bound, name in imported.items()
                    if bound not in used]
     assert unused == []
+
+
+def test_each_shared_iteration_step_has_one_call_site_in_planners():
+    tree = ast.parse((SRC / "planners.py").read_text(encoding="utf-8"))
+    calls = Counter(node.func.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
+    shared = ("IterationReport", "expand_best_first", "dijkstra_h_update",
+              "propagate_safety", "safe_toward_best", "path_to")
+    assert {name: calls[name] for name in shared} == dict.fromkeys(shared, 1)

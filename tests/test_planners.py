@@ -11,8 +11,7 @@ from rtss.domains.synthetic import GraphDomain
 from rtss.harness import simulate_episode
 from rtss.planners import (PlannerConfig, SafeFilteredDomain,
                            allocate_proofs_rtfs0, apply_action, iteration_step,
-                           lss_lrta_iteration, offline_astar, rtfs_iteration,
-                           run_episode, safe_rts_iteration, safe_toward_best)
+                           offline_astar, run_episode, safe_toward_best)
 from rtss.safety import BudgetOut, DeadEndCache, Exhausted, Proven, propagate_safety
 from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, expand_best_first)
@@ -50,7 +49,7 @@ def test_chain_bound_two_full_path_commits_two_actions():
     domain = chain_domain(5)
     config = PlannerConfig("lss-lrta", 2, commit_mode="full")
     graph = fresh(domain, 0)
-    report = lss_lrta_iteration(graph, config, 2)
+    report = iteration_step(graph, config, 2)
     assert report.committed_actions == ((0, 1), (1, 2))
     assert report.expansions_goal == 2
 
@@ -106,7 +105,7 @@ def test_safe_rts_budget_schedule():
     domain = _schedule_domain()
     config = PlannerConfig("safe-rts", 60)
     graph = fresh(domain, "e0")
-    report = safe_rts_iteration(graph, config, 60)
+    report = iteration_step(graph, config, 60)
     assert report.phases == (("explore", 10), ("proof", 10),
                              ("explore", 20), ("proof", 20))
     assert report.expansions_goal == 30 and report.expansions_proof == 30
@@ -127,7 +126,7 @@ def test_safe_rts_identity_fallback_when_nothing_is_provable():
                         h={f"n{k}": 0.0 for k in range(201)})
     config = PlannerConfig("safe-rts", 20)
     graph = fresh(domain, "n0")
-    report = safe_rts_iteration(graph, config, 20)
+    report = iteration_step(graph, config, 20)
     assert report.identity_action_taken
     assert report.committed_actions == (("stay", "n0"),)
     assert report.target_open_rank is None
@@ -138,14 +137,14 @@ def test_safe_rts_terminates_without_identity_or_safety():
     succ["n200"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
-    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 20), 20)
+    report = iteration_step(graph, PlannerConfig("safe-rts", 20), 20)
     assert report.outcome == "terminated"
 
 
 def test_safe_rts_airspace_root_at_ground_always_moves():
     inst = airspace.generate(100, 4, 0.2, 9)
     graph = fresh(inst, (0, 0))
-    report = safe_rts_iteration(graph, PlannerConfig("safe-rts", 30), 30)
+    report = iteration_step(graph, PlannerConfig("safe-rts", 30), 30)
     assert report.outcome in ("advanced", "goal")
     assert report.committed_actions
 
@@ -160,7 +159,7 @@ def test_safe_rts_commits_only_through_safe_states():
             if inst.is_goal(state):
                 break
             graph.begin_iteration(state)
-            report = safe_rts_iteration(graph, config, 40)
+            report = iteration_step(graph, config, 40)
             if report.outcome != "advanced":
                 break
             cur = state
@@ -177,7 +176,7 @@ def test_safe_rts_commits_only_through_safe_states():
 def test_rtfs_budget_split_half():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
-    report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.5),
+    report = iteration_step(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.5),
                             100)
     assert report.phases[0] == ("explore", 50)
     assert report.expansions_goal == 50
@@ -186,7 +185,7 @@ def test_rtfs_budget_split_half():
 def test_rtfs_budget_split_tenth():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
-    report = rtfs_iteration(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.1),
+    report = iteration_step(graph, PlannerConfig("rtfs", 100, exploration_ratio=0.1),
                             100)
     assert report.phases[0] == ("explore", 10)
 
@@ -196,7 +195,7 @@ def test_rtfs_carryover_arithmetic():
     inst = airspace.generate(500, 6, 0.0, 2)
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5)
-    report = rtfs_iteration(graph, config, 100)
+    report = iteration_step(graph, config, 100)
     proof_used = report.expansions_proof
     assert report.unused_budget == 100 - 50 - proof_used
     assert report.unused_budget > 0
@@ -210,7 +209,7 @@ def test_rtfs_redistribution_consumes_leftover_within_iteration():
     graph = fresh(inst, (0, 0))
     config = PlannerConfig("rtfs", 100, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, 100)
+    report = iteration_step(graph, config, 100)
     assert report.expansions_goal + report.expansions_proof == 100
     assert report.unused_budget == 0
 
@@ -219,7 +218,7 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, h={"r": 0, "t": 0})
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 10, allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, 10)
+    report = iteration_step(graph, config, 10)
     assert report.outcome == "failure"
     assert report.expansions_goal == 2  # nothing left to spend the rest on
 
@@ -234,7 +233,7 @@ def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 2, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, 2)
+    report = iteration_step(graph, config, 2)
     assert report.proofs_attempted == 2
     assert report.phases == (("explore", 1), ("proof", 0), ("proof", 0))
 
@@ -247,7 +246,7 @@ def test_rtfs_first_slice_explores_when_the_ratio_leaves_nothing():
     graph = fresh(domain, "r")
     config = PlannerConfig("rtfs", 1, exploration_ratio=0.5,
                            allow_budget_carryover=False)
-    report = rtfs_iteration(graph, config, 1)
+    report = iteration_step(graph, config, 1)
     assert report.phases == (("explore", 1),)
     assert report.outcome == "advanced"
     assert report.committed_actions == ("a",)
@@ -258,7 +257,7 @@ def test_rtfs_terminates_when_no_safe_target():
     succ["n200"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(201)})
     graph = fresh(domain, "n0")
-    report = rtfs_iteration(graph, PlannerConfig("rtfs", 20), 20)
+    report = iteration_step(graph, PlannerConfig("rtfs", 20), 20)
     assert report.outcome == "terminated"
 
 
@@ -272,7 +271,8 @@ PLANNER_CONFIGS = (PlannerConfig("lss-lrta"), PlannerConfig("safe-rts"),
 
 @pytest.mark.parametrize("config, bound, identity, outcome, actions", [
     # bound 2: the budget runs out just as the open list empties
-    *[(PlannerConfig("lss-lrta"), 2, identity, "failure", ()) for identity in (False, True)],
+    *[(PlannerConfig("lss-lrta"), 2, identity, "failure", ())
+      for identity in (False, True)],
     (PlannerConfig("safe-rts"), 2, False, "terminated", ()),
     (PlannerConfig("safe-rts"), 2, True, "advanced", STAY),
     *[(config, 2, identity, "terminated", ())
@@ -281,8 +281,8 @@ PLANNER_CONFIGS = (PlannerConfig("lss-lrta"), PlannerConfig("safe-rts"),
     *[(config, 10, identity, "failure", ())
       for config in PLANNER_CONFIGS for identity in (False, True)],
 ])
-def test_tail_labels_an_iteration_that_runs_out_of_open_nodes(config, bound, identity,
-                                                              outcome, actions):
+def test_tail_labels_an_iteration_that_runs_out_of_open_nodes(
+        config, bound, identity, outcome, actions):
     # r -> t, and t has no successors; with identity, r also has r -> r
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, h={"r": 0, "t": 0},
                         identity={"r"} if identity else ())
@@ -462,8 +462,8 @@ def test_safe_lss_iteration_behaves_like_lss_until_dead_ends_show_up():
     config = PlannerConfig("safe-lss-lrta", 15)
     plain = fresh(inst, inst.start)
     filtered = fresh(SafeFilteredDomain(inst, safe), inst.start)
-    a = lss_lrta_iteration(plain, config, 15)
-    b = lss_lrta_iteration(filtered, config, 15)
+    a = iteration_step(plain, config, 15)
+    b = iteration_step(filtered, config, 15)
     assert a.committed_actions == b.committed_actions
     assert a.expansions_goal == b.expansions_goal
 
@@ -498,13 +498,13 @@ def test_rtfs0_and_safe_rts_build_identical_lss_when_no_proof_succeeds():
     succ["n300"] = []
     domain = ListDomain(succ, h={f"n{k}": 0.0 for k in range(301)},
                         d_safe={f"n{k}": 500 for k in range(301)})
-    def lss(step_fn, config):
+    def lss(config):
         graph = fresh(domain, "n0")
-        report = step_fn(graph, config, config.iteration_bound)
+        report = iteration_step(graph, config, config.iteration_bound)
         assert report.proofs_succeeded == 0
         return {n.state for n in graph.touched if n.expanded}
-    srts = lss(safe_rts_iteration, PlannerConfig("safe-rts", 20))
-    rtfs = lss(rtfs_iteration, PlannerConfig("rtfs", 20, exploration_ratio=0.5))
+    srts = lss(PlannerConfig("safe-rts", 20))
+    rtfs = lss(PlannerConfig("rtfs", 20, exploration_ratio=0.5))
     assert srts == rtfs
 
 
