@@ -2,7 +2,7 @@
 
 An iteration runs the planner's own search phase, then one tail that all
 planners share: learn, select a target, commit toward it. The episode
-driver loops iterations, applies the committed actions, and carries
+loop (`run_episode`) applies the committed actions and carries
 learned heuristics, safety marks, and the dead-end cache from one
 iteration to the next. Two reference oracles ride along: offline A* (the
 velocity upper bound) and Safe-LSS-LRTA*, an LSS-LRTA* handed an ideal
