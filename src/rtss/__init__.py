@@ -1,12 +1,1 @@
 """Real-time safe heuristic search: planners, domains, oracles, harness."""
-
-from .search import (Evaluator, ExpansionBudget, SafetyStatus, SearchGraph,
-                     dijkstra_h_update, expand_best_first, path_to,
-                     select_best_f)
-from .safety import (BudgetOut, DeadEndCache, Exhausted, Proven,
-                     cache_dead_ends, propagate_dead_ends, propagate_safety,
-                     prove_safety)
-from .planners import (PlannerConfig, IterationReport, EpisodeResult,
-                       offline_astar, run_episode, safe_toward_best)
-
-__version__ = "0.1.0"

@@ -1,4 +1,1 @@
-from .base import Domain, StateKey
-from . import airspace, oracles, racetrack, synthetic
-
-__all__ = ["Domain", "StateKey", "airspace", "racetrack", "synthetic", "oracles"]
+"""Search domains: Airspace, Racetrack, random DAGs, and brute-force oracles."""

@@ -232,7 +232,7 @@ class AltitudeStats:
 
 
 def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
-                       seed: int = 0) -> list[AltitudeStats]:
+                       seed: int) -> list[AltitudeStats]:
     """Empirical difficulty of safety proofs, per altitude.
 
     Random free cells at each altitude from 3 up are proven with an

@@ -33,7 +33,7 @@ class Domain(Protocol):
         ...
 
     def f_safe(self, state: StateKey) -> bool:
-        """Likely-safe predicate; True marks the state explicitly safe."""
+        """Likely-safe predicate; True marks the state safe."""
         ...
 
     def identity_action(self, state: StateKey) -> Action | None:

@@ -122,7 +122,7 @@ def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
     for rank, node in enumerate(graph.open_nodes_in_key_order(), start=1):
         cur = node
         while cur is not None and cur.state != root:
-            if cur.safety in _SAFE:
+            if cur.safety == _SAFE:
                 return cur.state, rank
             cur = nodes[cur.parent[0]] if cur.parent is not None else None
     return None
@@ -195,7 +195,9 @@ def _safe_rts_search(graph: SearchGraph,
             b = INITIAL_PROOF_BUDGET
         else:
             if isinstance(res, Exhausted):
-                cache_dead_ends(graph.cache, res, graph)
+                cache_dead_ends(graph.cache, res)
+                if graph.cache.enabled:
+                    prune_exhausted(graph, res)
             b *= 2
     return outcome, proven_paths
 

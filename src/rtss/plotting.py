@@ -25,7 +25,8 @@ class PlotSpec:
 
 
 def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
-    """series -> sorted [(x, mean, low, high)], skipping non-numeric cells."""
+    """series -> sorted [(x, mean, low, high)], skipping non-numeric cells
+    and, on a log x axis, x values that are not positive."""
     buckets: dict[tuple[str, float], list[float]] = {}
     order: list[str] = []
     for row in rows:
@@ -35,7 +36,7 @@ def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
             y = float(row[spec.y])
         except (KeyError, TypeError, ValueError):
             continue
-        if math.isnan(x) or math.isnan(y):
+        if math.isnan(x) or math.isnan(y) or (spec.logx and x <= 0):
             continue
         if name not in order:
             order.append(name)
@@ -79,7 +80,8 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
         rows = list(csv.DictReader(f))
     series = _aggregate(rows, spec)
     if not any(series.values()):
-        raise ValueError(f"no numeric data for x={spec.x!r} y={spec.y!r}")
+        positive = " with positive x on a log axis" if spec.logx else ""
+        raise ValueError(f"no numeric data{positive} for x={spec.x!r} y={spec.y!r}")
 
     width, height = 720, 460
     ml, mr, mt, mb = 70, 160, 50, 55
@@ -89,7 +91,7 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
     ylo = min(p[2] for pts in series.values() for p in pts)
     yhi = max(p[3] for pts in series.values() for p in pts)
     if spec.logx:
-        xs = [math.log10(x) for x in xs if x > 0]
+        xs = [math.log10(x) for x in xs]
     xlo, xhi = min(xs), max(xs)
     if xhi == xlo:
         xlo, xhi = xlo - 1, xhi + 1

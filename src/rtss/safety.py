@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
-from .search import _DEAD_END, _SAFE, INF, SafetyStatus, SearchGraph
+from .search import _DEAD_END, _SAFE, _UNKNOWN, INF, SafetyStatus, SearchGraph
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,13 @@ def prove_safety(target, limit: int, domain, cache: DeadEndCache,
     return Exhausted(frozenset(parent), expansions)
 
 
-def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted,
-                    graph: Optional[SearchGraph] = None) -> int:
+def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted) -> int:
     """Flag every state an exhausted proof visited; returns new flags.
-
-    With the cache enabled, flagged states currently in the graph are also
-    pruned (marked dead, dropped from open) so neither search touches them
-    again this episode.
-    """
+    Whether to prune them from the current search tree is the caller's
+    decision (prune_exhausted)."""
     flagged = len(cache.flags)
     cache.flags |= exhausted.visited
     cache.exhausted_marks |= exhausted.visited
-    if graph is not None and cache.enabled:
-        prune_exhausted(graph, exhausted)
     return len(cache.flags) - flagged
 
 
@@ -159,35 +153,27 @@ def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> None:
 def propagate_safety(graph: SearchGraph, proven_paths) -> int:
     """Mark proven paths safe and close safety backwards over the graph.
 
-    Path states are cached on their node records (created on demand when
-    the proof ran outside the search tree): the last state explicitly safe
-    when the predicate accepts it, the rest implicitly safe. Afterwards any
-    node with a safe successor among its discovered edges becomes
-    implicitly safe, to fixpoint. Returns how many nodes went from unknown
-    to safe; dead-flagged nodes are never marked.
+    Path states are marked on their node records (created on demand when
+    the proof ran outside the search tree). Afterwards any node with a safe
+    successor among its discovered edges becomes safe, to fixpoint.
+    Returns how many nodes went from unknown to safe; dead-flagged nodes
+    are never marked.
     """
     stamp = graph.stamp
     nodes = graph.nodes
-    f_safe, is_goal = graph.domain.f_safe, graph.domain.is_goal
-    unknown, implicit = SafetyStatus.UNKNOWN, SafetyStatus.IMPLICITLY_SAFE
     newly = 0
     worklist: deque = deque()
     for path in proven_paths:
-        for i, state in enumerate(path):
+        for state in path:
             node = graph.ensure_node(state)
-            last = i == len(path) - 1
-            explicit = last and (f_safe(state) or is_goal(state))
-            if node.safety == SafetyStatus.UNKNOWN:
-                node.safety = (SafetyStatus.EXPLICITLY_SAFE if explicit
-                               else SafetyStatus.IMPLICITLY_SAFE)
+            if node.safety == _UNKNOWN:
+                node.safety = _SAFE
                 newly += 1
-            elif explicit and node.safety != SafetyStatus.DEAD_END:
-                node.safety = SafetyStatus.EXPLICITLY_SAFE
-            if node.safety in _SAFE:
+            if node.safety == _SAFE:
                 worklist.append(node)
 
     for node in graph.touched:
-        if node.safety in _SAFE:
+        if node.safety == _SAFE:
             worklist.append(node)
 
     # a node joins the worklist again only by turning safe, so a node met
@@ -199,9 +185,9 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
             continue
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]
-            if pred.stamp != stamp or pred.safety != unknown:
+            if pred.stamp != stamp or pred.safety != _UNKNOWN:
                 continue
-            pred.safety = implicit
+            pred.safety = _SAFE
             newly += 1
             worklist.append(pred)
     return newly

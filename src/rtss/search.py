@@ -20,16 +20,15 @@ INF = math.inf
 
 
 class SafetyStatus(IntEnum):
+    """SAFE: reaches a state the safety predicate accepts; DEAD_END: no goal."""
     UNKNOWN = 0
-    EXPLICITLY_SAFE = 1
-    IMPLICITLY_SAFE = 2
-    DEAD_END = 3
+    SAFE = 1
+    DEAD_END = 2
 
 
-_SAFE = (SafetyStatus.EXPLICITLY_SAFE, SafetyStatus.IMPLICITLY_SAFE)
 # module constants, because looking a member up on the enum class is slow
 _UNKNOWN = SafetyStatus.UNKNOWN
-_EXPLICITLY_SAFE = SafetyStatus.EXPLICITLY_SAFE
+_SAFE = SafetyStatus.SAFE
 _DEAD_END = SafetyStatus.DEAD_END
 
 
@@ -101,10 +100,10 @@ class SearchNode:
         self.g = INF
         self.h = domain.h(state)
         self.goal = goal = domain.is_goal(state)    # asked once, as is f_safe
-        self.parent = None          # (parent_state, action, edge_cost)
+        self.parent = None          # (parent_state, action)
         self.preds: list = []       # discovered in-edges this iteration
         self.succs = None           # cached successor list once expanded
-        self.safety = _EXPLICITLY_SAFE if goal or domain.f_safe(state) else _UNKNOWN
+        self.safety = _SAFE if goal or domain.f_safe(state) else _UNKNOWN
         self.on_open = False
         self.expanded = False
         self.stamp = stamp          # 0: not part of any iteration yet
@@ -234,7 +233,7 @@ class SearchGraph:
 
     def safety_lookup(self, state) -> bool:
         node = self.nodes.get(state)
-        return node is not None and node.safety in _SAFE
+        return node is not None and node.safety == _SAFE
 
 
 def _require_f_keys(graph: SearchGraph) -> None:
@@ -310,7 +309,7 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
                 g2 = g + cost
                 if g2 < child.g:
                     child.g = g2
-                    child.parent = (state, action, cost)
+                    child.parent = (state, action)
                     child.expanded = False
                     child.on_open = True
                     seq += 1
@@ -397,7 +396,7 @@ def path_to(graph: SearchGraph, target) -> list:
     while node.state != graph.root:
         if node.parent is None or guard == 0:
             raise ValueError(f"no parent chain from {target!r} back to the root")
-        parent_state, action, _cost = node.parent
+        parent_state, action = node.parent
         actions.append(action)
         node = graph.nodes[parent_state]
         guard -= 1

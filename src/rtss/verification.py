@@ -4,7 +4,8 @@ Four structural properties of local search spaces are exercised on seeded
 small worlds (alternating Airspace instances and random DAGs):
 
   closure-completeness  a closed node whose proof stays inside the closed
-                        space plus discovered safe nodes is marked by
+                        space and ends at a discovered state the safety
+                        predicate accepts (or a goal) is marked safe by
                         propagation alone, with zero proof expansions
   frontier-advantage    an unmarked closed node is always harder to prove
                         than some open node (strictly shorter optimal proof
@@ -31,7 +32,7 @@ from .domains.synthetic import random_dag
 from .planners import RTFS, PlannerConfig, learn
 from .rng import SplitMix64, mix64
 from .safety import (DeadEndCache, Exhausted, Proven, cache_dead_ends,
-                     propagate_safety, prove_safety)
+                     propagate_safety, prove_safety, prune_exhausted)
 from .search import (_SAFE, FCOST, ExpansionBudget, SafetyStatus, SearchGraph,
                      expand_best_first)
 
@@ -88,14 +89,17 @@ def _build_lss(domain, root, budget: int, cache: DeadEndCache) -> SearchGraph:
 
 def _restricted_proof_exists(graph: SearchGraph, state) -> bool:
     """Oracle: is there a proof of state through expanded nodes only, ending
-    at a discovered explicitly safe node?"""
+    at a discovered explicitly safe node, one the domain's predicate accepts
+    or a goal? The predicate is asked directly, never a node's safety mark,
+    which is what the code under test writes."""
     nodes = graph.nodes
     stamp = graph.stamp
+    domain = graph.domain
 
     def explicit(s):
         node = nodes.get(s)
         return (node is not None and node.stamp == stamp
-                and node.safety == SafetyStatus.EXPLICITLY_SAFE)
+                and (domain.f_safe(s) or domain.is_goal(s)))
 
     if explicit(state):
         return True
@@ -124,7 +128,7 @@ def check_closure_completeness(instances, check: Check) -> None:
             if not node.expanded or domain.is_goal(node.state):
                 continue
             if _restricted_proof_exists(graph, node.state):
-                check.note(node.safety in _SAFE,
+                check.note(node.safety == _SAFE,
                            f"{domain.instance_id}: {node.state!r} has an internal "
                            f"proof but was not marked")
 
@@ -139,7 +143,7 @@ def check_frontier_advantage(instances, check: Check) -> None:
         for node in graph.touched:
             if not node.expanded or domain.is_goal(node.state):
                 continue
-            if node.safety in _SAFE or node.safety == SafetyStatus.DEAD_END:
+            if node.safety != SafetyStatus.UNKNOWN:
                 continue
             px = optimal_proof_oracle(domain, node.state)
             if px is None:
@@ -175,7 +179,7 @@ def check_subsumed_proofs(instances, check: Check) -> None:
         def marked_set(paths):
             g = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
             propagate_safety(g, paths)
-            return {n.state for n in g.touched if n.safety in _SAFE}
+            return {n.state for n in g.touched if n.safety == _SAFE}
 
         both = marked_set([proof_x, proof_y])
         only_suffix = marked_set([proof_y])
@@ -228,11 +232,12 @@ def check_soundness(instances, check: Check) -> None:
             if isinstance(res, Proven):
                 proven.append(res.path)
             elif isinstance(res, Exhausted):
-                cache_dead_ends(cache, res, graph)
+                cache_dead_ends(cache, res)
+                prune_exhausted(graph, res)
         learn(graph, PlannerConfig(RTFS), proven)
         truth = true_safe_set(domain, roots=[root])
         for node in graph.nodes.values():
-            if node.safety in _SAFE:
+            if node.safety == _SAFE:
                 check.note(node.state in truth,
                            f"{domain.instance_id}: {node.state!r} marked safe "
                            f"but goal-unreachable")

@@ -21,6 +21,9 @@ and so are dunder methods and the methods the `Domain` protocol
 Every name a module other than a package `__init__.py` imports must be
 used in that module (`from __future__ import ...` aside).
 
+A package `__init__.py` holds only its docstring: callers import the
+submodules, so a re-export layer there is code that nothing needs.
+
 In `planners.py`, the calls that make up an iteration's shared steps each
 have exactly one call site: the planners share one explore step and one
 iteration tail, so a second site would be a planner-specific copy.
@@ -113,6 +116,16 @@ def test_every_imported_name_is_used_in_its_module():
         unused += [f"{path.relative_to(SRC)}: {name}" for bound, name in imported.items()
                    if bound not in used]
     assert unused == []
+
+
+def test_package_init_files_hold_only_a_docstring():
+    inits = sorted(SRC.rglob("__init__.py"))
+    assert len(inits) == 2
+    for path in inits:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        assert len(body) == 1 and isinstance(body[0], ast.Expr), path
+        assert isinstance(body[0].value, ast.Constant), path
+        assert isinstance(body[0].value.value, str), path
 
 
 def test_each_shared_iteration_step_has_one_call_site_in_planners():

@@ -166,7 +166,7 @@ def test_safe_rts_commits_only_through_safe_states():
             for action in report.committed_actions:
                 cur = apply_action(inst, cur, action)
                 node = graph.nodes.get(cur)
-                assert node is not None and (node.safety in _SAFE
+                assert node is not None and (node.safety == _SAFE
                                              or inst.is_goal(cur))
             state = cur
 
@@ -340,7 +340,7 @@ def test_target_is_safe_parent_of_top_node():
     domain = ListDomain(succ, h={"r": 2, "mid": 1, "leaf": 0})
     graph = fresh(domain, "r")
     expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
-    graph.nodes["mid"].safety = SafetyStatus.IMPLICITLY_SAFE
+    graph.nodes["mid"].safety = SafetyStatus.SAFE
     target, rank = safe_toward_best(graph)
     assert target == "mid" and rank == 1
 
@@ -352,7 +352,7 @@ def test_scan_skips_unqualified_lower_f_nodes():
     graph = fresh(domain, "r")
     expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
     # expanded: r, m; open: u1 (f=1.5, no safe ancestor), s2 (f=2.0, parent m)
-    graph.nodes["m"].safety = SafetyStatus.IMPLICITLY_SAFE
+    graph.nodes["m"].safety = SafetyStatus.SAFE
     target, rank = safe_toward_best(graph)
     assert target == "m" and rank == 2
 
@@ -368,7 +368,7 @@ def test_root_only_safety_does_not_qualify():
     domain = chain_domain(6)
     graph = fresh(domain, 0)
     expand_best_first(graph, FCOST, ExpansionBudget(2), domain, cache=graph.cache)
-    graph.nodes[0].safety = SafetyStatus.EXPLICITLY_SAFE
+    graph.nodes[0].safety = SafetyStatus.SAFE
     assert safe_toward_best(graph) is None
 
 

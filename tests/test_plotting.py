@@ -66,3 +66,32 @@ def test_no_data_raises(tmp_path):
     with pytest.raises(ValueError):
         emit_plot(str(csv_path), PlotSpec(x="nope", y="velocity",
                                           series="algorithm", out=""))
+
+
+def test_logx_skips_points_whose_x_is_not_positive(tmp_path, capsys):
+    from rtss.cli import main
+    csv_path = tmp_path / "r.csv"
+    # an offline reference row carries iterationBound 0, as in airspace-velocity
+    csv_path.write_text(CSV + "a,astar-offline,0,,astar,1,goal,50,8.0,900,0,0.0,,1\n")
+    out = tmp_path / "c.svg"
+    code = main(["plot", "--csv", str(csv_path), "--x", "iterationBound",
+                 "--y", "velocity", "--series", "algorithm", "--out", str(out),
+                 "--logx"])
+    assert code == 0, capsys.readouterr().err
+    root = ET.fromstring(out.read_text())
+    assert len([e for e in root.iter() if e.tag.endswith("circle")]) == 6
+    assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == 2
+
+
+def test_logx_without_positive_x_exits_two_naming_the_column(tmp_path, capsys):
+    from rtss.cli import main
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(CSV.splitlines()[0]
+                        + "\na,astar-offline,0,,astar,1,goal,50,8.0,900,0,0.0,,1\n")
+    code = main(["plot", "--csv", str(csv_path), "--x", "iterationBound",
+                 "--y", "velocity", "--series", "algorithm",
+                 "--out", str(tmp_path / "c.svg"), "--logx"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'iterationBound'" in err and "positive" in err
+    assert not (tmp_path / "c.svg").exists()

@@ -93,8 +93,7 @@ def test_single_path_marks_exactly_its_nodes():
     marked = propagate_safety(graph, [path])
     assert marked == 3
     for s in path:
-        assert graph.nodes[s].safety in (SafetyStatus.IMPLICITLY_SAFE,
-                                         SafetyStatus.EXPLICITLY_SAFE)
+        assert graph.nodes[s].safety == SafetyStatus.SAFE
 
 
 def test_closure_marks_all_ancestor_chains():
@@ -109,7 +108,7 @@ def test_closure_marks_all_ancestor_chains():
     domain = ListDomain(succ, safe={"z"})
     graph = build(domain, "r", 10)
     propagate_safety(graph, [])
-    marked = {n.state for n in graph.touched if n.safety in _SAFE}
+    marked = {n.state for n in graph.touched if n.safety == _SAFE}
     assert marked == {"r", "a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5", "z"}
 
 
@@ -124,7 +123,7 @@ def test_subsumed_ancestor_proof_changes_nothing():
     def marked_with(paths):
         graph = build(domain, 0, 9)  # expands 0..8, so 3..6 edges are discovered
         propagate_safety(graph, paths)
-        return {s for s, n in graph.nodes.items() if n.safety in _SAFE}
+        return {s for s, n in graph.nodes.items() if n.safety == _SAFE}
 
     assert marked_with([proof_x, proof_y]) == marked_with([proof_y])
 

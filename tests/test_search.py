@@ -54,7 +54,7 @@ def test_touch_builds_a_new_node_as_lookup_then_restamp_did(world):
         assert one_step.touch(state, node) is node and len(one_step.touched) == touched + 1
         goal = domain.is_goal(state)
         assert node.h == domain.h(state) and node.goal == goal
-        assert node.safety == (SafetyStatus.EXPLICITLY_SAFE
+        assert node.safety == (SafetyStatus.SAFE
                                if goal or domain.f_safe(state) else SafetyStatus.UNKNOWN)
         assert math.isinf(node.g) and node.parent is None and node.preds == []
         assert node.stamp == one_step.stamp and node.succs is None
@@ -523,13 +523,11 @@ def test_heap_walk_matches_a_sort_of_the_touched_set(world, seed, algorithm,
                                     allow_budget_carryover=seed % 2 == 0)
     checks = []
 
-    def checked(fn, graph_arg):
-        def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            graph = graph_arg(args)
-            if graph is not None:
-                check_open_order(graph)
-                checks.append(fn.__name__)
+    def checked(fn):
+        def wrapper(graph, *args, **kwargs):
+            result = fn(graph, *args, **kwargs)
+            check_open_order(graph)
+            checks.append(fn.__name__)
             return result
         return wrapper
 
@@ -538,11 +536,7 @@ def test_heap_walk_matches_a_sort_of_the_touched_set(world, seed, algorithm,
         # dead-end propagation, and every h-backup
         for name in ("expand_best_first", "prune_exhausted",
                      "propagate_dead_ends", "dijkstra_h_update"):
-            mp.setattr(planners, name,
-                       checked(getattr(planners, name), lambda args: args[0]))
-        mp.setattr(planners, "cache_dead_ends",
-                   checked(planners.cache_dead_ends,
-                           lambda args: args[2] if len(args) > 2 else None))
+            mp.setattr(planners, name, checked(getattr(planners, name)))
         planners.run_episode(domain, start, config,
                              cache=DeadEndCache(enabled=cache_enabled),
                              max_iterations=30)
