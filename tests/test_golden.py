@@ -138,6 +138,9 @@ WASTAR_CELL = PlannerConfig("rtfs", 300, evaluator=Evaluator.parse("wastar:1.1")
 ITERATION_EPISODES = {
     "airspace-L2000-rtfs-wastar@300": ("airspace", None, WASTAR_CELL,
         "a214c77d0ca4cb14c695a5e7e03c250ca08ac1cbc508d22c43a6336b4d5b17ca"),
+    # RTFS-0's allocator at its heaviest: exhausted proofs prune and re-propagate
+    "airspace-L2000-rtfs@300": ("airspace", None, PlannerConfig("rtfs", 300),
+        "675ca34b904b7e163e32b45a504fb9d2ee9111ce1c6b20f84d59c08be39ba289"),
     "airspace-L2000-safe-rts@100": ("airspace", None, PlannerConfig("safe-rts", 100),
         "4c3f81b46ae6b7267772333bc4121f30aaf564dcdc799621606adf94f255aa4a"),
     "right-turn-start0-rtfs@30": ("right-turn", 0, PlannerConfig("rtfs", 30),
