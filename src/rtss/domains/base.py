@@ -23,7 +23,8 @@ class Domain(Protocol):
 
     def is_terminal(self, state: StateKey) -> bool:
         """True only if the state is known to have zero successors without
-        generating them (e.g. a crash); may conservatively return False."""
+        generating them (e.g. a crash); may conservatively return False.
+        RTFS's closing dead-end pass starts only from unexpanded states it accepts."""
         ...
 
     def h(self, state: StateKey) -> float: ...

@@ -82,7 +82,9 @@ class IterationReport:
         self.phases += ((phase, n),)
 
     def log_proofs(self, results) -> None:
+        n = 0
         for res in results:
+            n += res.expansions
             self.proofs_attempted += 1
             if isinstance(res, Proven):
                 self.proofs_succeeded += 1
@@ -90,7 +92,7 @@ class IterationReport:
                 self.proofs_exhausted += 1
             else:
                 self.proofs_budget_out += 1
-        self.log("proof", sum(res.expansions for res in results))
+        self.log("proof", n)
 
 
 @dataclass
@@ -132,6 +134,10 @@ def allocate_proofs_rtfs0(graph: SearchGraph,
                           budget_limit: int) -> tuple[list[ProofResult], list]:
     """The RTFS-0 proof allocator: prove the best open node, prune on
     exhaustion and move to the next best, stop on success or budget out.
+    Each prune is followed by a dead-end pass: full the first time, then
+    seeded from the predecessors of the nodes the prune marked. That is
+    exact: past a fixpoint only the prune marks, and a successor unstamped
+    at its parent's expansion was flagged then, so no new flag kills it.
 
     Returns (results, proven_paths); the results' expansions sum to the
     expansions used.
@@ -153,8 +159,9 @@ def allocate_proofs_rtfs0(graph: SearchGraph,
         if isinstance(res, BudgetOut):
             break
         cache_dead_ends(graph.cache, res)
-        prune_exhausted(graph, res)
-        propagate_dead_ends(graph)
+        pruned = prune_exhausted(graph, res)
+        propagate_dead_ends(graph, graph.touched if len(results) == 1 else
+                            [graph.nodes[p] for n in pruned for p, _cost in n.preds])
     return results, proven_paths
 
 
@@ -180,16 +187,19 @@ def _safe_rts_search(graph: SearchGraph,
     b = INITIAL_PROOF_BUDGET
     proven_paths: list = []
     outcome = BUDGET_EXHAUSTED
-    while report.unused_budget > 0:
-        outcome = _explore(graph, min(b, report.unused_budget), report)
-        if outcome is not BUDGET_EXHAUSTED or report.unused_budget <= 0:
+    unused = report.unused_budget
+    while unused > 0:
+        outcome = _explore(graph, min(b, unused), report)
+        unused = report.unused_budget
+        if outcome is not BUDGET_EXHAUSTED or unused <= 0:
             break
         target = select_best_f(graph)
         if target is None:
             return OPEN_EMPTY, proven_paths
-        res = prove_safety(target, min(b, report.unused_budget), graph.domain,
+        res = prove_safety(target, min(b, unused), graph.domain,
                            graph.cache, known_safe=graph.safety_lookup)
         report.log_proofs((res,))
+        unused -= res.expansions
         if isinstance(res, Proven):
             proven_paths.append(res.path)
             b = INITIAL_PROOF_BUDGET
@@ -237,10 +247,13 @@ def _rtfs_search(graph: SearchGraph, config: PlannerConfig,
 def learn(graph: SearchGraph, config: PlannerConfig, proven_paths: list) -> None:
     """What an iteration learns from its search: back h up over the closed
     nodes, then, for RTFS, propagate dead ends, and, for SafeRTS and RTFS,
-    mark the proven paths safe and close safety backwards over the graph."""
+    mark the proven paths safe and close safety backwards over the graph.
+    The dead-end pass seeds from unexpanded nodes only. That is exact: an
+    expanded node whose successors all end dead was relaxed by none of
+    them, so the backup marked it (h is infinite only without successors)."""
     dijkstra_h_update(graph)
     if config.algorithm == RTFS:
-        propagate_dead_ends(graph)
+        propagate_dead_ends(graph, [n for n in graph.touched if not n.expanded])
     if config.algorithm in (SAFE_RTS, RTFS):
         propagate_safety(graph, proven_paths)
 
@@ -258,7 +271,7 @@ def _finish(graph: SearchGraph, config: PlannerConfig, report: IterationReport,
     """
     safe = config.algorithm in (SAFE_RTS, RTFS)
     rank = None
-    if outcome.goal_found:
+    if outcome.kind == "goal":
         report.outcome = "goal"
         target = outcome.goal
     elif outcome is OPEN_EMPTY:

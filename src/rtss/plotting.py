@@ -25,8 +25,8 @@ class PlotSpec:
 
 
 def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
-    """series -> sorted [(x, mean, low, high)], skipping non-numeric cells
-    and, on a log x axis, x values that are not positive."""
+    """series -> sorted [(x, mean, low, high)], skipping cells that are not
+    finite numbers and, on a log x axis, x values that are not positive."""
     buckets: dict[tuple[str, float], list[float]] = {}
     order: list[str] = []
     for row in rows:
@@ -36,7 +36,7 @@ def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
             y = float(row[spec.y])
         except (KeyError, TypeError, ValueError):
             continue
-        if math.isnan(x) or math.isnan(y) or (spec.logx and x <= 0):
+        if not (math.isfinite(x) and math.isfinite(y)) or (spec.logx and x <= 0):
             continue
         if name not in order:
             order.append(name)

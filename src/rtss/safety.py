@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
-from .search import _DEAD_END, _SAFE, _UNKNOWN, INF, SafetyStatus, SearchGraph
+from .search import _DEAD_END, _SAFE, _UNKNOWN, INF, SearchGraph
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,14 @@ def cache_dead_ends(cache: DeadEndCache, exhausted: Exhausted) -> int:
     return len(cache.flags) - flagged
 
 
-def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> None:
-    """Drop an exhausted proof's states from the current search tree
-    unconditionally (within-iteration pruning, even with the cache off)."""
-    for state in exhausted.visited:
-        node = graph.nodes.get(state)
-        if node is not None and node.stamp == graph.stamp:
-            graph.cache.mark_dead(node)
+def prune_exhausted(graph: SearchGraph, exhausted: Exhausted) -> list:
+    """Drop an exhausted proof's states from the current search tree, even
+    with the cache off (within-iteration pruning); returns the newly dead."""
+    pruned = [node for node in map(graph.nodes.get, exhausted.visited)
+              if node and node.stamp == graph.stamp and node.safety is not _DEAD_END]
+    for node in pruned:
+        graph.cache.mark_dead(node)
+    return pruned
 
 
 def propagate_safety(graph: SearchGraph, proven_paths) -> int:
@@ -193,38 +194,32 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
     return newly
 
 
-def propagate_dead_ends(graph: SearchGraph) -> int:
-    """Flag dead ends through the current search tree, to fixpoint.
+def propagate_dead_ends(graph: SearchGraph, seeds) -> int:
+    """Flag dead ends through the current search tree from seeds, to fixpoint.
 
     A node is dead when it is a generated terminal non-goal, or when it was
-    expanded and every successor is dead (zero successors included). Dead
-    nodes leave the open list and, through the cache, stay dead for the
-    rest of the episode.
+    expanded and every successor is dead (zero successors included). Each
+    seed is tested, and so is each predecessor of a node marked dead.
+    `graph.touched` as seeds is the full pass; fewer seeds give the same
+    marks while they hold every touched node that passes the test now.
+    Dead nodes leave the open list and, through the cache, stay dead for
+    the rest of the episode.
     """
     stamp = graph.stamp
     nodes = graph.nodes
-    dead = SafetyStatus.DEAD_END
     blocked = graph.cache.blocked
-    worklist = deque()
-    for node in graph.touched:
-        if node.safety == dead or node.goal:
-            continue
-        if (_succs_all_dead(node, nodes, stamp, blocked) if node.expanded
-                else graph.domain.is_terminal(node.state)):
-            worklist.append(node)
+    is_terminal = graph.domain.is_terminal
+    worklist = deque(seeds)
     count = 0
     while worklist:
         node = worklist.popleft()
-        if node.safety == dead:
+        if (node.safety is _DEAD_END or node.goal
+                or not (_succs_all_dead(node, nodes, stamp, blocked) if node.expanded
+                        else is_terminal(node.state))):
             continue
         graph.cache.mark_dead(node)
         count += 1
-        for pred_state, _cost in node.preds:
-            pred = nodes[pred_state]
-            if (pred.stamp == stamp and pred.safety != dead and pred.expanded
-                    and not pred.goal
-                    and _succs_all_dead(pred, nodes, stamp, blocked)):
-                worklist.append(pred)
+        worklist.extend([nodes[pred] for pred, _cost in node.preds])
     return count
 
 
@@ -233,7 +228,7 @@ def _succs_all_dead(node, nodes, stamp, blocked) -> bool:
     for _a, s2, _c in node.succs or ():
         child = nodes.get(s2)
         if child is not None and child.stamp == stamp:
-            if child.safety != _DEAD_END:
+            if child.safety is not _DEAD_END:
                 return False
         elif s2 not in blocked:
             # never generated this iteration: only a blocking cache flag

@@ -16,6 +16,8 @@ from enum import IntEnum
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterator, Optional
 
+from .domains.base import Domain
+
 INF = math.inf
 
 
@@ -119,10 +121,6 @@ class ExpansionOutcome:
     kind: str                      # 'budget' | 'goal' | 'open_empty'
     goal: Any = None
 
-    @property
-    def goal_found(self) -> bool:
-        return self.kind == "goal"
-
 
 BUDGET_EXHAUSTED = ExpansionOutcome("budget")
 OPEN_EMPTY = ExpansionOutcome("open_empty")
@@ -132,7 +130,7 @@ class SearchGraph:
     """Node store plus the open list of the current iteration, and the
     episode's context: domain, evaluator and dead-end cache, set only here."""
 
-    def __init__(self, domain, evaluator: Evaluator, cache):
+    def __init__(self, domain: Domain, evaluator: Evaluator, cache):
         self.domain = domain
         self.evaluator = evaluator
         self.cache = cache
@@ -253,8 +251,8 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
     the open list, and popping one (possible only while the cache is
     disabled) is what the re-expansion instrumentation counts.
     """
-    if (evaluator != graph.evaluator or domain is not graph.domain
-            or cache is not graph.cache):
+    if ((evaluator is not graph.evaluator and evaluator != graph.evaluator)
+            or domain is not graph.domain or cache is not graph.cache):
         raise ValueError("expand_best_first needs the graph's evaluator, domain and cache")
     nodes = graph.nodes
     heap = graph.open
@@ -265,22 +263,22 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
     blocked = cache.blocked
     marks = cache.exhausted_marks
     touch = graph.touch
+    successors = domain.successors
+    avoided = dead_reexpanded = 0
     outcome = BUDGET_EXHAUSTED
     try:
         while used < limit:
-            node = None
             while heap:
                 entry = heappop(heap)
-                cand = nodes[entry[-1]]
-                if cand.open_seq != entry[-2] or not cand.on_open:
+                node = nodes[entry[-1]]
+                if node.open_seq != entry[-2] or not node.on_open:
                     continue
-                if cand.state in blocked:
-                    cand.on_open = False
-                    cache.avoided_reexpansions += 1
+                if node.state in blocked:
+                    node.on_open = False
+                    avoided += 1
                     continue
-                node = cand
                 break
-            if node is None:
+            else:
                 outcome = OPEN_EMPTY
                 break
             node.on_open = False
@@ -288,23 +286,23 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
             used += 1
             state = node.state
             if state in marks:
-                cache.dead_reexpansions += 1
+                dead_reexpanded += 1
             if node.goal:
                 outcome = ExpansionOutcome("goal", state)
                 break
             succs = node.succs
             if succs is None:
-                succs = node.succs = domain.successors(state)
+                succs = node.succs = successors(state)
             g = node.g
             for action, s2, cost in succs:
                 if s2 in blocked:
-                    cache.avoided_reexpansions += 1
+                    avoided += 1
                     continue
                 child = nodes.get(s2)
                 if child is None or child.stamp != stamp:
                     child = touch(s2, child)
                 child.preds.append((state, cost))
-                if child.safety == _DEAD_END:
+                if child.safety is _DEAD_END:
                     continue
                 g2 = g + cost
                 if g2 < child.g:
@@ -319,6 +317,8 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
         # also when the domain raises: sequence numbers must never repeat
         budget.used = used
         graph._seq = seq
+        cache.avoided_reexpansions += avoided
+        cache.dead_reexpansions += dead_reexpanded
     return outcome
 
 
@@ -343,11 +343,10 @@ def dijkstra_h_update(graph: SearchGraph) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
-    dead = SafetyStatus.DEAD_END
     closed = []                     # (node, h before the update)
     heap = []                       # (h, unique seq, node): nodes never compare
     for node in graph.touched:
-        if node.safety == dead:
+        if node.safety is _DEAD_END:
             continue
         if node.expanded and not node.goal:
             closed.append((node, node.h))
@@ -371,7 +370,7 @@ def dijkstra_h_update(graph: SearchGraph) -> int:
             pred = nodes[pred_state]
             cand = cost + hval
             if (cand < pred.h and pred.stamp == stamp and pred.expanded
-                    and pred.safety != dead and not pred.goal):
+                    and pred.safety is not _DEAD_END and not pred.goal):
                 pred.h = cand
                 seq += 1
                 heappush(heap, (cand, seq, pred))
@@ -381,7 +380,7 @@ def dijkstra_h_update(graph: SearchGraph) -> int:
             node.h = prev
         if node.h != prev:
             changes += 1
-        if math.isinf(node.h):
+        if node.h == INF:
             graph.cache.mark_dead(node)
     return changes
 

@@ -252,6 +252,8 @@ def check_soundness(instances, check: Check) -> None:
 def run_suite(suite: str = "all", seeds: int = 100) -> list[Check]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {seeds}")
     instances = [_make_instance(i) for i in range(seeds)]
     checks = []
     if suite in ("theorems", "all"):

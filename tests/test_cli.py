@@ -181,6 +181,15 @@ def test_verify_suite_passes_on_small_seed_count(capsys):
     assert "closure-completeness" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_without_seeds_exits_two_naming_the_flag(capsys, seeds):
+    code = run_cli("verify", "--seeds", seeds)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--seeds" in captured.err
+    assert "pass" not in captured.out
+
+
 def test_env_seed_is_used_as_default(tmp_path, monkeypatch):
     monkeypatch.setenv("RTSS_SEED", "99")
     out = tmp_path / "env.txt"

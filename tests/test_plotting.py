@@ -95,3 +95,34 @@ def test_logx_without_positive_x_exits_two_naming_the_column(tmp_path, capsys):
     assert code == 2
     assert "'iterationBound'" in err and "positive" in err
     assert not (tmp_path / "c.svg").exists()
+
+
+@pytest.mark.parametrize("column", ["velocity", "iterationBound"])
+def test_infinite_cells_are_skipped(tmp_path, capsys, column):
+    from rtss.cli import main
+    csv_path = tmp_path / "r.csv"
+    row = "a,rtfs,inf,0.5,astar,1,goal,50,8.0,900,0,0.0,,1" if column == "iterationBound" \
+        else "a,rtfs,1000,0.5,astar,1,goal,50,inf,900,0,0.0,,1"
+    csv_path.write_text(CSV + row + "\n")
+    out = tmp_path / "c.svg"
+    code = main(["plot", "--csv", str(csv_path), "--x", "iterationBound",
+                 "--y", "velocity", "--series", "algorithm", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    text = out.read_text()
+    assert "nan" not in text and "inf" not in text
+    root = ET.fromstring(text)
+    assert len([e for e in root.iter() if e.tag.endswith("circle")]) == 6
+
+
+def test_only_infinite_cells_exit_two(tmp_path, capsys):
+    from rtss.cli import main
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(CSV.splitlines()[0]
+                        + "\na,rtfs,30,0.5,astar,1,goal,50,inf,900,0,0.0,,1"
+                        + "\na,rtfs,-inf,0.5,astar,1,goal,50,4.0,900,0,0.0,,1\n")
+    code = main(["plot", "--csv", str(csv_path), "--x", "iterationBound",
+                 "--y", "velocity", "--series", "algorithm",
+                 "--out", str(tmp_path / "c.svg")])
+    assert code == 2
+    assert "no numeric data" in capsys.readouterr().err
+    assert not (tmp_path / "c.svg").exists()

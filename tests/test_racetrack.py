@@ -65,7 +65,7 @@ def test_overspeed_state_flagged_by_propagation_after_expansion():
     graph = SearchGraph(track, FCOST, DeadEndCache())
     graph.begin_iteration(doomed)
     expand_best_first(graph, FCOST, ExpansionBudget(1), track, cache=graph.cache)
-    propagate_dead_ends(graph)
+    propagate_dead_ends(graph, graph.touched)
     assert graph.nodes[doomed].safety == SafetyStatus.DEAD_END
     # oracle: brute force agrees it is a true dead end
     reach = reachable_states(track, [doomed])

@@ -141,7 +141,7 @@ def test_dead_nodes_are_never_marked_safe():
 def test_terminal_non_goal_is_flagged():
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []})
     graph = build(domain, "r", 2, DeadEndCache())
-    count = propagate_dead_ends(graph)
+    count = propagate_dead_ends(graph, graph.touched)
     assert count == 2  # the terminal and then the root
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety == SafetyStatus.DEAD_END
@@ -151,7 +151,7 @@ def test_one_live_successor_prevents_flagging():
     domain = ListDomain({"r": [("a", "t", 1.0), ("b", "live", 1.0)],
                          "t": [], "live": [("c", "more", 1.0)]})
     graph = build(domain, "r", 2, DeadEndCache())  # expands r, t
-    propagate_dead_ends(graph)
+    propagate_dead_ends(graph, graph.touched)
     assert graph.nodes["t"].safety == SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END
 
@@ -167,7 +167,7 @@ def test_full_binary_tree_collapses():
         succ[(3, i)] = []
     domain = ListDomain(succ)
     graph = build(domain, (0, 0), 15, DeadEndCache())
-    count = propagate_dead_ends(graph)
+    count = propagate_dead_ends(graph, graph.touched)
     assert count == 15
     # oracle: brute-force backward closure over the explicit tree
     dead = {s for s, edges in succ.items() if not edges}
@@ -186,7 +186,7 @@ def test_known_terminal_flagged_without_expansion():
                          "x": [("c", "y", 1.0)]},
                         terminal={"crash"})
     graph = build(domain, "r", 1, DeadEndCache())  # expands only r
-    propagate_dead_ends(graph)
+    propagate_dead_ends(graph, graph.touched)
     assert graph.nodes["crash"].safety == SafetyStatus.DEAD_END
     assert not graph.nodes["crash"].expanded
 
@@ -194,7 +194,7 @@ def test_known_terminal_flagged_without_expansion():
 def test_goals_are_never_flagged():
     domain = ListDomain({"r": [("a", "g", 1.0)], "g": []}, goals={"g"})
     graph = build(domain, "r", 2, DeadEndCache())
-    propagate_dead_ends(graph)
+    propagate_dead_ends(graph, graph.touched)
     assert graph.nodes["g"].safety != SafetyStatus.DEAD_END
     assert graph.nodes["r"].safety != SafetyStatus.DEAD_END
 
@@ -230,6 +230,9 @@ def _dead_end_fixpoint(graph):
 def _world(kind, seed):
     if kind == "dag":
         return random_h_dag(seed), 0
+    if kind == "airspace":
+        inst = airspace.generate(40 + seed % 40, 4 + seed % 3, 0.15, seed)
+        return inst, inst.start
     track = racetrack.right_turn_track()
     return track, track.start_state(track.sample_starts(1, seed)[0])
 
@@ -242,8 +245,9 @@ def _capturing(graphs: list):
     return make
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(kind=st.sampled_from(("dag", "racetrack")), seed=st.integers(0, 10_000),
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("dag", "racetrack", "airspace")),
+       seed=st.integers(0, 10_000),
        evaluator=st.sampled_from(("astar", "wastar:1.1", "greedy")),
        bound=st.integers(2, 30), cache_enabled=st.booleans())
 def test_dead_end_propagation_reaches_the_brute_force_fixpoint(kind, seed, evaluator,
@@ -255,11 +259,12 @@ def test_dead_end_propagation_reaches_the_brute_force_fixpoint(kind, seed, evalu
                                     allow_budget_carryover=seed % 2 == 0)
     propagate = planners.propagate_dead_ends
 
-    def checked(graph):
+    # every pass, full or seeded, must land on the full fixpoint
+    def checked(graph, seeds):
         expected = _dead_end_fixpoint(graph)
         flags = set(graph.cache.flags)
         before = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
-        count = propagate(graph)
+        count = propagate(graph, seeds)
         dead = {n.state for n in graph.touched if n.safety == SafetyStatus.DEAD_END}
         assert dead == expected
         assert count == len(dead - before)

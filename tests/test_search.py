@@ -168,7 +168,7 @@ def test_a_dead_node_stays_dead_in_a_later_iteration_only_through_the_cache(enab
                          "x": [("c", "y", 1.0)]},
                         h={"r": 1.0, "t": 0.5, "x": 1.0, "y": 0.5})
     graph, _ = build(domain, "r", 2, cache=DeadEndCache(enabled=enabled))  # r, t
-    assert propagate_dead_ends(graph) == 1
+    assert propagate_dead_ends(graph, graph.touched) == 1
     dead = graph.nodes["t"]
     assert dead.safety == SafetyStatus.DEAD_END and math.isinf(dead.h)
     graph.begin_iteration("r")
