@@ -176,7 +176,7 @@ class SearchGraph:
             node.preds.clear()
             node.on_open = False
             node.expanded = False
-            if node.safety == _DEAD_END and state not in self.cache.blocked:
+            if node.safety is _DEAD_END and state not in self.cache.blocked:
                 # dead-end knowledge only persists through an enabled cache
                 node.safety = _UNKNOWN
                 node.h = self.domain.h(state)
@@ -270,8 +270,8 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
         while used < limit:
             while heap:
                 entry = heappop(heap)
-                node = nodes[entry[-1]]
-                if node.open_seq != entry[-2] or not node.on_open:
+                node = nodes[entry[3]]
+                if node.open_seq != entry[2] or not node.on_open:
                     continue
                 if node.state in blocked:
                     node.on_open = False
