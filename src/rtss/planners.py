@@ -135,9 +135,9 @@ def allocate_proofs_rtfs0(graph: SearchGraph,
     """The RTFS-0 proof allocator: prove the best open node, prune on
     exhaustion and move to the next best, stop on success or budget out.
     Each prune is followed by a dead-end pass: full the first time, then
-    seeded from the predecessors of the nodes the prune marked. That is
-    exact: past a fixpoint only the prune marks, and a successor unstamped
-    at its parent's expansion was flagged then, so no new flag kills it.
+    from the predecessors of the nodes the prune marked, which is exact:
+    past a fixpoint only the prune marks, and a successor left unstamped
+    was flagged before its parent's expansion, so new flags change no test.
 
     Returns (results, proven_paths); the results' expansions sum to the
     expansions used.
