@@ -299,3 +299,5 @@ def test_successor_oracle_sweep_covers_the_edges():
     assert inst.successors((28, 5))[0] == (airspace.CLIMB, (30, 6), 1.0)
     assert (airspace.KEEP, (4, 0), 1.0) in inst.successors((4, 0))
     assert all(a2 <= 6 for _d, (_x, a2), _c in inst.successors((3, 6)))
+    # the benchmark's altitude range, beyond the property's max_altitude 9
+    _assert_successors_match_the_oracle(generate(60, 20, 0.3, 11))

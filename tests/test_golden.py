@@ -13,6 +13,9 @@ One more digest pins a small `rtss stats` CSV, which only the safety
 proofs and successor generation produce, a set pins the obstacle grids
 that `airspace.generate` draws for the benchmark's instance sizes, and a
 last digest pins the random DAG worlds that the property suites run on.
+Two more pin the same layers at benchmark scale: every successor list of
+the L2000 episode instance, and the proof statistics of one L10000
+instance at the benchmark's sample count.
 
 A CSV row sums a whole episode, so a change can keep every row and still
 move work between iterations or change what the dead-end cache learns. A
@@ -26,7 +29,7 @@ import hashlib
 import pytest
 
 from rtss.cli import main
-from rtss.domains.airspace import generate
+from rtss.domains.airspace import generate, safety_proof_stats
 from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 from rtss.harness import ExperimentConfig, run_experiment
@@ -110,6 +113,30 @@ def test_generated_obstacle_grid_matches_its_recorded_digest(params):
     obstacles = generate(*params).obstacles
     assert obstacles.dtype == bool
     assert hashlib.sha256(obstacles.tobytes()).hexdigest() == GRID_DIGESTS[params]
+
+
+# SHA-256 over repr(successors((d, a))) of Airspace L2000 A20 p0.05 seed 1,
+# d from 0 to the goal line (outer), every altitude (inner)
+SUCCESSORS_DIGEST = "f73b4b3b1a2d98dc1fda44c2e5b2c30f98856370c85d77f207a2e8e73ed95553"
+
+
+def test_airspace_successors_match_their_recorded_digest():
+    inst = generate(2000, 20, 0.05, 1)
+    digest = hashlib.sha256()
+    for d in range(inst.length + 1):
+        for a in range(inst.max_altitude + 1):
+            digest.update(repr(inst.successors((d, a))).encode())
+    assert digest.hexdigest() == SUCCESSORS_DIGEST
+
+
+# SHA-256 over repr(rows) of the proof statistics of one L10000 instance
+# with 500 samples per altitude, as one proof-stats benchmark operation runs
+PROOF_STATS_DIGEST = "ea493ae2c52ce90f3fe79f68ed545669f502263e74c98a7f762e9ba070956533"
+
+
+def test_benchmark_scale_proof_stats_match_their_recorded_digest():
+    rows = safety_proof_stats(generate(10000, 20, 0.05, 1), 500, seed=1)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PROOF_STATS_DIGEST
 
 
 # SHA-256 over the edges, goals and safety hints of `random_dag(seed, size)`
