@@ -18,7 +18,11 @@ from .search import Evaluator
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RTSS_SEED", "0"))
+    value = os.environ.get("RTSS_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"RTSS_SEED must be an integer, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,6 +129,8 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     inst = airspace.load_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
     rows = airspace.safety_proof_stats(inst, args.samples, seed=seed)

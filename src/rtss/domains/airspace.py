@@ -10,6 +10,11 @@ between the two states is clear, which makes high-altitude flight fast but
 riddled with dead ends, while the low rows form a safe corridor: the
 likely-safe predicate accepts altitudes 0 and 1, and the safety distance
 estimate of a state is its altitude minus one.
+
+Successors come from one move-code byte per column and altitude, built on
+the altitude's first successor call: bit i of the code says whether the
+i-th move from that altitude, in action order, is legal from that column,
+and each code maps to the (delta, new altitude) moves it allows.
 """
 from __future__ import annotations
 
@@ -52,7 +57,7 @@ class AirspaceInstance:
     obstacles: np.ndarray  # bool, shape (max_altitude - 1, length); True = blocked
 
     _free_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    # (a1, a2) -> legality bytes of the move a1 -> a2; a -> the moves from a
+    # a -> (one move code per column, the (delta, a2) moves of each code)
     _move_ok: dict = field(default_factory=dict, repr=False)
     _free_cols: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -84,19 +89,14 @@ class AirspaceInstance:
             self._free_rows[a] = row
         return row
 
-    def _valid_move(self, a1: int, a2: int) -> bytes:
-        """Per-column legality of the move altitude a1 -> a2, one byte per
-        column (1 = legal).
+    def _valid_move(self, a1: int, a2: int) -> np.ndarray:
+        """Per-column legality of the move altitude a1 -> a2 (True = legal).
 
         The segment spans a2 columns (the step advances by the new
         altitude); the altitude over column d+k is interpolated linearly
         and rounded half up. Columns at or beyond the goal line and rows
         at altitude <= 1 are always clear.
         """
-        key = (a1, a2)
-        ok = self._move_ok.get(key)
-        if ok is not None:
-            return ok
         span = a2
         ok = np.ones(self.length, dtype=bool)
         for k in range(1, span + 1):
@@ -108,9 +108,21 @@ class AirspaceInstance:
             if self.length > k:
                 shifted[: self.length - k] = row[k:]
             ok &= shifted
-        # bytes index to small ints in one step and cost a byte per column
-        ok = self._move_ok[key] = ok.tobytes()
         return ok
+
+    def _move_table(self, a: int) -> tuple:
+        """Build and keep altitude a's move table: the column codes as
+        bytes, and per code its (delta, a2) moves in action order."""
+        moves = [(delta, a + delta) for delta in _DELTAS
+                 if 0 <= a + delta <= self.max_altitude]
+        codes = np.zeros(self.length, dtype=np.uint8)
+        for i, (_delta, a2) in enumerate(moves):
+            codes |= self._valid_move(a, a2).astype(np.uint8) << i
+        # bytes index to small ints in one step and cost a byte per column
+        table = self._move_ok[a] = (codes.tobytes(), tuple(
+            tuple(move for i, move in enumerate(moves) if code >> i & 1)
+            for code in range(1 << len(moves))))
+        return table
 
     # -- domain handle -----------------------------------------------------
 
@@ -119,17 +131,14 @@ class AirspaceInstance:
         length = self.length
         if d >= length:
             return []
-        moves = self._move_ok.get(a)
-        if moves is None:
-            # the moves from altitude a in action order: (delta, a2, legality)
-            moves = self._move_ok[a] = [
-                (delta, a + delta, self._valid_move(a, a + delta))
-                for delta in _DELTAS if 0 <= a + delta <= self.max_altitude]
+        table = self._move_ok.get(a)
+        if table is None:
+            table = self._move_table(a)
+        codes, moves = table
         out = []
-        for delta, a2, ok in moves:
-            if ok[d]:
-                d2 = d + a2
-                out.append((delta, (d2 if d2 < length else length, a2), 1.0))
+        for delta, a2 in moves[codes[d]]:
+            d2 = d + a2
+            out.append((delta, (d2 if d2 < length else length, a2), 1.0))
         return out
 
     def is_goal(self, state) -> bool:
@@ -194,6 +203,16 @@ class AirspaceInstance:
         return "\n".join(lines) + "\n"
 
 
+def _check_parameters(length: int, max_altitude: int, p_obs: float) -> None:
+    """The parameter ranges of an instance, generated or loaded."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if max_altitude < 1:
+        raise ValueError("max_altitude must be >= 1")
+    if not 0.0 <= p_obs < 1.0:
+        raise ValueError("p_obs must lie in [0, 1)")
+
+
 def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> AirspaceInstance:
     """Deterministically generate an Airspace instance.
 
@@ -202,12 +221,7 @@ def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> Airspac
     a cell is an obstacle iff its draw falls below p_obs. Instances are
     bit-identical for equal parameters.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if max_altitude < 1:
-        raise ValueError("max_altitude must be >= 1")
-    if not 0.0 <= p_obs < 1.0:
-        raise ValueError("p_obs must lie in [0, 1)")
+    _check_parameters(length, max_altitude, p_obs)
     rows = max_altitude - 1
     obstacles = uniform_below(seed, rows * length, p_obs).reshape(rows, length)
     return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
@@ -236,7 +250,8 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     """Empirical difficulty of safety proofs, per altitude.
 
     Random free cells at each altitude from 3 up are proven with an
-    effectively unbounded budget and a fresh cache each. Proof length is
+    effectively unbounded budget. All proofs share one empty cache: a proof
+    only reads the flags, and nothing here sets one. Proof length is
     reported two ways: transitions along the proven path, and states
     counted through touchdown at altitude 0 (the path's safe endpoint sits
     at altitude 1 and its final descent to ground always exists, so that is
@@ -247,6 +262,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     if samples_per_altitude < 1:
         raise ValueError("samples_per_altitude must be >= 1")
     rng = SplitMix64(seed)
+    cache = DeadEndCache()
     rows = []
     for altitude in range(3, instance.max_altitude + 1):
         successes = 0
@@ -258,7 +274,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
             state = instance.sample_state(altitude, rng)
             if state is None:
                 continue
-            result = prove_safety(state, 1_000_000, instance, DeadEndCache())
+            result = prove_safety(state, 1_000_000, instance, cache)
             if isinstance(result, Proven):
                 successes += 1
                 transitions_total += len(result.path) - 1
@@ -306,6 +322,10 @@ def load_instance(path_or_text: str, *, is_text: bool = False) -> AirspaceInstan
         seed = int(header["seed"])
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed airspace header: {''.join(lines[1:2])!r}") from exc
+    try:
+        _check_parameters(length, max_altitude, p_obs)
+    except ValueError as exc:
+        raise ValueError(f"airspace header {lines[1]!r}: {exc}") from None
     rows = max_altitude - 1
     body = lines[2:2 + rows]
     if len(body) != rows:

@@ -248,12 +248,15 @@ def learn(graph: SearchGraph, config: PlannerConfig, proven_paths: list) -> None
     """What an iteration learns from its search: back h up over the closed
     nodes, then, for RTFS, propagate dead ends, and, for SafeRTS and RTFS,
     mark the proven paths safe and close safety backwards over the graph.
-    The dead-end pass seeds from unexpanded nodes only. That is exact: an
+    The dead-end pass seeds from unexpanded terminal nodes only. That is
+    exact: an unexpanded node passes the test only as a terminal, and an
     expanded node whose successors all end dead was relaxed by none of
     them, so the backup marked it (h is infinite only without successors)."""
     dijkstra_h_update(graph)
     if config.algorithm == RTFS:
-        propagate_dead_ends(graph, [n for n in graph.touched if not n.expanded])
+        is_terminal = graph.domain.is_terminal
+        propagate_dead_ends(graph, [n for n in graph.touched
+                                    if not n.expanded and is_terminal(n.state)])
     if config.algorithm in (SAFE_RTS, RTFS):
         propagate_safety(graph, proven_paths)
 

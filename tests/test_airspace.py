@@ -300,4 +300,9 @@ def test_successor_oracle_sweep_covers_the_edges():
     assert (airspace.KEEP, (4, 0), 1.0) in inst.successors((4, 0))
     assert all(a2 <= 6 for _d, (_x, a2), _c in inst.successors((3, 6)))
     # the benchmark's altitude range, beyond the property's max_altitude 9
-    _assert_successors_match_the_oracle(generate(60, 20, 0.3, 11))
+    inst = generate(60, 20, 0.3, 11)
+    _assert_successors_match_the_oracle(inst)
+    # the sweep leaves one move-code byte per column and altitude, and no
+    # legality table per move
+    assert sorted(inst._move_ok) == list(range(21))
+    assert all(len(codes) == 60 for codes, _moves in inst._move_ok.values())

@@ -199,6 +199,47 @@ def test_env_seed_is_used_as_default(tmp_path, monkeypatch):
     assert inst.seed == 99
 
 
+def test_non_integer_env_seed_exits_two_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RTSS_SEED", "abc")
+    code = run_cli("generate", "--domain", "airspace", "--length", "12",
+                   "--max-altitude", "3", "--p-obs", "0.3",
+                   "--out", str(tmp_path / "env.txt"))
+    assert code == 2
+    assert "RTSS_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "env.txt").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_stats_samples_below_one_exits_two_naming_the_flag(tmp_path, capsys, samples):
+    inst = tmp_path / "inst.txt"
+    airspace.write_instance(airspace.generate(40, 4, 0.1, 1), str(inst))
+    code = run_cli("stats", "--instance", str(inst), "--samples", samples,
+                   "--seed", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("length, max_altitude, p_obs, message", [
+    (0, 3, 0.1, "length must be >= 1"),
+    (-4, 3, 0.1, "length must be >= 1"),
+    (5, 0, 0.1, "max_altitude must be >= 1"),
+    (5, 3, 7, "p_obs must lie in [0, 1)"),
+])
+def test_out_of_range_instance_header_exits_two_naming_the_field(
+        tmp_path, capsys, length, max_altitude, p_obs, message):
+    # the ranges generate enforces; the grid body fits the header
+    path = tmp_path / "inst.txt"
+    path.write_text(f"airspace v1\nlength {length} maxAltitude {max_altitude} "
+                    f"pObs {p_obs} seed 1\n"
+                    + "".join("." * max(length, 0) + "\n"
+                              for _ in range(max_altitude - 1)))
+    code = run_cli("stats", "--instance", str(path), "--samples", "5",
+                   "--seed", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_instance_file_reports_error(tmp_path, capsys):
     code = run_cli("stats", "--instance", str(tmp_path / "nope.txt"),
                    "--samples", "5", "--out", str(tmp_path / "s.csv"))
