@@ -260,7 +260,7 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     from ..safety import DeadEndCache, Proven, prove_safety
 
     if samples_per_altitude < 1:
-        raise ValueError("samples_per_altitude must be >= 1")
+        raise ValueError("samples_per_altitude (rtss stats --samples) must be >= 1")
     rng = SplitMix64(seed)
     cache = DeadEndCache()
     rows = []
