@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import SplitMix64, uniform_below
+from .base import read_v1
 
 CLIMB, KEEP, DIVE = 1, 0, -1
 _DELTAS = (CLIMB, KEEP, DIVE)
@@ -56,7 +57,6 @@ class AirspaceInstance:
     seed: int
     obstacles: np.ndarray  # bool, shape (max_altitude - 1, length); True = blocked
 
-    _free_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     # a -> (one move code per column, the (delta, a2) moves of each code)
     _move_ok: dict = field(default_factory=dict, repr=False)
     _free_cols: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -77,18 +77,6 @@ class AirspaceInstance:
     def start(self) -> tuple[int, int]:
         return (0, 0)
 
-    def free(self, d: int, a: int) -> bool:
-        if a <= 1 or d >= self.length:
-            return True
-        return not self.obstacles[a - 2, d]
-
-    def _row_free(self, a: int) -> np.ndarray:
-        row = self._free_rows.get(a)
-        if row is None:
-            row = ~self.obstacles[a - 2]
-            self._free_rows[a] = row
-        return row
-
     def _valid_move(self, a1: int, a2: int) -> np.ndarray:
         """Per-column legality of the move altitude a1 -> a2 (True = legal).
 
@@ -98,16 +86,12 @@ class AirspaceInstance:
         at altitude <= 1 are always clear.
         """
         span = a2
-        ok = np.ones(self.length, dtype=bool)
-        for k in range(1, span + 1):
+        length = self.length
+        ok = np.ones(length, dtype=bool)
+        for k in range(1, min(span + 1, length)):
             alt_k = ((a1 * span + (a2 - a1) * k) * 2 + span) // (2 * span)
-            if alt_k < 2:
-                continue
-            row = self._row_free(alt_k)
-            shifted = np.ones(self.length, dtype=bool)
-            if self.length > k:
-                shifted[: self.length - k] = row[k:]
-            ok &= shifted
+            if alt_k >= 2:
+                ok[:length - k] &= ~self.obstacles[alt_k - 2, k:]
         return ok
 
     def _move_table(self, a: int) -> tuple:
@@ -167,11 +151,8 @@ class AirspaceInstance:
     # -- enumeration and sampling ------------------------------------------
 
     def all_states(self) -> list:
-        states = []
-        for a in range(self.max_altitude + 1):
-            for d in range(self.length):
-                if self.free(d, a):
-                    states.append((d, a))
+        states = [(d, a) for a in range(self.max_altitude + 1)
+                  for d in self.free_columns(a).tolist()]
         states.extend((self.length, a) for a in range(self.max_altitude + 1))
         return states
 
@@ -181,7 +162,7 @@ class AirspaceInstance:
             if altitude <= 1:
                 cols = np.arange(self.length)
             else:
-                cols = np.flatnonzero(self._row_free(altitude))
+                cols = np.flatnonzero(~self.obstacles[altitude - 2])
             self._free_cols[altitude] = cols
         return cols
 
@@ -305,23 +286,8 @@ def write_instance(instance: AirspaceInstance, path: str) -> None:
 
 def load_instance(path_or_text: str, *, is_text: bool = False) -> AirspaceInstance:
     """Parse an Airspace instance file; the grid body is authoritative."""
-    if is_text:
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as f:
-            text = f.read()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "airspace v1":
-        raise ValueError("not an airspace v1 file")
-    try:
-        fields = lines[1].split()
-        header = {fields[i]: fields[i + 1] for i in range(0, len(fields), 2)}
-        length = int(header["length"])
-        max_altitude = int(header["maxAltitude"])
-        p_obs = float(header["pObs"])
-        seed = int(header["seed"])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed airspace header: {''.join(lines[1:2])!r}") from exc
+    (length, max_altitude, p_obs, seed), lines = read_v1(
+        path_or_text, is_text, "airspace", length=int, maxAltitude=int, pObs=float, seed=int)
     try:
         _check_parameters(length, max_altitude, p_obs)
     except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Domain handle protocol consumed by the search and safety layers."""
+"""Domain handle protocol consumed by the search and safety layers, and the
+header reader shared by the instance file formats."""
 from __future__ import annotations
 
 from typing import Any, Hashable, Protocol, runtime_checkable
@@ -44,3 +45,27 @@ class Domain(Protocol):
     def travel_distance(self, start: StateKey, end: StateKey) -> float:
         """Ground distance covered between two visited states (for velocity)."""
         ...
+
+
+def read_v1(path_or_text: str, is_text: bool, kind: str, **fields) -> tuple[list, list[str]]:
+    """Read a `<kind> v1` instance file, or its text when is_text.
+
+    Line 1 is `<kind> v1` and line 2 holds `key value` pairs in any order.
+    Each keyword names a header key and the type its value converts to.
+    Returns the converted values in keyword order, and the file's lines.
+    """
+    if is_text:
+        text = path_or_text
+    else:
+        with open(path_or_text, "r", encoding="utf-8") as f:
+            text = f.read()
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != f"{kind} v1":
+        raise ValueError(f"not {'an' if kind[0] in 'aeiou' else 'a'} {kind} v1 file")
+    try:
+        words = lines[1].split()
+        header = {words[i]: words[i + 1] for i in range(0, len(words), 2)}
+        values = [convert(header[key]) for key, convert in fields.items()]
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} header: {''.join(lines[1:2])!r}") from exc
+    return values, lines

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..rng import SplitMix64
+from .base import read_v1
 
 _ACCELS = tuple((ax, ay) for ax in (-1, 0, 1) for ay in (-1, 0, 1))
 
@@ -140,8 +141,6 @@ class RacetrackInstance:
     def sample_starts(self, count: int, seed: int) -> list[tuple[int, int]]:
         """Seeded draw of start cells from the '@' candidates (cycling once
         the candidates run out, so any count is serviceable)."""
-        if not self.starts:
-            raise ValueError("track has no start candidates")
         pool = list(self.starts)
         SplitMix64(seed).shuffle(pool)
         return [pool[i % len(pool)] for i in range(count)]
@@ -161,22 +160,10 @@ def load(path_or_text: str, *, is_text: bool = False,
          name: str = "racetrack") -> RacetrackInstance:
     """Parse a racetrack v1 map: '#' blocked, '.' free, '*' goal, '@' start.
     A map file is named after its base name, wherever it lives."""
-    if is_text:
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as f:
-            text = f.read()
+    (width, height), lines = read_v1(path_or_text, is_text, "racetrack",
+                                     width=int, height=int)
+    if not is_text:
         name = os.path.basename(path_or_text)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "racetrack v1":
-        raise ValueError("not a racetrack v1 file")
-    try:
-        fields = lines[1].split()
-        header = {fields[i]: fields[i + 1] for i in range(0, len(fields), 2)}
-        width = int(header["width"])
-        height = int(header["height"])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed racetrack header: {''.join(lines[1:2])!r}") from exc
     rows = lines[2:2 + height]
     if len(rows) != height:
         raise ValueError(f"expected {height} map rows, found {len(rows)}")
@@ -201,6 +188,8 @@ def load(path_or_text: str, *, is_text: bool = False,
                 raise ValueError(f"unknown map character {ch!r} at ({x},{y})")
     if not goals:
         raise ValueError("map has no goal cells")
+    if not starts:
+        raise ValueError("map has no start cells")
     return RacetrackInstance(width, height, blocked, starts, goals, name=name)
 
 

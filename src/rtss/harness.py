@@ -218,9 +218,10 @@ class ExperimentConfig:
                 if key not in spec:
                     raise ValueError(f"{where} is missing {key!r}")
         if kind == "airspace":
-            _require(domain["length"], int, "domain.length")
-            _require(domain["maxAltitude"], int, "domain.maxAltitude")
-            _require(domain["pObs"], (int, float), "domain.pObs")
+            _at_least_one(domain["length"], "domain.length")
+            _at_least_one(domain["maxAltitude"], "domain.maxAltitude")
+            if not 0 <= _require(domain["pObs"], (int, float), "domain.pObs") < 1:
+                raise ValueError("domain.pObs must lie in [0, 1)")
             if not _require(domain["seeds"], list, "domain.seeds"):
                 raise ValueError("domain.seeds is empty")
             for seed in domain["seeds"]:
@@ -359,7 +360,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     the CSV. Per-run seeds derive from the config seed and the run index, so
     execution order (or parallelism) cannot change any result."""
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, not {jobs}")
+        raise ValueError(f"--jobs must be >= 1, not {jobs}")
     config.validate()
     domains, grid = _build_grid(config)
     sweeps: dict[int, list] = {}    # domain index -> its grid starts

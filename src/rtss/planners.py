@@ -359,7 +359,7 @@ def run_episode(domain, start, config: PlannerConfig,
     only scan the growing graph to find nothing.
     """
     if max_iterations < 1:
-        raise ValueError("max_iterations must be positive")
+        raise ValueError(f"--max-iterations must be >= 1, not {max_iterations}")
     graph = SearchGraph(domain, config.evaluator if config.algorithm == RTFS else FCOST,
                         cache or DeadEndCache())
     carry = config.algorithm == RTFS and config.allow_budget_carryover

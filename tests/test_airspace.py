@@ -93,7 +93,6 @@ def test_interpolated_collision_omits_the_climb():
     inst = generate(50, 5, 0.0, 1)
     inst.obstacles[3 - 2, 12] = True
     inst._move_ok.clear()
-    inst._free_rows.clear()
     actions = {a for a, _s, _c in inst.successors((10, 2))}
     assert airspace.CLIMB not in actions
     assert airspace.KEEP in actions and airspace.DIVE in actions
@@ -115,7 +114,6 @@ def test_boxed_state_is_a_terminal_dead_end():
     inst.obstacles[0, 11] = True   # altitude 2, column 11: blocks keep's sweep
     inst.obstacles[1, 11] = True   # altitude 3, column 11: blocks climb
     inst._move_ok.clear()
-    inst._free_rows.clear()
     inst._free_cols.clear()
     succs = inst.successors((10, 2))
     # dive to altitude 1 is always clear, so only the two upper moves vanish
@@ -234,7 +232,6 @@ def test_interpolation_depends_only_on_swept_cells():
     inst2 = generate(60, 6, 0.4, 21)
     inst2.obstacles[4, 55] = False  # far-away cell
     inst2._move_ok.clear()
-    inst2._free_rows.clear()
     for (d, a1, a2), ok in baseline.items():
         if 55 not in range(d + 1, d + a2 + 1):
             assert bool(inst2._valid_move(a1, a2)[d]) == ok
@@ -263,6 +260,16 @@ def _successor_oracle(inst, state):
     return out
 
 
+def _assert_all_states_match_the_grid(inst):
+    # every clear cell, altitude-major, then the goal line
+    expect = [(d, a) for a in range(inst.max_altitude + 1) for d in range(inst.length)
+              if a <= 1 or not inst.obstacles[a - 2, d]]
+    expect += [(inst.length, a) for a in range(inst.max_altitude + 1)]
+    states = inst.all_states()
+    assert states == expect
+    assert all(type(d) is int for d, _a in states)
+
+
 def _assert_successors_match_the_oracle(inst):
     # every cell, blocked ones included, plus the goal line
     for d in range(inst.length + 1):
@@ -286,7 +293,6 @@ def test_successors_match_an_exact_oracle_before_and_after_mutation(
             c = rng.randrange(length)
             inst.obstacles[r, c] = not inst.obstacles[r, c]
         inst._move_ok.clear()
-        inst._free_rows.clear()
         inst._free_cols.clear()
         _assert_successors_match_the_oracle(inst)
 
@@ -296,12 +302,14 @@ def test_successor_oracle_sweep_covers_the_edges():
     # top altitude with no climb, on fixed instances
     inst = generate(30, 6, 0.3, 5)
     _assert_successors_match_the_oracle(inst)
+    _assert_all_states_match_the_grid(inst)
     assert inst.successors((28, 5))[0] == (airspace.CLIMB, (30, 6), 1.0)
     assert (airspace.KEEP, (4, 0), 1.0) in inst.successors((4, 0))
     assert all(a2 <= 6 for _d, (_x, a2), _c in inst.successors((3, 6)))
     # the benchmark's altitude range, beyond the property's max_altitude 9
     inst = generate(60, 20, 0.3, 11)
     _assert_successors_match_the_oracle(inst)
+    _assert_all_states_match_the_grid(inst)
     # the sweep leaves one move-code byte per column and altitude, and no
     # legality table per move
     assert sorted(inst._move_ok) == list(range(21))

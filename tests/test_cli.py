@@ -101,8 +101,49 @@ def test_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     code = run_cli("run", "--config", config, "--jobs", jobs,
                    "--out", str(tmp_path / "out.csv"))
     assert code == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("max_iterations", ["0", "-3"])
+def test_max_iterations_below_one_exits_two_naming_the_flag(tmp_path, capsys,
+                                                            max_iterations):
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
+                   "--bound", "10", "--max-iterations", max_iterations)
+    assert code == 2
+    assert "--max-iterations must be >= 1" in capsys.readouterr().err
+
+
+_NO_START_TRACK = ("racetrack v1\n"
+                   "width 4 height 3\n"
+                   "####\n"
+                   "#.*#\n"
+                   "####\n")
+
+
+def test_racetrack_map_without_a_start_exits_two(tmp_path, capsys):
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(_NO_START_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
+                   "--bound", "10")
+    assert code == 2
+    assert capsys.readouterr().err == "error: map has no start cells\n"
+
+
+def test_grid_on_a_racetrack_map_without_a_start_exits_two(tmp_path, capsys):
+    import json
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(_NO_START_TRACK)
+    out = tmp_path / "out.csv"
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps({
+        "domain": {"type": "racetrack", "path": str(map_path)},
+        "algorithms": [{"name": "safe-rts"}], "bounds": [10], "output": str(out)}))
+    assert run_cli("run", "--config", str(config_path)) == 2
+    assert capsys.readouterr().err == "error: map has no start cells\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("head", ["airspace v1", "racetrack v1"])
@@ -280,6 +321,10 @@ def _track(**fields):
     ({"domain": dict(_GOOD_CONFIG["domain"], maxAltitude=3.0)}, "domain.maxAltitude"),
     ({"domain": dict(_GOOD_CONFIG["domain"], pObs="0.1")}, "domain.pObs"),
     ({"domain": dict(_GOOD_CONFIG["domain"], pObs=False)}, "domain.pObs"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], length=0)}, "domain.length must be >= 1"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], maxAltitude=0)},
+     "domain.maxAltitude must be >= 1"),
+    ({"domain": dict(_GOOD_CONFIG["domain"], pObs=1.0)}, "domain.pObs must lie in [0, 1)"),
     ({"domain": _track(startSamples="x")}, "domain.startSamples"),
     ({"domain": _track(startSeed=1.5)}, "domain.startSeed"),
     ({"cacheEnabled": "no"}, "cacheEnabled"),
@@ -307,7 +352,8 @@ def _track(**fields):
         "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
         "repetitions-string", "max-iterations-float", "config-seed-string",
         "top-level-list", "seed-string", "length-string", "max-altitude-float",
-        "p-obs-string", "p-obs-bool", "start-samples-string", "start-seed-float",
+        "p-obs-string", "p-obs-bool", "length-zero", "max-altitude-zero",
+        "p-obs-one", "start-samples-string", "start-seed-float",
         "cache-enabled-string", "output-number", "seeds-empty",
         "start-samples-negative", "max-iterations-zero", "paths-number",
         "path-number", "carryover-string", "unknown-top-level-key",

@@ -24,6 +24,10 @@ used in that module (`from __future__ import ...` aside).
 A package `__init__.py` holds only its docstring: callers import the
 submodules, so a re-export layer there is code that nothing needs.
 
+One function, `read_v1` in `domains/base.py`, parses the `key value`
+header of an instance file: each loader calls it, so a format does not
+grow its own copy of the parse.
+
 In `planners.py`, the calls that make up an iteration's shared steps each
 have exactly one call site: the planners share one explore step and one
 iteration tail, so a second site would be a planner-specific copy.
@@ -135,3 +139,24 @@ def test_each_shared_iteration_step_has_one_call_site_in_planners():
     shared = ("IterationReport", "expand_best_first", "dijkstra_h_update",
               "propagate_safety", "safe_toward_best", "path_to")
     assert {name: calls[name] for name in shared} == dict.fromkeys(shared, 1)
+
+
+def test_one_function_parses_an_instance_header():
+    builders, callers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.relative_to(SRC).as_posix()}:{fn.name}"
+            for node in ast.walk(fn):
+                # {words[i]: words[i + 1] ...}: a dict of adjacent word pairs
+                if (isinstance(node, ast.DictComp)
+                        and isinstance(node.key, ast.Subscript)
+                        and isinstance(node.value, ast.Subscript)
+                        and ast.dump(node.key.value) == ast.dump(node.value.value)):
+                    builders.add(where)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "read_v1"):
+                    callers.add(where)
+    assert builders == {"domains/base.py:read_v1"}
+    assert {"domains/airspace.py:load_instance", "domains/racetrack.py:load"} <= callers
