@@ -13,11 +13,12 @@ from dataclasses import astuple
 
 from . import harness, plotting, verification
 from .domains import airspace, racetrack
-from .planners import ALGORITHMS, PlannerConfig
-from .search import Evaluator
+from .planners import ALGORITHMS, MAX_ITERATIONS
 
 
-def _default_seed() -> int:
+def _seed(given: int | None) -> int:
+    if given is not None:
+        return given
     value = os.environ.get("RTSS_SEED", "0")
     try:
         return int(value)
@@ -44,15 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--domain", help="instance file for an ad-hoc episode")
     run.add_argument("--algorithm", choices=list(ALGORITHMS))
     run.add_argument("--bound", type=int)
-    run.add_argument("--ratio", type=float, default=0.5)
-    run.add_argument("--evaluator", default="astar",
-                     help="astar | wastar:W | greedy")
-    run.add_argument("--commit", choices=["single", "full"], default="single")
+    run.add_argument("--ratio", type=float)
+    run.add_argument("--evaluator", help="astar | wastar:W | greedy")
+    run.add_argument("--commit", choices=["single", "full"])
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--no-carryover", action="store_true",
+    run.add_argument("--no-carryover", dest="carryover", action="store_false", default=None,
                      help="re-split unused RTFS budget within the iteration")
-    run.add_argument("--max-iterations", type=int, default=100_000)
+    run.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
     run.add_argument("--out", help="CSV output path")
 
     stats = sub.add_parser("stats", help="per-altitude safety proof statistics")
@@ -89,8 +89,7 @@ def _load_domain_file(path: str):
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    inst = airspace.generate(args.length, args.max_altitude, args.p_obs, seed)
+    inst = airspace.generate(args.length, args.max_altitude, args.p_obs, _seed(args.seed))
     airspace.write_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.instance_id})")
     return 0
@@ -108,15 +107,14 @@ def _cmd_run(args, parser) -> int:
         return 0
     if not (args.domain and args.algorithm and args.bound is not None):
         parser.error("run needs either --config or --domain/--algorithm/--bound")
-    config = PlannerConfig(algorithm=args.algorithm, iteration_bound=args.bound,
-                           exploration_ratio=args.ratio,
-                           evaluator=Evaluator.parse(args.evaluator),
-                           commit_mode=args.commit,
-                           allow_budget_carryover=not args.no_carryover)
+    # the flags given form an algorithm spec, so a grid's defaults hold here too
+    given = {"name": args.algorithm, "ratio": args.ratio, "evaluator": args.evaluator,
+             "commit": args.commit, "carryover": args.carryover}
+    spec = {key: value for key, value in given.items() if value is not None}
+    config = harness.planner_config(spec, args.bound)
     domain, start = _load_domain_file(args.domain)
-    seed = args.seed if args.seed is not None else _default_seed()
     record, _ = harness.simulate_episode(
-        config, domain, start, seed=seed, cache_enabled=not args.no_cache,
+        config, domain, start, seed=_seed(args.seed), cache_enabled=not args.no_cache,
         max_iterations=args.max_iterations)
     if args.out:
         harness.write_csv(args.out, harness.CSV_COLUMNS, [record.row()])
@@ -128,15 +126,14 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_stats(args) -> int:
     inst = airspace.load_instance(args.instance)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rows = airspace.safety_proof_stats(inst, args.samples, seed=seed)
+    rows = airspace.safety_proof_stats(inst, args.samples, seed=_seed(args.seed))
     harness.write_csv(args.out, airspace.STATS_CSV_COLUMNS, map(astuple, rows))
     print(f"wrote {args.out} ({len(rows)} altitude rows)")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    checks = verification.run_suite(args.suite, seeds=args.seeds)
+    checks = verification.run_suite(args.suite, args.seeds)
     for check in checks:
         print(check.line())
     return 0 if all(c.passed for c in checks) else 3

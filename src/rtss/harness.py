@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 
 from .domains import airspace, racetrack
 from .domains.oracles import true_safe_set
-from .planners import (RTFS, SAFE_LSS_LRTA, EpisodeResult,
+from .planners import (MAX_ITERATIONS, RTFS, SAFE_LSS_LRTA, EpisodeResult,
                        PlannerConfig, SafeFilteredDomain, apply_action,
                        offline_astar, run_episode)
 from .rng import mix64
@@ -114,7 +114,7 @@ def _labels(config: Optional[PlannerConfig]) -> tuple[int, Optional[float], str]
 def simulate_episode(config: PlannerConfig, domain, start,
                      instance_id: str = "", seed: int = 0,
                      cache_enabled: bool = True,
-                     max_iterations: int = 100_000,
+                     max_iterations: int = MAX_ITERATIONS,
                      safe_states: Optional[set] = None) -> tuple[RunRecord, EpisodeResult]:
     """Run one planner episode and audit it into a RunRecord. Safe-LSS-LRTA*
     plans over safe_states, swept from start when none is given."""
@@ -176,7 +176,7 @@ class ExperimentConfig:
     repetitions: int = 1
     config_seed: int = 0
     cache_enabled: bool = True
-    max_iterations: int = 100_000
+    max_iterations: int = MAX_ITERATIONS
     output: str = "results.csv"
 
     @staticmethod
@@ -199,7 +199,7 @@ class ExperimentConfig:
         if not self.bounds:
             raise ValueError("bound grid is empty")
         for bound in self.bounds:
-            _require(bound, int, "bounds")
+            _at_least_one(bound, "bounds")
         _at_least_one(self.repetitions, "repetitions")
         _require(self.config_seed, int, "configSeed")
         _at_least_one(self.max_iterations, "maxIterations")
@@ -234,15 +234,17 @@ class ExperimentConfig:
             path = _require(domain["path"], str, "domain.path")
             if path != "builtin:right-turn" and not os.path.exists(path):
                 raise ValueError(f"racetrack map not found: {path}")
-            _at_least_one(domain.get("startSamples", 1), "domain.startSamples")
-            _require(domain.get("startSeed", 0), int, "domain.startSeed")
+            if "startSamples" in domain:
+                _at_least_one(domain["startSamples"], "domain.startSamples")
+            if "startSeed" in domain:
+                _require(domain["startSeed"], int, "domain.startSeed")
         for i, spec in enumerate(self.algorithms):
-            _require(spec.get("carryover", True), bool, f"algorithms[{i}].carryover")
-            for bound in self.bounds:
-                try:
-                    _planner_config(spec, bound)
-                except (ValueError, TypeError, AttributeError) as exc:
-                    raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
+            if "carryover" in spec:
+                _require(spec["carryover"], bool, f"algorithms[{i}].carryover")
+            try:    # every bound passed above, so one of them builds each spec
+                planner_config(spec, self.bounds[0])
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
 
 
 # experiment JSON key -> ExperimentConfig field
@@ -250,12 +252,15 @@ _CONFIG_FIELDS = {"domain": "domain", "algorithms": "algorithms", "bounds": "bou
                   "repetitions": "repetitions", "configSeed": "config_seed",
                   "cacheEnabled": "cache_enabled", "maxIterations": "max_iterations",
                   "output": "output"}
+# algorithm spec key -> PlannerConfig field
+_SPEC_FIELDS = {"ratio": "exploration_ratio", "evaluator": "evaluator",
+                "commit": "commit_mode", "carryover": "allow_budget_carryover"}
 # (required, optional) keys of a domain spec of each type, besides "type",
 # and of an algorithm spec
 _DOMAIN_KEYS = {"airspace": (("length", "maxAltitude", "pObs", "seeds"), ()),
                 "airspace_files": (("paths",), ()),
                 "racetrack": (("path",), ("startSamples", "startSeed"))}
-_SPEC_KEYS = (("name",), ("ratio", "evaluator", "commit", "carryover"))
+_SPEC_KEYS = (("name",), tuple(_SPEC_FIELDS))
 
 _EXPECTED = {list: "a list", dict: "an object", int: "an integer", str: "a string",
              bool: "true or false", (int, float): "a number"}
@@ -297,18 +302,15 @@ def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, A
     return domains, [(inst.instance_id, i, inst.start) for i, inst in enumerate(domains)]
 
 
-def _planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
-    name = spec.get("name")
-    if name == OFFLINE_ASTAR:
+def planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
+    """The planner an algorithm spec names, at one iteration bound; None for
+    offline A*. A key the spec leaves out keeps PlannerConfig's default."""
+    if spec["name"] == OFFLINE_ASTAR:
         return None
-    return PlannerConfig(
-        algorithm=name,
-        iteration_bound=bound,
-        exploration_ratio=spec.get("ratio", 0.5),
-        evaluator=Evaluator.parse(spec.get("evaluator", "astar")),
-        commit_mode=spec.get("commit", "single"),
-        allow_budget_carryover=spec.get("carryover", True),
-    )
+    fields = {field: spec[key] for key, field in _SPEC_FIELDS.items() if key in spec}
+    if "evaluator" in fields:
+        fields["evaluator"] = Evaluator.parse(fields["evaluator"])
+    return PlannerConfig(spec["name"], bound, **fields)
 
 
 _domains: tuple = ()    # the running grid's distinct domains, named by index
@@ -325,8 +327,8 @@ def _run_cell(args) -> RunRecord:
     (run_index, instance_id, domain_index, start, algo_spec, bound,
      config_seed, cache_enabled, max_iterations, safe_states) = args
     seed = mix64(config_seed ^ run_index)
-    # validate() built this config for every spec and bound, so it cannot raise
-    planner = _planner_config(algo_spec, bound)
+    # validate() built every spec and checked every bound, so this cannot raise
+    planner = planner_config(algo_spec, bound)
     try:
         domain = _domains[domain_index]
         if planner is None:

@@ -32,6 +32,7 @@ SAFE_LSS_LRTA = "safe-lss-lrta"
 ALGORITHMS = (LSS_LRTA, SAFE_RTS, RTFS, SAFE_LSS_LRTA)
 
 INITIAL_PROOF_BUDGET = 10                   # SafeRTS alternation seed
+MAX_ITERATIONS = 100_000                    # episode guard: iterations before giving up
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ def apply_action(domain, state, action):
 
 def run_episode(domain, start, config: PlannerConfig,
                 cache: Optional[DeadEndCache] = None,
-                max_iterations: int = 100_000) -> EpisodeResult:
+                max_iterations: int = MAX_ITERATIONS) -> EpisodeResult:
     """Drive planner iterations from start until goal, failure, termination,
     or the iteration guard trips. Committed actions are applied against the
     domain dynamics as the agent moves.

@@ -249,7 +249,7 @@ def check_soundness(instances, check: Check) -> None:
                    f"{domain.instance_id}: search expanded a flagged state")
 
 
-def run_suite(suite: str = "all", seeds: int = 100) -> list[Check]:
+def run_suite(suite: str, seeds: int) -> list[Check]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if seeds < 1:
