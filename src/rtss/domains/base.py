@@ -51,7 +51,8 @@ def read_v1(path_or_text: str, is_text: bool, kind: str, **fields) -> tuple[list
     """Read a `<kind> v1` instance file, or its text when is_text.
 
     Line 1 is `<kind> v1` and line 2 holds `key value` pairs in any order.
-    Each keyword names a header key and the type its value converts to.
+    Each keyword names a header key and the type its value converts to; the
+    header holds each of these keys exactly once, and no other key.
     Returns the converted values in keyword order, and the file's lines.
     """
     if is_text:
@@ -62,10 +63,16 @@ def read_v1(path_or_text: str, is_text: bool, kind: str, **fields) -> tuple[list
     lines = text.splitlines()
     if not lines or lines[0].strip() != f"{kind} v1":
         raise ValueError(f"not {'an' if kind[0] in 'aeiou' else 'a'} {kind} v1 file")
+    line = "".join(lines[1:2])      # the header line, or "" when there is none
+    words = line.split()
+    keys = words[::2]
+    for key in keys:
+        if key not in fields or keys.count(key) > 1:
+            problem = "unknown" if key not in fields else "repeated"
+            raise ValueError(f"malformed {kind} header: {problem} key {key!r}")
     try:
-        words = lines[1].split()
         header = {words[i]: words[i + 1] for i in range(0, len(words), 2)}
         values = [convert(header[key]) for key, convert in fields.items()]
     except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed {kind} header: {''.join(lines[1:2])!r}") from exc
+        raise ValueError(f"malformed {kind} header: {line!r}") from exc
     return values, lines

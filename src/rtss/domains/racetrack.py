@@ -162,6 +162,9 @@ def load(path_or_text: str, *, is_text: bool = False,
     A map file is named after its base name, wherever it lives."""
     (width, height), lines = read_v1(path_or_text, is_text, "racetrack",
                                      width=int, height=int)
+    for field, value in (("width", width), ("height", height)):
+        if value < 1:
+            raise ValueError(f"racetrack header {lines[1]!r}: {field} must be >= 1")
     if not is_text:
         name = os.path.basename(path_or_text)
     rows = lines[2:2 + height]

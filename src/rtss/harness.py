@@ -239,11 +239,12 @@ class ExperimentConfig:
             if "startSeed" in domain:
                 _require(domain["startSeed"], int, "domain.startSeed")
         for i, spec in enumerate(self.algorithms):
-            if "carryover" in spec:
-                _require(spec["carryover"], bool, f"algorithms[{i}].carryover")
+            for key, (_field, kind) in _SPEC_FIELDS.items():
+                if key in spec:
+                    _require(spec[key], kind, f"algorithms[{i}].{key}")
             try:    # every bound passed above, so one of them builds each spec
                 planner_config(spec, self.bounds[0])
-            except (ValueError, TypeError, AttributeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
 
 
@@ -252,9 +253,9 @@ _CONFIG_FIELDS = {"domain": "domain", "algorithms": "algorithms", "bounds": "bou
                   "repetitions": "repetitions", "configSeed": "config_seed",
                   "cacheEnabled": "cache_enabled", "maxIterations": "max_iterations",
                   "output": "output"}
-# algorithm spec key -> PlannerConfig field
-_SPEC_FIELDS = {"ratio": "exploration_ratio", "evaluator": "evaluator",
-                "commit": "commit_mode", "carryover": "allow_budget_carryover"}
+# algorithm spec key -> (PlannerConfig field, JSON type)
+_SPEC_FIELDS = {"ratio": ("exploration_ratio", (int, float)), "evaluator": ("evaluator", str),
+                "commit": ("commit_mode", str), "carryover": ("allow_budget_carryover", bool)}
 # (required, optional) keys of a domain spec of each type, besides "type",
 # and of an algorithm spec
 _DOMAIN_KEYS = {"airspace": (("length", "maxAltitude", "pObs", "seeds"), ()),
@@ -307,7 +308,7 @@ def planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
     offline A*. A key the spec leaves out keeps PlannerConfig's default."""
     if spec["name"] == OFFLINE_ASTAR:
         return None
-    fields = {field: spec[key] for key, field in _SPEC_FIELDS.items() if key in spec}
+    fields = {field: spec[key] for key, (field, _kind) in _SPEC_FIELDS.items() if key in spec}
     if "evaluator" in fields:
         fields["evaluator"] = Evaluator.parse(fields["evaluator"])
     return PlannerConfig(spec["name"], bound, **fields)

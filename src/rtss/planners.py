@@ -48,9 +48,11 @@ class PlannerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.iteration_bound < 1:
-            raise ValueError("iteration_bound must be >= 1")
+            raise ValueError("iteration_bound must be >= 1 (rtss run --bound), "
+                             f"not {self.iteration_bound}")
         if self.algorithm == RTFS and not 0.0 < self.exploration_ratio < 1.0:
-            raise ValueError("exploration_ratio must lie strictly inside (0, 1)")
+            raise ValueError("exploration_ratio (rtss run --ratio, spec key ratio) must lie "
+                             f"strictly inside (0, 1), not {self.exploration_ratio}")
         if self.commit_mode not in ("single", "full"):
             raise ValueError("commit_mode must be 'single' or 'full'")
 

@@ -49,12 +49,13 @@ def test_adhoc_run_on_racetrack_map(tmp_path):
     assert code == 0
 
 
-def test_ratio_of_one_is_a_usage_error(tmp_path):
+def test_ratio_of_one_is_a_usage_error(tmp_path, capsys):
     map_path = tmp_path / "track.txt"
     map_path.write_text(racetrack.RIGHT_TURN_TRACK)
     code = run_cli("run", "--domain", str(map_path), "--algorithm", "rtfs",
                    "--bound", "50", "--ratio", "1.0")
     assert code == 2
+    assert "--ratio" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("evaluator", ["wastar:x", "dsafe", "wastar:0.5", "wastar:nan",
@@ -91,7 +92,8 @@ def test_bound_below_one_exits_two_naming_the_bound(tmp_path, capsys, bound):
     code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
                    "--bound", bound)
     assert code == 2
-    assert "iteration_bound must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "iteration_bound must be >= 1" in err and "--bound" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -144,6 +146,28 @@ def test_grid_on_a_racetrack_map_without_a_start_exits_two(tmp_path, capsys):
     assert run_cli("run", "--config", str(config_path)) == 2
     assert capsys.readouterr().err == "error: map has no start cells\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("airspace v1\nlength 4 maxAltitude 2 pObs 0.1 seed 1 lenght 9\n....\n",
+     "error: malformed airspace header: unknown key 'lenght'"),
+    ("airspace v1\nlength 9 maxAltitude 2 pObs 0.1 seed 1 length 4\n....\n",
+     "error: malformed airspace header: repeated key 'length'"),
+    ("racetrack v1\nwidth 3 height 3 start 1\n###\n#@#\n#*#\n",
+     "error: malformed racetrack header: unknown key 'start'"),
+    ("racetrack v1\nwidth 3 height -2\n",
+     "error: racetrack header 'width 3 height -2': height must be >= 1"),
+    ("racetrack v1\nwidth -3 height 1\n###\n",
+     "error: racetrack header 'width -3 height 1': width must be >= 1"),
+], ids=["airspace-unknown-key", "airspace-repeated-key", "racetrack-unknown-key",
+        "racetrack-height-negative", "racetrack-width-negative"])
+def test_bad_instance_header_exits_two_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code = run_cli("run", "--domain", str(path), "--algorithm", "safe-rts",
+                   "--bound", "10")
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("head", ["airspace v1", "racetrack v1"])
@@ -250,6 +274,17 @@ def test_non_integer_env_seed_exits_two_naming_it(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "env.txt").exists()
 
 
+def test_non_integer_env_seed_does_not_stop_a_grid(tmp_path, monkeypatch):
+    # a grid takes its seeds from configSeed, never from RTSS_SEED
+    import json
+    monkeypatch.setenv("RTSS_SEED", "abc")
+    out = tmp_path / "grid.csv"
+    config_path = tmp_path / "grid.json"
+    config_path.write_text(json.dumps({**_GOOD_CONFIG, "output": str(out)}))
+    assert run_cli("run", "--config", str(config_path)) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_stats_samples_below_one_exits_two_naming_the_flag(tmp_path, capsys, samples):
     inst = tmp_path / "inst.txt"
@@ -308,6 +343,14 @@ def _track(**fields):
     ({"algorithms": {"name": "safe-rts"}}, "algorithms"),
     ({"bounds": ["x"]}, "bounds"),
     ({"bounds": 10}, "bounds"),
+    ({"bounds": [0]}, "error: bounds must be >= 1"),
+    ({"bounds": [10, -1]}, "error: bounds must be >= 1"),
+    ({"algorithms": [{"name": "safe-rts", "ratio": "x"}]},
+     "algorithms[0].ratio must be a number, not str 'x'"),
+    ({"algorithms": [{"name": "rtfs", "ratio": True}]}, "algorithms[0].ratio must be a number"),
+    ({"algorithms": [{"name": "rtfs", "evaluator": 5}]},
+     "algorithms[0].evaluator must be a string"),
+    ({"algorithms": [{"name": "rtfs", "commit": None}]}, "algorithms[0].commit must be a string"),
     ({"algorithms": [{"name": "rtfs", "evaluator": "wastar:abc"}]}, "evaluator"),
     ({"algorithms": [{"name": "rtfs", "evaluator": "dsafe"}]}, "evaluator"),
     ({"algorithms": [{"name": "rtfs", "ratio": 1.5}]}, "exploration_ratio"),
@@ -349,7 +392,8 @@ def _track(**fields):
     ({"domain": {k: v for k, v in _GOOD_CONFIG["domain"].items() if k != "pObs"}},
      "domain is missing 'pObs'"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
-        "bounds-number", "wastar-weight", "dsafe", "ratio", "domain-list",
+        "bounds-number", "bounds-zero", "bounds-negative", "ratio-string", "ratio-bool",
+        "evaluator-number", "commit-null", "wastar-weight", "dsafe", "ratio", "domain-list",
         "repetitions-string", "max-iterations-float", "config-seed-string",
         "top-level-list", "seed-string", "length-string", "max-altitude-float",
         "p-obs-string", "p-obs-bool", "length-zero", "max-altitude-zero",

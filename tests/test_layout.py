@@ -31,6 +31,12 @@ grow its own copy of the parse.
 In `planners.py`, the calls that make up an iteration's shared steps each
 have exactly one call site: the planners share one explore step and one
 iteration tail, so a second site would be a planner-specific copy.
+
+One builder, `harness.planner_config`, turns an algorithm spec into a
+planner for a grid cell and for `rtss run` alike: it alone parses an
+evaluator, and `cli.py` imports neither `PlannerConfig` nor `Evaluator`,
+so no second copy of a planner default can grow there. The episode guard
+is written once, as `planners.MAX_ITERATIONS`.
 """
 from __future__ import annotations
 
@@ -160,3 +166,24 @@ def test_one_function_parses_an_instance_header():
                     callers.add(where)
     assert builders == {"domains/base.py:read_v1"}
     assert {"domains/airspace.py:load_instance", "domains/racetrack.py:load"} <= callers
+
+
+def _parse_calls(tree) -> int:
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "parse")
+
+
+def test_one_builder_turns_a_spec_into_a_planner():
+    trees = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    builder = next(fn for fn in trees["harness.py"].body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "planner_config")
+    assert sum(_parse_calls(tree) for tree in trees.values()) == _parse_calls(builder) == 1
+    cli_imports = {alias.name for node in ast.walk(trees["cli.py"])
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not cli_imports & {"PlannerConfig", "Evaluator"}
+    guards = [path for path, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and type(node.value) is int
+              and node.value == 100_000]
+    assert guards == ["planners.py"]
