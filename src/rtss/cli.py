@@ -127,7 +127,7 @@ def _cmd_run(args, parser) -> int:
 def _cmd_stats(args) -> int:
     inst = airspace.load_instance(args.instance)
     rows = airspace.safety_proof_stats(inst, args.samples, seed=_seed(args.seed))
-    harness.write_csv(args.out, airspace.STATS_CSV_COLUMNS, map(astuple, rows))
+    harness.write_csv(args.out, harness.columns(airspace.AltitudeStats), map(astuple, rows))
     print(f"wrote {args.out} ({len(rows)} altitude rows)")
     return 0
 

@@ -208,14 +208,9 @@ def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> Airspac
     return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
 
 
-STATS_CSV_COLUMNS = ("altitude", "samples", "safetyProbability",
-                     "meanProofLengthStates", "meanProofLengthTransitions",
-                     "meanSuccessfulProofExpansions", "meanFailedProofExpansions")
-
-
 @dataclass(frozen=True)
 class AltitudeStats:
-    """One stats CSV row; the fields are in STATS_CSV_COLUMNS order."""
+    """One `rtss stats` CSV row; its fields in camelCase are the header."""
 
     altitude: int
     samples: int

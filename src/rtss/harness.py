@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, Iterable, Optional
 
@@ -29,12 +30,6 @@ from .safety import DeadEndCache
 from .search import Evaluator
 
 OFFLINE_ASTAR = "astar-offline"
-
-CSV_COLUMNS = ("instanceId", "algorithm", "iterationBound", "explorationRatio",
-               "evaluator", "seed", "outcome", "gat", "velocity",
-               "totalExpansions", "proofExpansions", "deadEndReexpansionRatio",
-               "meanTargetOpenRank", "iterations")
-
 
 @dataclass
 class RunRecord:
@@ -54,11 +49,16 @@ class RunRecord:
     iterations: int
 
     def row(self) -> list:
-        return [self.instance_id, self.algorithm, self.iteration_bound,
-                self.exploration_ratio, self.evaluator, self.seed, self.outcome,
-                self.gat, self.velocity, self.total_expansions,
-                self.proof_expansions, self.dead_end_reexpansion_ratio,
-                self.mean_target_open_rank, self.iterations]
+        return [getattr(self, f.name) for f in fields(self)]
+
+
+def columns(record_type) -> tuple[str, ...]:
+    """The CSV header of a record dataclass: its field names in camelCase."""
+    return tuple(re.sub(r"_([a-z])", lambda m: m[1].upper(), f.name)
+                 for f in fields(record_type))
+
+
+CSV_COLUMNS = columns(RunRecord)
 
 
 def _fmt(value) -> str:
@@ -102,8 +102,8 @@ def _audit(domain, start, actions) -> tuple[bool, float, float]:
 
 
 def _labels(config: Optional[PlannerConfig]) -> tuple[int, Optional[float], str]:
-    """The iterationBound, explorationRatio and evaluator columns of a run's
-    row; a config of None is offline A*, which has no bound."""
+    """The iteration bound, exploration ratio and evaluator of a run's
+    record; a config of None is offline A*, which has no bound."""
     if config is None:
         return 0, None, "astar"
     if config.algorithm == RTFS:
@@ -183,101 +183,91 @@ class ExperimentConfig:
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as f:
             raw = _require(json.load(f), dict, "experiment config")
-        for key in sorted(raw.keys() - _CONFIG_FIELDS.keys()):
-            raise ValueError(f"experiment config has unknown key {key!r}")
-        for key in ("domain", "algorithms", "bounds"):
-            if key not in raw:
-                raise ValueError(f"experiment config is missing {key!r}")
-        return ExperimentConfig(**{_CONFIG_FIELDS[k]: v for k, v in raw.items()})
+        _check_keys(raw, _CONFIG_KEYS, "experiment config", "")
+        return ExperimentConfig(**{_CONFIG_KEYS[k][0]: v for k, v in raw.items()})
 
     def validate(self) -> None:
-        _require(self.algorithms, list, "algorithms")
-        _require(self.bounds, list, "bounds")
-        domain = _require(self.domain, dict, "domain")
-        if not self.algorithms:
-            raise ValueError("algorithm grid is empty")
-        if not self.bounds:
-            raise ValueError("bound grid is empty")
+        _check_keys({key: getattr(self, field) for key, (field, _kind, _required)
+                     in _CONFIG_KEYS.items()}, _CONFIG_KEYS, "experiment config", "")
         for bound in self.bounds:
-            _at_least_one(bound, "bounds")
-        _at_least_one(self.repetitions, "repetitions")
-        _require(self.config_seed, int, "configSeed")
-        _at_least_one(self.max_iterations, "maxIterations")
-        _require(self.cache_enabled, bool, "cacheEnabled")
-        _require(self.output, str, "output")
+            _require(bound, COUNT, "bounds")
+        domain = self.domain
         kind = domain.get("type")
         if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
             raise ValueError(f"unknown domain type {kind!r}")
-        specs = [("domain", domain, _DOMAIN_KEYS[kind])] + [
-            (f"algorithms[{i}]", _require(spec, dict, f"algorithms[{i}]"), _SPEC_KEYS)
-            for i, spec in enumerate(self.algorithms)]
-        for where, spec, (required, optional) in specs:
-            for key in sorted(spec.keys() - {"type", *required, *optional}):
-                raise ValueError(f"{where} has unknown key {key!r}")
-            for key in required:
-                if key not in spec:
-                    raise ValueError(f"{where} is missing {key!r}")
+        _check_keys(domain, {"type": (None, str, True), **_DOMAIN_KEYS[kind]},
+                    "domain", "domain.")
         if kind == "airspace":
-            _at_least_one(domain["length"], "domain.length")
-            _at_least_one(domain["maxAltitude"], "domain.maxAltitude")
-            if not 0 <= _require(domain["pObs"], (int, float), "domain.pObs") < 1:
+            if not 0 <= domain["pObs"] < 1:
                 raise ValueError("domain.pObs must lie in [0, 1)")
-            if not _require(domain["seeds"], list, "domain.seeds"):
-                raise ValueError("domain.seeds is empty")
             for seed in domain["seeds"]:
                 _require(seed, int, "domain.seeds")
         elif kind == "airspace_files":
-            for p in _require(domain["paths"], list, "domain.paths"):
+            for p in domain["paths"]:
                 if not os.path.exists(_require(p, str, "domain.paths")):
                     raise ValueError(f"instance file not found: {p}")
-        else:
-            path = _require(domain["path"], str, "domain.path")
-            if path != "builtin:right-turn" and not os.path.exists(path):
-                raise ValueError(f"racetrack map not found: {path}")
-            if "startSamples" in domain:
-                _at_least_one(domain["startSamples"], "domain.startSamples")
-            if "startSeed" in domain:
-                _require(domain["startSeed"], int, "domain.startSeed")
+        elif domain["path"] != "builtin:right-turn" and not os.path.exists(domain["path"]):
+            raise ValueError(f"racetrack map not found: {domain['path']}")
         for i, spec in enumerate(self.algorithms):
-            for key, (_field, kind) in _SPEC_FIELDS.items():
-                if key in spec:
-                    _require(spec[key], kind, f"algorithms[{i}].{key}")
+            where = f"algorithms[{i}]"
+            _check_keys(_require(spec, dict, where), _SPEC_KEYS, where, f"{where}.")
             try:    # every bound passed above, so one of them builds each spec
                 planner_config(spec, self.bounds[0])
             except ValueError as exc:
-                raise ValueError(f"algorithms[{i}] {spec}: {exc}") from None
+                raise ValueError(f"{where} {spec}: {exc}") from None
 
 
-# experiment JSON key -> ExperimentConfig field
-_CONFIG_FIELDS = {"domain": "domain", "algorithms": "algorithms", "bounds": "bounds",
-                  "repetitions": "repetitions", "configSeed": "config_seed",
-                  "cacheEnabled": "cache_enabled", "maxIterations": "max_iterations",
-                  "output": "output"}
-# algorithm spec key -> (PlannerConfig field, JSON type)
-_SPEC_FIELDS = {"ratio": ("exploration_ratio", (int, float)), "evaluator": ("evaluator", str),
-                "commit": ("commit_mode", str), "carryover": ("allow_budget_carryover", bool)}
-# (required, optional) keys of a domain spec of each type, besides "type",
-# and of an algorithm spec
-_DOMAIN_KEYS = {"airspace": (("length", "maxAltitude", "pObs", "seeds"), ()),
-                "airspace_files": (("paths",), ()),
-                "racetrack": (("path",), ("startSamples", "startSeed"))}
-_SPEC_KEYS = (("name",), tuple(_SPEC_FIELDS))
+# The JSON types of the key tables, besides Python's own: NUMBER is an
+# integer or a float, COUNT an integer >= 1 and ITEMS a non-empty list.
+NUMBER, COUNT, ITEMS = (int, float), "count", "items"
+# JSON key -> (the field it sets, its JSON type, whether it is required), of
+# an experiment config's top level, of an algorithm spec (whose fields are
+# PlannerConfig's) and of a domain spec of each type besides its "type"; a
+# domain spec stays a dict, so its keys set no field
+_CONFIG_KEYS = {"domain": ("domain", dict, True), "algorithms": ("algorithms", ITEMS, True),
+                "bounds": ("bounds", ITEMS, True),
+                "repetitions": ("repetitions", COUNT, False),
+                "configSeed": ("config_seed", int, False),
+                "cacheEnabled": ("cache_enabled", bool, False),
+                "maxIterations": ("max_iterations", COUNT, False),
+                "output": ("output", str, False)}
+_SPEC_KEYS = {"name": ("algorithm", str, True), "ratio": ("exploration_ratio", NUMBER, False),
+              "evaluator": ("evaluator", str, False), "commit": ("commit_mode", str, False),
+              "carryover": ("allow_budget_carryover", bool, False)}
+_DOMAIN_KEYS = {"airspace": {"length": (None, COUNT, True), "maxAltitude": (None, COUNT, True),
+                             "pObs": (None, NUMBER, True), "seeds": (None, ITEMS, True)},
+                "airspace_files": {"paths": (None, ITEMS, True)},
+                "racetrack": {"path": (None, str, True), "startSamples": (None, COUNT, False),
+                              "startSeed": (None, int, False)}}
 
 _EXPECTED = {list: "a list", dict: "an object", int: "an integer", str: "a string",
-             bool: "true or false", (int, float): "a number"}
+             bool: "true or false", NUMBER: "a number"}
 
 
 def _require(value, kind, field: str):
+    if kind == COUNT:
+        if _require(value, int, field) < 1:
+            raise ValueError(f"{field} must be >= 1")
+    elif kind == ITEMS:
+        if not _require(value, list, field):
+            raise ValueError(f"{field} is empty")
     # JSON true and false load as bool, which Python counts as an int
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+    elif not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{field} must be {_EXPECTED[kind]}, "
                          f"not {type(value).__name__} {value!r:.40}")
     return value
 
 
-def _at_least_one(value, field: str) -> None:
-    if _require(value, int, field) < 1:
-        raise ValueError(f"{field} must be >= 1")
+def _check_keys(obj: dict, table: dict, where: str, prefix: str) -> None:
+    """Check an object against its key table: no unknown key, no missing
+    required key, and each key present of its type, named prefix + key."""
+    for key in sorted(obj.keys() - table.keys()):
+        raise ValueError(f"{where} has unknown key {key!r}")
+    for key, (_field, kind, required) in table.items():
+        if key in obj:
+            _require(obj[key], kind, prefix + key)
+        elif required:
+            raise ValueError(f"{where} is missing {key!r}")
 
 
 def _build_grid(config: ExperimentConfig) -> tuple[tuple, list[tuple[str, int, Any]]]:
@@ -308,10 +298,11 @@ def planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
     offline A*. A key the spec leaves out keeps PlannerConfig's default."""
     if spec["name"] == OFFLINE_ASTAR:
         return None
-    fields = {field: spec[key] for key, (field, _kind) in _SPEC_FIELDS.items() if key in spec}
-    if "evaluator" in fields:
-        fields["evaluator"] = Evaluator.parse(fields["evaluator"])
-    return PlannerConfig(spec["name"], bound, **fields)
+    given = {field: spec[key] for key, (field, _kind, _required) in _SPEC_KEYS.items()
+             if key in spec}
+    if "evaluator" in given:
+        given["evaluator"] = Evaluator.parse(given["evaluator"])
+    return PlannerConfig(iteration_bound=bound, **given)
 
 
 _domains: tuple = ()    # the running grid's distinct domains, named by index
