@@ -13,7 +13,7 @@ from dataclasses import astuple
 
 from . import harness, plotting, verification
 from .domains import airspace, racetrack
-from .planners import ALGORITHMS, MAX_ITERATIONS
+from .planners import ALGORITHMS
 
 
 def _seed(given: int | None) -> int:
@@ -39,20 +39,23 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
 
-    run = sub.add_parser("run", help="run an experiment grid or a single episode")
+    # run's flags default to absent: a flag left out keeps the default of the
+    # function that reads its value, and _cmd_run sees which flags were given
+    run = sub.add_parser("run", help="run an experiment grid or a single episode",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--config", help="experiment config JSON")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int)
     run.add_argument("--domain", help="instance file for an ad-hoc episode")
     run.add_argument("--algorithm", choices=list(ALGORITHMS))
     run.add_argument("--bound", type=int)
     run.add_argument("--ratio", type=float)
     run.add_argument("--evaluator", help="astar | wastar:W | greedy")
     run.add_argument("--commit", choices=["single", "full"])
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=int)
     run.add_argument("--no-cache", action="store_true")
-    run.add_argument("--no-carryover", dest="carryover", action="store_false", default=None,
+    run.add_argument("--no-carryover", action="store_true",
                      help="re-split unused RTFS budget within the iteration")
-    run.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
+    run.add_argument("--max-iterations", type=int)
     run.add_argument("--out", help="CSV output path")
 
     stats = sub.add_parser("stats", help="per-altitude safety proof statistics")
@@ -95,29 +98,43 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _pick(given: dict, *names) -> dict:
+    return {name: given[name] for name in names if name in given}
+
+
 def _cmd_run(args, parser) -> int:
-    if args.config:
-        config = harness.ExperimentConfig.from_json(args.config)
-        if args.out:
-            config.output = args.out
-        records = harness.run_experiment(config, jobs=args.jobs)
+    given = vars(args)      # the flags given, in order: none has a default
+    grid = "config" in given
+    if not grid and not {"domain", "algorithm", "bound"} <= given.keys():
+        parser.error("run needs either --config or --domain/--algorithm/--bound")
+    # --config and --jobs belong to a grid, --out to both modes and every
+    # other flag to an ad-hoc episode
+    for name in given:
+        if name not in ("command", "out") and (name in ("config", "jobs")) != grid:
+            raise ValueError(f"--{name.replace('_', '-')} does not go with "
+                             + ("--config" if grid else "--domain"))
+    out = given.get("out", "")     # "" writes no CSV
+    harness.check_output_dir(out, "--out")
+    if grid:
+        config = harness.ExperimentConfig.from_json(given["config"])
+        if out:
+            config.output = out
+        records = harness.run_experiment(config, **_pick(given, "jobs"))
         bad = sum(1 for r in records if r.outcome.startswith("error"))
         print(f"{len(records)} runs -> {config.output}"
               + (f" ({bad} errored)" if bad else ""))
         return 0
-    if not (args.domain and args.algorithm and args.bound is not None):
-        parser.error("run needs either --config or --domain/--algorithm/--bound")
     # the flags given form an algorithm spec, so a grid's defaults hold here too
-    given = {"name": args.algorithm, "ratio": args.ratio, "evaluator": args.evaluator,
-             "commit": args.commit, "carryover": args.carryover}
-    spec = {key: value for key, value in given.items() if value is not None}
-    config = harness.planner_config(spec, args.bound)
-    domain, start = _load_domain_file(args.domain)
+    spec = {"name": given["algorithm"], **_pick(given, "ratio", "evaluator", "commit")}
+    if "no_carryover" in given:
+        spec["carryover"] = False
+    config = harness.planner_config(spec, given["bound"])
+    domain, start = _load_domain_file(given["domain"])
     record, _ = harness.simulate_episode(
-        config, domain, start, seed=_seed(args.seed), cache_enabled=not args.no_cache,
-        max_iterations=args.max_iterations)
-    if args.out:
-        harness.write_csv(args.out, harness.CSV_COLUMNS, [record.row()])
+        config, domain, start, seed=_seed(given.get("seed")),
+        cache_enabled="no_cache" not in given, **_pick(given, "max_iterations"))
+    if out:
+        harness.write_csv(out, harness.CSV_COLUMNS, [record.row()])
     print(f"{record.instance_id} {record.algorithm} bound={record.iteration_bound}"
           f" outcome={record.outcome} gat={record.gat:g}"
           f" velocity={record.velocity:.3f} expansions={record.total_expansions}")
@@ -125,6 +142,7 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_stats(args) -> int:
+    harness.check_output_dir(args.out, "--out")
     inst = airspace.load_instance(args.instance)
     rows = airspace.safety_proof_stats(inst, args.samples, seed=_seed(args.seed))
     harness.write_csv(args.out, harness.columns(airspace.AltitudeStats), map(astuple, rows))

@@ -80,6 +80,13 @@ def write_csv(path: str, columns: Iterable[str], rows: Iterable[Iterable]) -> No
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def check_output_dir(path: str, name: str) -> None:
+    """Fail before any work when an output path's directory does not exist."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"{name} {path!r}: directory {directory!r} does not exist")
+
+
 def replay_actions(domain, start, actions) -> tuple[Any, bool]:
     """Re-apply an action log against the dynamics; returns (final state,
     entered_dead_end). A dead end is a terminal or successor-free non-goal."""
@@ -191,6 +198,8 @@ class ExperimentConfig:
                      in _CONFIG_KEYS.items()}, _CONFIG_KEYS, "experiment config", "")
         for bound in self.bounds:
             _require(bound, COUNT, "bounds")
+        if self.output:     # an empty output writes no CSV
+            check_output_dir(self.output, "output")
         domain = self.domain
         kind = domain.get("type")
         if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from rtss import harness
 from rtss.cli import main
 from rtss.domains import airspace, racetrack
 from rtss.domains.oracles import true_safe_set
@@ -391,6 +392,8 @@ def _track(**fields):
     ({"domain": {"type": "racetrack"}}, "domain is missing 'path'"),
     ({"domain": {k: v for k, v in _GOOD_CONFIG["domain"].items() if k != "pObs"}},
      "domain is missing 'pObs'"),
+    ({"domain": {"type": "airspace_files", "paths": []}}, "domain.paths is empty"),
+    ({"algorithms": [{"name": 5}]}, "algorithms[0].name must be a string, not int 5"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
         "bounds-number", "bounds-zero", "bounds-negative", "ratio-string", "ratio-bool",
         "evaluator-number", "commit-null", "wastar-weight", "dsafe", "ratio", "domain-list",
@@ -403,7 +406,7 @@ def _track(**fields):
         "path-number", "carryover-string", "unknown-top-level-key",
         "unknown-algorithm-key", "unknown-airspace-key", "unknown-racetrack-key",
         "missing-domain", "missing-bounds", "missing-algorithm-name",
-        "missing-paths", "missing-path", "missing-p-obs"])
+        "missing-paths", "missing-path", "missing-p-obs", "paths-empty", "name-number"])
 def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
     import json
     out = tmp_path / "bad.csv"
@@ -417,3 +420,64 @@ def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, fi
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not out.exists()
+
+
+def _tiny_grid(tmp_path, out):
+    import json
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps({**_GOOD_CONFIG, "output": str(out)}))
+    return str(config_path)
+
+
+def _refuse(*_args, **_kw):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--domain", "a.air"], ["--algorithm", "safe-rts"], ["--bound", "0"], ["--ratio", "7"],
+    ["--evaluator", "astar"], ["--commit", "full"], ["--seed", "5"], ["--no-cache"],
+    ["--no-carryover"], ["--max-iterations", "0"]], ids=lambda flags: flags[0])
+def test_grid_run_rejects_an_episode_flag_naming_it(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr(harness, "run_experiment", _refuse)
+    out = tmp_path / "out.csv"
+    code = run_cli("run", "--config", _tiny_grid(tmp_path, out), *flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} does not go with --config\n"
+    assert not out.exists()
+
+
+def test_episode_run_rejects_the_jobs_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_episode", _refuse)
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
+                   "--bound", "10", "--jobs", "4")
+    assert code == 2
+    assert capsys.readouterr().err == "error: --jobs does not go with --domain\n"
+
+
+def test_grid_output_in_a_missing_directory_exits_two_before_any_run(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(harness, "_build_grid", _refuse)
+    out = tmp_path / "nodir" / "out.csv"
+    assert run_cli("run", "--config", _tiny_grid(tmp_path, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and "does not exist" in err
+    assert run_cli("run", "--config", _tiny_grid(tmp_path, tmp_path / "e.csv"),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")
+
+
+def test_stats_and_episode_out_in_a_missing_directory_exit_two_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(airspace, "safety_proof_stats", _refuse)
+    monkeypatch.setattr(harness, "simulate_episode", _refuse)
+    inst_path = tmp_path / "inst.txt"
+    airspace.write_instance(airspace.generate(30, 4, 0.1, 1), str(inst_path))
+    out = str(tmp_path / "nodir" / "x.csv")
+    assert run_cli("stats", "--instance", str(inst_path), "--samples", "5",
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert run_cli("run", "--domain", str(inst_path), "--algorithm", "safe-rts",
+                   "--bound", "10", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")

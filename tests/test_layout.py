@@ -37,6 +37,12 @@ planner for a grid cell and for `rtss run` alike: it alone parses an
 evaluator, and `cli.py` imports neither `PlannerConfig` nor `Evaluator`,
 so no second copy of a planner default can grow there. The episode guard
 is written once, as `planners.MAX_ITERATIONS`.
+
+Each external format is described once. The record dataclasses
+(`harness.RunRecord`, `airspace.AltitudeStats`) are the CSV headers, so no
+string literal in `src/rtss` spells a multi-word column. The key tables of
+`harness` are the experiment config's schema, and the README's "Field
+types" table names exactly their keys.
 """
 from __future__ import annotations
 
@@ -46,6 +52,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtss"
+README = SRC.parents[1] / "README.md"
 
 # reference oracles that exist for tests to compare the program against
 ORACLES = frozenset({"collision_probability", "true_dead_ends"})
@@ -187,3 +194,27 @@ def test_one_builder_turns_a_spec_into_a_planner():
               if isinstance(node, ast.Constant) and type(node.value) is int
               and node.value == 100_000]
     assert guards == ["planners.py"]
+
+
+def test_the_record_dataclasses_alone_name_the_csv_columns():
+    from rtss import harness
+    from rtss.domains import airspace
+    multi_word = {column for record in (harness.RunRecord, airspace.AltitudeStats)
+                  for column in harness.columns(record) if not column.islower()}
+    assert {"instanceId", "totalExpansions", "safetyProbability"} <= multi_word
+    spelt = [f"{path.relative_to(SRC)}: {word}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for word in re.findall(r"\w+", node.value) if word in multi_word]
+    assert spelt == []
+
+
+def test_readme_field_types_name_exactly_the_config_keys():
+    from rtss import harness
+    table = README.read_text(encoding="utf-8").split("Field types", 1)[1].split("\n\n")[1]
+    named = {name for line in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    keys = ({*harness._CONFIG_KEYS}
+            | {f"domain.{key}" for by_type in harness._DOMAIN_KEYS.values() for key in by_type}
+            | {f"algorithms[i].{key}" for key in harness._SPEC_KEYS})
+    assert named == keys
