@@ -241,35 +241,29 @@ def safety_proof_stats(instance: AirspaceInstance, samples_per_altitude: int,
     cache = DeadEndCache()
     rows = []
     for altitude in range(3, instance.max_altitude + 1):
-        successes = 0
-        transitions_total = 0
-        success_exp_total = 0
-        failed = 0
-        failed_exp_total = 0
+        proven = []     # (transitions, expansions) of each proven sample
+        failed = []     # expansions of each failed proof
         for _ in range(samples_per_altitude):
             state = instance.sample_state(altitude, rng)
             if state is None:
                 continue
             result = prove_safety(state, 1_000_000, instance, cache)
             if isinstance(result, Proven):
-                successes += 1
-                transitions_total += len(result.path) - 1
-                success_exp_total += result.expansions
+                proven.append((len(result.path) - 1, result.expansions))
             else:
-                failed += 1
-                failed_exp_total += result.expansions
-        total = successes + failed
-        mean_tr = transitions_total / successes if successes else math.nan
+                failed.append(result.expansions)
+        total = len(proven) + len(failed)
+        mean_tr, mean_proven, mean_failed = (
+            sum(xs) / len(xs) if xs else math.nan
+            for xs in ([t for t, _ in proven], [e for _, e in proven], failed))
         rows.append(AltitudeStats(
             altitude=altitude,
             samples=total,
-            safety_probability=successes / total if total else math.nan,
-            mean_proof_length_states=mean_tr + 2 if successes else math.nan,
+            safety_probability=len(proven) / total if total else math.nan,
+            mean_proof_length_states=mean_tr + 2,
             mean_proof_length_transitions=mean_tr,
-            mean_successful_proof_expansions=(success_exp_total / successes
-                                              if successes else math.nan),
-            mean_failed_proof_expansions=(failed_exp_total / failed
-                                          if failed else math.nan),
+            mean_successful_proof_expansions=mean_proven,
+            mean_failed_proof_expansions=mean_failed,
         ))
     return rows
 

@@ -40,13 +40,14 @@ class RunRecord:
     evaluator: str
     seed: int
     outcome: str
-    gat: float
-    velocity: float
-    total_expansions: int
-    proof_expansions: int
-    dead_end_reexpansion_ratio: float
-    mean_target_open_rank: Optional[float]
-    iterations: int
+    # what the run measured; the defaults are a run that did no work
+    gat: float = 0.0
+    velocity: float = 0.0
+    total_expansions: int = 0
+    proof_expansions: int = 0
+    dead_end_reexpansion_ratio: float = 0.0
+    mean_target_open_rank: Optional[float] = None
+    iterations: int = 0
 
     def row(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -138,23 +139,13 @@ def simulate_episode(config: PlannerConfig, domain, start,
     proof = sum(r.expansions_proof for r in result.reports)
     ranks = [r.target_open_rank for r in result.reports
              if r.target_open_rank is not None]
-    bound, ratio, evaluator = _labels(config)
     record = RunRecord(
-        instance_id=instance_id or domain.instance_id,
-        algorithm=config.algorithm,
-        iteration_bound=bound,
-        exploration_ratio=ratio,
-        evaluator=evaluator,
-        seed=seed,
-        outcome="dead_end" if entered_dead_end else result.outcome,
-        gat=gat,
-        velocity=velocity,
-        total_expansions=total,
-        proof_expansions=proof,
+        instance_id or domain.instance_id, config.algorithm, *_labels(config), seed,
+        "dead_end" if entered_dead_end else result.outcome,
+        gat=gat, velocity=velocity, total_expansions=total, proof_expansions=proof,
         dead_end_reexpansion_ratio=(cache.dead_reexpansions / total if total else 0.0),
         mean_target_open_rank=(sum(ranks) / len(ranks) if ranks else None),
-        iterations=result.iterations,
-    )
+        iterations=result.iterations)
     return record, result
 
 
@@ -162,15 +153,14 @@ def simulate_offline_astar(domain, start, instance_id: str = "",
                            seed: int = 0) -> RunRecord:
     """The perfect-agent reference: plan offline, then execute; planning
     effort does not count toward GAT."""
+    instance_id = instance_id or domain.instance_id
     solved = offline_astar(domain, start)
     if solved is None:
-        outcome, gat, velocity, expansions = "failure", 0.0, 0.0, 0
-    else:
-        actions, _cost, expansions = solved
-        entered, gat, velocity = _audit(domain, start, actions)
-        outcome = "dead_end" if entered else "goal"
-    return RunRecord(instance_id or domain.instance_id, OFFLINE_ASTAR, *_labels(None),
-                     seed, outcome, gat, velocity, expansions, 0, 0.0, None, 0)
+        return RunRecord(instance_id, OFFLINE_ASTAR, *_labels(None), seed, "failure")
+    actions, _cost, expansions = solved
+    entered, gat, velocity = _audit(domain, start, actions)
+    return RunRecord(instance_id, OFFLINE_ASTAR, *_labels(None), seed,
+                     "dead_end" if entered else "goal", gat, velocity, expansions)
 
 
 # -- experiment grids ---------------------------------------------------------
@@ -346,7 +336,7 @@ def _run_cell(args) -> RunRecord:
                          f"failed: {exc!r}\n")
         sys.stderr.flush()
         return RunRecord(instance_id, algo_spec["name"], *_labels(planner), seed,
-                         f"error:{type(exc).__name__}", 0.0, 0.0, 0, 0, 0.0, None, 0)
+                         f"error:{type(exc).__name__}")
 
 
 def _sweep(args) -> set:

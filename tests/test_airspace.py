@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_stats_on_clear_sky():
         assert row.mean_proof_length_transitions == row.altitude - 1
         assert row.mean_proof_length_states == row.altitude + 1
         assert math.isnan(row.mean_failed_proof_expansions)
+
+
+def test_stats_on_a_blocked_and_a_boxed_in_altitude():
+    # altitude 4 is blocked everywhere, so it yields no sample; altitude 3's
+    # only free cell, (5, 3), has every move swept through a blocked cell
+    inst = generate(20, 4, 0.0, 1)
+    inst.obstacles[1:] = True
+    inst.obstacles[1, 5] = False
+    assert inst.successors((5, 3)) == []
+    blocked_row, boxed_row = reversed(safety_proof_stats(inst, 7, seed=2))
+    assert (blocked_row.altitude, blocked_row.samples) == (4, 0)
+    assert all(math.isnan(v) for v in astuple(blocked_row)[2:])
+    assert astuple(boxed_row)[:3] == (3, 7, 0.0)
+    assert all(math.isnan(v) for v in astuple(boxed_row)[3:6])
+    assert boxed_row.mean_failed_proof_expansions == 1.0
 
 
 def test_stats_probability_declines_with_altitude():

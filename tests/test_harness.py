@@ -87,6 +87,14 @@ def test_offline_astar_record_dominates_realtime_gat():
                 assert oracle.gat <= record.gat
 
 
+def test_offline_astar_without_a_plan_records_a_failure_that_did_no_work():
+    # r -> t and no goal anywhere, so the offline search finds no plan
+    domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, name="goalless")
+    record = simulate_offline_astar(domain, "r", seed=7)
+    assert record.row() == ["goalless", "astar-offline", 0, None, "astar", 7, "failure",
+                            0.0, 0.0, 0, 0, 0.0, None, 0]
+
+
 def _config(tmp_path, **kw):
     base = dict(domain={"type": "airspace", "length": 60, "maxAltitude": 3,
                         "pObs": 0.1, "seeds": [1, 2, 3, 4, 5]},
@@ -429,3 +437,5 @@ def test_error_rows_carry_the_labels_of_their_success_rows(tmp_path, monkeypatch
     assert [r.row()[2:5] for r in failed] == [
         [30, None, "astar"], [30, 0.3, "wastar:1.1"], [30, 0.5, "greedy"],
         [30, None, "astar"], [0, None, "astar"]]
+    # an error row measured nothing, so it reads RunRecord's no-work values
+    assert {tuple(r.row()[7:]) for r in failed} == {(0.0, 0.0, 0, 0, 0.0, None, 0)}
