@@ -170,25 +170,18 @@ def load(path_or_text: str, *, is_text: bool = False,
     rows = lines[2:2 + height]
     if len(rows) != height:
         raise ValueError(f"expected {height} map rows, found {len(rows)}")
-    blocked = [[True] * width for _ in range(height)]
+    blocked = []
     starts: list[tuple[int, int]] = []
     goals: set = set()
     for y, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {y} has length {len(row)}, expected {width}")
-        for x, ch in enumerate(row):
-            if ch == "#":
-                continue
-            if ch == ".":
-                blocked[y][x] = False
-            elif ch == "*":
-                blocked[y][x] = False
-                goals.add((x, y))
-            elif ch == "@":
-                blocked[y][x] = False
-                starts.append((x, y))
-            else:
-                raise ValueError(f"unknown map character {ch!r} at ({x},{y})")
+        bad = next((x for x, ch in enumerate(row) if ch not in "#.*@"), None)
+        if bad is not None:
+            raise ValueError(f"unknown map character {row[bad]!r} at ({bad},{y})")
+        blocked.append([ch == "#" for ch in row])
+        goals.update((x, y) for x, ch in enumerate(row) if ch == "*")
+        starts += [(x, y) for x, ch in enumerate(row) if ch == "@"]
     if not goals:
         raise ValueError("map has no goal cells")
     if not starts:

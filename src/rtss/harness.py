@@ -82,7 +82,10 @@ def write_csv(path: str, columns: Iterable[str], rows: Iterable[Iterable]) -> No
 
 
 def check_output_dir(path: str, name: str) -> None:
-    """Fail before any work when an output path's directory does not exist."""
+    """Fail before any work when an output path is a directory, or its
+    directory does not exist."""
+    if os.path.isdir(path):
+        raise ValueError(f"{name} {path!r} is a directory, not a file path")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"{name} {path!r}: directory {directory!r} does not exist")

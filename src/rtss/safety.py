@@ -163,27 +163,20 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
     stamp = graph.stamp
     nodes = graph.nodes
     newly = 0
-    worklist: deque = deque()
     for path in proven_paths:
         for state in path:
             node = graph.ensure_node(state)
             if node.safety == _UNKNOWN:
                 node.safety = _SAFE
                 newly += 1
-            if node.safety == _SAFE:
-                worklist.append(node)
 
-    for node in graph.touched:
-        if node.safety == _SAFE:
-            worklist.append(node)
-
-    # a node joins the worklist again only by turning safe, so a node met
-    # twice (a path node that is also touched) just walks its preds again
-    # and marks nothing the first walk did not
+    # the touched nodes are exactly the ones stamped into this iteration, so
+    # this queues every proven path node whose preds are this iteration's;
+    # the closure, and how many nodes it marks, does not depend on the order
+    # of the walk
+    worklist = deque(node for node in graph.touched if node.safety == _SAFE)
     while worklist:
         node = worklist.popleft()
-        if node.stamp != stamp:
-            continue
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]
             if pred.stamp != stamp or pred.safety != _UNKNOWN:

@@ -456,6 +456,22 @@ def test_episode_run_rejects_the_jobs_flag(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: --jobs does not go with --domain\n"
 
 
+def test_episode_run_passes_no_carryover_to_the_planner(tmp_path, monkeypatch):
+    configs = []
+
+    def record(config, *_args, **_kw):
+        configs.append(config)
+        return harness.RunRecord("w", config.algorithm, 10, 0.5, "astar", 0, "goal"), None
+
+    monkeypatch.setattr(harness, "simulate_episode", record)
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    episode = ("run", "--domain", str(map_path), "--algorithm", "rtfs", "--bound", "10")
+    assert run_cli(*episode, "--no-carryover") == 0
+    assert run_cli(*episode) == 0
+    assert [c.allow_budget_carryover for c in configs] == [False, True]
+
+
 def test_grid_output_in_a_missing_directory_exits_two_before_any_run(tmp_path, capsys,
                                                                       monkeypatch):
     monkeypatch.setattr(harness, "_build_grid", _refuse)
@@ -466,6 +482,18 @@ def test_grid_output_in_a_missing_directory_exits_two_before_any_run(tmp_path, c
     assert run_cli("run", "--config", _tiny_grid(tmp_path, tmp_path / "e.csv"),
                    "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: --out ")
+
+
+def test_grid_output_that_is_a_directory_exits_two_before_any_run(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(harness, "_build_grid", _refuse)
+    assert run_cli("run", "--config", _tiny_grid(tmp_path, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: output {str(tmp_path)!r} is a directory, " \
+                                      "not a file path\n"
+    assert run_cli("run", "--config", _tiny_grid(tmp_path, tmp_path / "e.csv"),
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_stats_and_episode_out_in_a_missing_directory_exit_two_before_any_work(
@@ -481,3 +509,18 @@ def test_stats_and_episode_out_in_a_missing_directory_exit_two_before_any_work(
     assert run_cli("run", "--domain", str(inst_path), "--algorithm", "safe-rts",
                    "--bound", "10", "--out", out) == 2
     assert capsys.readouterr().err.startswith("error: --out ")
+
+
+def test_stats_and_episode_out_that_is_a_directory_exit_two_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(airspace, "safety_proof_stats", _refuse)
+    monkeypatch.setattr(harness, "simulate_episode", _refuse)
+    inst_path = tmp_path / "inst.txt"
+    airspace.write_instance(airspace.generate(30, 4, 0.1, 1), str(inst_path))
+    expected = f"error: --out {str(tmp_path)!r} is a directory, not a file path\n"
+    assert run_cli("stats", "--instance", str(inst_path), "--samples", "5",
+                   "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == expected
+    assert run_cli("run", "--domain", str(inst_path), "--algorithm", "safe-rts",
+                   "--bound", "10", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == expected

@@ -42,7 +42,10 @@ Each external format is described once. The record dataclasses
 (`harness.RunRecord`, `airspace.AltitudeStats`) are the CSV headers, so no
 string literal in `src/rtss` spells a multi-word column. The key tables of
 `harness` are the experiment config's schema, and the README's "Field
-types" table names exactly their keys.
+types" table names exactly their keys. A record dataclass also states what
+each measured field reads when a run did no work, so no call of
+`RunRecord` or `AltitudeStats` in `src/rtss` passes a literal 0, 0.0 or
+None.
 """
 from __future__ import annotations
 
@@ -218,3 +221,18 @@ def test_readme_field_types_name_exactly_the_config_keys():
             | {f"domain.{key}" for by_type in harness._DOMAIN_KEYS.values() for key in by_type}
             | {f"algorithms[i].{key}" for key in harness._SPEC_KEYS})
     assert named == keys
+
+
+def test_no_record_call_spells_a_no_work_value():
+    spelt = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("RunRecord", "AltitudeStats")):
+                continue
+            spelt += [f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(arg)}"
+                      for arg in (*node.args, *(k.value for k in node.keywords))
+                      if isinstance(arg, ast.Constant) and (
+                          arg.value is None or (type(arg.value) in (int, float)
+                                                and arg.value == 0))]
+    assert spelt == []

@@ -54,6 +54,13 @@ def test_fixpoint_agreement_on_random_dags():
         assert true_safe_set(dag, states=states) == safe_set_fixpoint(dag, states)
 
 
+def test_a_goal_outside_the_enumerated_states_still_counts():
+    # g is a's successor but not among the given states; b and c only cycle
+    domain = ListDomain({"a": [("ag", "g", 1.0)], "b": [("bc", "c", 1.0)],
+                         "c": [("cb", "b", 1.0)]}, goals={"g"})
+    assert true_safe_set(domain, states=["a", "b", "c"]) == {"a", "g"}
+
+
 def test_size_guard_refuses_oversized_spaces():
     inst = airspace.generate(30, 4, 0.0, 1)
     with pytest.raises(ValueError):

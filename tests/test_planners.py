@@ -290,6 +290,16 @@ def test_tail_labels_an_iteration_that_runs_out_of_open_nodes(
     assert (report.outcome, report.committed_actions) == (outcome, actions)
     assert report.identity_action_taken == (actions == STAY)
 
+def test_safe_rts_fails_when_a_slice_spends_its_budget_on_the_last_open_node():
+    # a chain of exactly INITIAL_PROOF_BUDGET (10) nodes: the first explore
+    # slice expands n9, the last node, with its last expansion, so budget is
+    # left but open holds no node to prove
+    succ = {f"n{k}": [("fwd", f"n{k+1}", 1.0)] for k in range(9)}
+    domain = ListDomain({**succ, "n9": []}, h={f"n{k}": 0.0 for k in range(10)})
+    report = iteration_step(fresh(domain, "n0"), PlannerConfig("safe-rts"), 20)
+    assert report.phases == (("explore", 10),)
+    assert (report.outcome, report.committed_actions) == ("failure", ())
+
 # -- allocate_proofs_rtfs0 -------------------------------------------------------------
 
 def test_allocator_single_success_leaves_budget():

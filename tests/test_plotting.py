@@ -97,6 +97,21 @@ def test_logx_without_positive_x_exits_two_naming_the_column(tmp_path, capsys):
     assert not (tmp_path / "c.svg").exists()
 
 
+def test_logx_skips_an_x_tick_that_rounds_to_zero(tmp_path, capsys):
+    from rtss.cli import main
+    # more than eight x values get linear ticks 2e-12 apart, each rounded to
+    # ten decimals, so every tick reads 0.0 and has no place on a log axis
+    rows = [f"a,safe-rts,30,,astar,1,goal,{k},{k}e-12,1,0,0.0,1.0,1" for k in range(1, 11)]
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("\n".join([CSV.splitlines()[0], *rows]) + "\n")
+    out = tmp_path / "c.svg"
+    code = main(["plot", "--csv", str(csv_path), "--x", "velocity", "--y", "gat",
+                 "--series", "algorithm", "--out", str(out), "--logx"])
+    assert code == 0, capsys.readouterr().err
+    root = ET.fromstring(out.read_text())
+    assert len([e for e in root.iter() if e.tag.endswith("circle")]) == 10
+
+
 @pytest.mark.parametrize("column", ["velocity", "iterationBound"])
 def test_infinite_cells_are_skipped(tmp_path, capsys, column):
     from rtss.cli import main

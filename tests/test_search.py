@@ -275,6 +275,27 @@ def test_backup_matches_bellman_oracle_on_random_dags():
                 assert node.h == h
 
 
+def test_backup_skips_a_heap_entry_that_a_cheaper_edge_made_stale():
+    # closed r, x, y over the frontier a, b, f. a pops first and relaxes x to
+    # 3 over a cost-3 edge; b pops next and lowers x to 2 over a cost-1 edge,
+    # which leaves x's entry at 3 stale. y's only way out is f, whose h of 5
+    # pops after that stale entry, so y must still be waited for when it pops
+    domain = ListDomain({"r": [("rx", "x", 1.0), ("ry", "y", 1.0)],
+                         "x": [("xa", "a", 3.0), ("xb", "b", 1.0)],
+                         "y": [("yf", "f", 1.0)]},
+                        h={"a": 0, "b": 1, "f": 5})
+    graph, _ = build(domain, "r", 3)
+    closed = {n.state for n in graph.touched if n.expanded}
+    assert closed == {"r", "x", "y"}
+    before = {n.state: n.h for n in graph.touched}
+    expected = {s: max(h, before[s])     # h never decreases
+                for s, h in _bellman_backup_oracle(graph, domain).items()}
+    assert expected == {"r": 3.0, "x": 2.0, "y": 6.0}
+    dijkstra_h_update(graph)
+    assert {s: graph.nodes[s].h for s in closed} == expected
+    assert all(graph.nodes[s].safety != SafetyStatus.DEAD_END for s in closed)
+
+
 def test_monotone_learning_and_consistency_preserved():
     from rtss.domains import airspace
     inst = airspace.generate(60, 6, 0.2, 3)
