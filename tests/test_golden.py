@@ -9,6 +9,10 @@ of these CSVs changes behaviour, and has to be argued as such.
 To see what moved, run the grid with the same config and diff the CSV
 against one written by the commit that recorded the digests.
 
+Three more digests pin the reference grids themselves: each
+`experiments/*.json` config, run unchanged at two workers, must write the
+CSV bytes that every earlier result was checked against.
+
 One more digest pins a small `rtss stats` CSV, which only the safety
 proofs and successor generation produce, a set pins the obstacle grids
 that `airspace.generate` draws for the benchmark's instance sizes, and a
@@ -25,6 +29,7 @@ every iteration report, the outcome, and the final cache counts.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
@@ -82,6 +87,27 @@ def test_grid_csv_matches_its_recorded_digest(grid, tmp_path):
     assert not any(r.outcome.startswith("error") for r in records)
     with open(config.output, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == digest
+
+
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
+
+# SHA-256 of the CSV each checked-in grid writes at --jobs 2; their md5s are
+# 9ab9cf75..., 6d83ea81... and 97a7306a..., in this order
+REFERENCE_GRIDS = {
+    "airspace-velocity": "38c308c601c7f0cef17f1ab0a2e5ccfd025b746eea37e912369619a22613edb2",
+    "racetrack-gat": "b6268c4c7f1c8c601ae6c67e5e86a2f05c1e471ea86ad848a0787ea175141cc5",
+    "rtfs-exploration-sweep":
+        "679e7ffc05a1910db705e7e34aea06b9072a8139c54ac9c83fee914ecfcd3ef0",
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_GRIDS))
+def test_reference_grid_csv_matches_its_recorded_digest(name, tmp_path):
+    config = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, f"{name}.json"))
+    config.output = str(tmp_path / f"{name}.csv")
+    run_experiment(config, jobs=2)
+    with open(config.output, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == REFERENCE_GRIDS[name]
 
 
 STATS_DIGEST = "8b5dfc9f15621719f531b341ace85dd36b3e46325b2c2e0d4e4bcdbd08f73534"
