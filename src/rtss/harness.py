@@ -24,7 +24,7 @@ from .domains import airspace, racetrack
 from .domains.oracles import true_safe_set
 from .planners import (MAX_ITERATIONS, RTFS, SAFE_LSS_LRTA, EpisodeResult,
                        PlannerConfig, SafeFilteredDomain, apply_action,
-                       offline_astar, run_episode)
+                       collector_off, offline_astar, run_episode)
 from .rng import mix64
 from .safety import DeadEndCache
 from .search import Evaluator
@@ -152,12 +152,11 @@ def simulate_episode(config: PlannerConfig, domain, start,
     return record, result
 
 
-def simulate_offline_astar(domain, start, instance_id: str = "",
+def simulate_offline_astar(domain, start, solved, instance_id: str = "",
                            seed: int = 0) -> RunRecord:
-    """The perfect-agent reference: plan offline, then execute; planning
-    effort does not count toward GAT."""
+    """The perfect-agent reference: execute the plan that offline_astar(domain,
+    start) returned as solved; planning effort does not count toward GAT."""
     instance_id = instance_id or domain.instance_id
-    solved = offline_astar(domain, start)
     if solved is None:
         return RunRecord(instance_id, OFFLINE_ASTAR, *_labels(None), seed, "failure")
     actions, _cost, expansions = solved
@@ -318,15 +317,19 @@ def _hold_domains(domains) -> None:
 
 
 def _run_cell(args) -> RunRecord:
+    """One grid cell's record. An astar-offline cell executes the search
+    result in its last slot, or fails with the exception the search raised."""
     (run_index, instance_id, domain_index, start, algo_spec, bound,
-     config_seed, cache_enabled, max_iterations, safe_states) = args
+     config_seed, cache_enabled, max_iterations, safe_states, solved) = args
     seed = mix64(config_seed ^ run_index)
     # validate() built every spec and checked every bound, so this cannot raise
     planner = planner_config(algo_spec, bound)
     try:
         domain = _domains[domain_index]
         if planner is None:
-            return simulate_offline_astar(domain, start, instance_id, seed)
+            if isinstance(solved, Exception):
+                raise solved
+            return simulate_offline_astar(domain, start, solved, instance_id, seed)
         record, _ = simulate_episode(planner, domain, start, instance_id, seed,
                                      cache_enabled=cache_enabled,
                                      max_iterations=max_iterations,
@@ -342,19 +345,37 @@ def _run_cell(args) -> RunRecord:
                          f"error:{type(exc).__name__}")
 
 
+def _run_group(cells) -> list[RunRecord]:
+    """The cells of one repetition, instance and algorithm, one per bound, in
+    bound order. Offline A* ignores the bound, so it searches once here and
+    every bound's cell executes that one search result."""
+    domain_index, start, algo_spec = cells[0][2:5]
+    solved = None
+    if algo_spec["name"] == OFFLINE_ASTAR:
+        try:
+            solved = offline_astar(_domains[domain_index], start)
+        except Exception as exc:    # each bound's cell reports it as its own row
+            solved = exc
+    return [_run_cell(cell + (solved,)) for cell in cells]
+
+
 def _sweep(args) -> set:
     """Ground-truth safe set of one domain, rooted at all of its grid starts.
     A state reachable from one start has all of its successors reachable from
     it, so the union of roots changes none of the membership tests that a
-    safe-lss-lrta episode from that start makes."""
+    safe-lss-lrta episode from that start makes. The sweep builds only sets,
+    lists, a deque and a dict of lists, so it runs with the collector off."""
     domain_index, roots = args
-    return true_safe_set(_domains[domain_index], roots=roots)
+    with collector_off():
+        return true_safe_set(_domains[domain_index], roots=roots)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full instance x algorithm x bound x repetition grid and write
-    the CSV. Per-run seeds derive from the config seed and the run index, so
-    execution order (or parallelism) cannot change any result."""
+    the CSV. Tasks, each the cells of one repetition, instance and algorithm
+    at every bound, go to the workers one at a time, which balances their
+    uneven run times. Per-run seeds derive from the config seed and the run
+    index, so execution order (or parallelism) cannot change any result."""
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, not {jobs}")
     config.validate()
@@ -363,7 +384,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     if any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms):
         for _instance_id, d, start in grid:
             sweeps.setdefault(d, []).append(start)
-    # cells go out one at a time, which balances their uneven run times
     pool = (ProcessPoolExecutor(max_workers=jobs, initializer=_hold_domains,
                                 initargs=(domains,)) if jobs > 1 else nullcontext())
     _hold_domains(domains)
@@ -379,7 +399,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
                      for run_index, (_rep, (instance_id, d, start), spec, bound)
                      in enumerate(product(range(config.repetitions), grid,
                                           config.algorithms, config.bounds))]
-            records = list(run(_run_cell, cells))
+            width = len(config.bounds)
+            groups = [cells[i:i + width] for i in range(0, len(cells), width)]
+            records = [r for group in run(_run_group, groups) for r in group]
     finally:
         _hold_domains(())
     if config.output:

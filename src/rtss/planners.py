@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Optional
@@ -348,6 +349,22 @@ def apply_action(domain, state, action):
     raise ValueError(f"action {action!r} is not applicable in state {state!r}")
 
 
+@contextmanager
+def collector_off():
+    """Suspend the garbage collector, and re-enable it on the way out if it
+    was enabled on the way in. For work that builds only acyclic dicts,
+    sets, lists and tuples: reference counting frees all it drops, and a
+    collection would only scan the growing structures to find nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@collector_off()
 def run_episode(domain, start, config: PlannerConfig,
                 cache: Optional[DeadEndCache] = None,
                 max_iterations: int = MAX_ITERATIONS) -> EpisodeResult:
@@ -355,11 +372,8 @@ def run_episode(domain, start, config: PlannerConfig,
     or the iteration guard trips. Committed actions are applied against the
     domain dynamics as the agent moves.
 
-    The garbage collector is suspended for the episode and re-enabled on
-    the way out if it was enabled on the way in. The search graph is
-    acyclic (nodes refer to states, never to other nodes), so reference
-    counting frees all it drops, and a collection during the episode would
-    only scan the growing graph to find nothing.
+    The episode runs with the collector off: the search graph is acyclic
+    (nodes refer to states, never to other nodes).
     """
     if max_iterations < 1:
         raise ValueError(f"--max-iterations must be >= 1, not {max_iterations}")
@@ -370,31 +384,28 @@ def run_episode(domain, start, config: PlannerConfig,
     actions: list = []
     reports: list = []
     carryover = 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        while True:
-            if domain.is_goal(state):
-                return EpisodeResult("goal", actions, reports)
-            if len(reports) >= max_iterations:
-                return EpisodeResult("max_iterations", actions, reports)
-            graph.begin_iteration(state)
-            report = iteration_step(graph, config, config.iteration_bound + carryover)
-            reports.append(report)
-            if report.outcome in ("failure", "terminated"):
-                return EpisodeResult(report.outcome, actions, reports)
-            for action in report.committed_actions:
-                state = apply_action(domain, state, action)
-                actions.append(action)
-            carryover = report.unused_budget if carry else 0
-    finally:
-        if collecting:
-            gc.enable()
+    while True:
+        if domain.is_goal(state):
+            return EpisodeResult("goal", actions, reports)
+        if len(reports) >= max_iterations:
+            return EpisodeResult("max_iterations", actions, reports)
+        graph.begin_iteration(state)
+        report = iteration_step(graph, config, config.iteration_bound + carryover)
+        reports.append(report)
+        if report.outcome in ("failure", "terminated"):
+            return EpisodeResult(report.outcome, actions, reports)
+        for action in report.committed_actions:
+            state = apply_action(domain, state, action)
+            actions.append(action)
+        carryover = report.unused_budget if carry else 0
 
 
+@collector_off()
 def offline_astar(domain, start) -> Optional[tuple[list, float, int]]:
     """Full A* to the goal; returns (actions, cost, expansions) or None when
-    the space exhausts without one. Same tie-breaking as the online search."""
+    the space exhausts without one. Same tie-breaking as the online search.
+    Runs with the collector off: its tables hold states, numbers and
+    (state, action) pairs."""
     g_best = {start: 0.0}
     parent: dict = {start: None}
     heap = [(domain.h(start), 0.0, 0, start)]

@@ -14,7 +14,7 @@ from rtss.domains.airspace import collision_probability, safety_proof_stats
 from rtss.domains.oracles import true_safe_set
 from rtss.harness import (ExperimentConfig, run_experiment, simulate_episode,
                           simulate_offline_astar)
-from rtss.planners import PlannerConfig
+from rtss.planners import PlannerConfig, offline_astar
 from rtss.search import Evaluator
 from rtss.verification import run_suite
 
@@ -209,7 +209,8 @@ def test_perfect_agent_velocity():
     vels = []
     for seed in range(1, 6):
         inst = airspace.generate(10_000, 20, 0.05, seed)
-        rec = simulate_offline_astar(inst, inst.start, seed=seed)
+        rec = simulate_offline_astar(inst, inst.start, offline_astar(inst, inst.start),
+                                     seed=seed)
         assert rec.outcome == "goal"
         vels.append(rec.velocity)
     mean = _mean(vels)

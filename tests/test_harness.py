@@ -12,7 +12,7 @@ from rtss.domains import airspace
 from rtss.harness import (CSV_COLUMNS, ExperimentConfig, RunRecord,
                           replay_actions, run_experiment, simulate_episode,
                           simulate_offline_astar, write_csv)
-from rtss.planners import PlannerConfig
+from rtss.planners import PlannerConfig, offline_astar
 
 
 def test_chain_episode_has_gat_four():
@@ -78,7 +78,7 @@ def test_reexpansion_ratio_zero_without_exhausted_proofs():
 def test_offline_astar_record_dominates_realtime_gat():
     for seed in (1, 2, 3):
         inst = airspace.generate(150, 5, 0.1, seed)
-        oracle = simulate_offline_astar(inst, inst.start)
+        oracle = simulate_offline_astar(inst, inst.start, offline_astar(inst, inst.start))
         assert oracle.outcome == "goal"
         for bound in (10, 40):
             record, _ = simulate_episode(PlannerConfig("safe-rts", bound),
@@ -90,7 +90,7 @@ def test_offline_astar_record_dominates_realtime_gat():
 def test_offline_astar_without_a_plan_records_a_failure_that_did_no_work():
     # r -> t and no goal anywhere, so the offline search finds no plan
     domain = ListDomain({"r": [("a", "t", 1.0)], "t": []}, name="goalless")
-    record = simulate_offline_astar(domain, "r", seed=7)
+    record = simulate_offline_astar(domain, "r", offline_astar(domain, "r"), seed=7)
     assert record.row() == ["goalless", "astar-offline", 0, None, "astar", 7, "failure",
                             0.0, 0.0, 0, 0, 0.0, None, 0]
 
@@ -142,9 +142,11 @@ EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
 
 def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
     # 30 airspace cells at three workers and the 90 racetrack-gat cells at two
-    # go out one at a time, naming their domain by index; each worker receives
-    # the grid's distinct domains once, through the pool initializer, so the
-    # cells of one track share an unpickled instance and its successor memo
+    # go out one task at a time, a task holding one instance and algorithm at
+    # every bound, in bound order; cells name their domain by index, and each
+    # worker receives the grid's distinct domains once, through the pool
+    # initializer, so the cells of one track share an unpickled instance and
+    # its successor memo
     initargs, cells = [], []
 
     class Pool(harness.ProcessPoolExecutor):
@@ -155,8 +157,11 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
 
         def map(self, fn, *iterables, **kw):
             assert kw.get("chunksize", 1) == 1
-            if fn is harness._run_cell:
-                cells.append(list(iterables[0]))
+            if fn is harness._run_group:
+                for group in iterables[0]:
+                    assert [c[5] for c in group] == config.bounds
+                    assert all(c[1:5] == group[0][1:5] for c in group)
+                cells.append([cell for group in iterables[0] for cell in group])
             return super().map(fn, *iterables, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
@@ -227,8 +232,8 @@ def test_oracle_grid_sweeps_each_domain_once_in_the_pool(tmp_path, monkeypatch,
 
     class Pool(harness.ProcessPoolExecutor):
         def map(self, fn, *iterables, **kw):
-            if fn is harness._run_cell:
-                cells.extend(iterables[0])
+            if fn is harness._run_group:
+                cells.extend(cell for group in iterables[0] for cell in group)
             return super().map(fn, *iterables, **kw)
 
     monkeypatch.setattr(harness, "true_safe_set", counted)
@@ -259,17 +264,49 @@ def test_checked_in_experiment_grids_validate():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_cell_reports_its_exception_on_stderr(tmp_path, capfd,
                                                      monkeypatch, jobs):
+    # an episode that raises fails its own cell; an offline search that
+    # raises fails the cell of every bound that would have executed it
     def broken(*_args, **_kw):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(harness, "simulate_episode", broken)
-    config = _config(tmp_path, algorithms=[{"name": "safe-rts"}], bounds=[5, 7])
-    records = run_experiment(config, jobs=jobs)
-    assert all(r.outcome == "error:RuntimeError" for r in records)
-    err = capfd.readouterr().err.splitlines()
-    expected = [f"rtss: cell {r.instance_id}/safe-rts/{r.iteration_bound} "
-                "failed: RuntimeError('boom')" for r in records]
-    assert sorted(err) == sorted(expected)
+    for target, algorithm in (("simulate_episode", "safe-rts"),
+                              ("offline_astar", "astar-offline")):
+        config = _config(tmp_path, algorithms=[{"name": algorithm}], bounds=[5, 7])
+        succeeded = run_experiment(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, target, broken)
+            records = run_experiment(config, jobs=jobs)
+        assert all(r.outcome == "error:RuntimeError" for r in records)
+        assert [r.row()[:6] for r in records] == [r.row()[:6] for r in succeeded]
+        err = capfd.readouterr().err.splitlines()
+        expected = [f"rtss: cell {r.instance_id}/{algorithm}/{bound} "
+                    "failed: RuntimeError('boom')"
+                    for r, bound in zip(records, config.bounds * len(records))]
+        assert len(expected) == 10
+        assert sorted(err) == sorted(expected)
+
+
+def test_an_offline_task_searches_once_for_all_of_its_bounds(tmp_path, monkeypatch):
+    searches = []
+    search = harness.offline_astar
+
+    def counted(domain, start):
+        searches.append(domain.instance_id)
+        return search(domain, start)
+
+    monkeypatch.setattr(harness, "offline_astar", counted)
+    config = _config(tmp_path, algorithms=[{"name": "astar-offline"}],
+                     domain={"type": "airspace", "length": 60, "maxAltitude": 3,
+                             "pObs": 0.1, "seeds": [1, 2]})
+    records = run_experiment(config, jobs=1)
+    assert len(searches) == len(set(searches)) == 2
+    # each bound still gets its own audited row, which differs only in its seed
+    assert len(records) == 6
+    for first, *others in (records[:3], records[3:]):
+        assert first.outcome == "goal"
+        assert {tuple(r.row()[:5] + r.row()[6:]) for r in others} == {
+            tuple(first.row()[:5] + first.row()[6:])}
+    assert len({r.seed for r in records}) == 6
 
 
 def test_csv_rows_always_have_the_declared_column_count(tmp_path):

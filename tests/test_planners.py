@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import ListDomain, chain_domain
+from rtss import harness
 from rtss.domains import airspace
 from rtss.domains.oracles import true_safe_set
 from rtss.domains.racetrack import right_turn_track
@@ -535,6 +536,16 @@ def test_rtfs_rank_one_with_ample_safety_budget():
     assert ranks and all(r == 1 for r in ranks)
 
 
+def test_an_iteration_guard_of_one_runs_exactly_one_iteration():
+    # a goal found within the one iteration ends the episode there, and an
+    # episode that needs more trips the guard after it
+    domain = chain_domain(5)
+    found = run_episode(domain, 0, PlannerConfig("lss-lrta", 10), max_iterations=1)
+    assert (found.outcome, found.iterations, len(found.actions)) == ("goal", 1, 4)
+    cut = run_episode(domain, 0, PlannerConfig("lss-lrta", 2), max_iterations=1)
+    assert (cut.outcome, cut.iterations) == ("max_iterations", 1)
+
+
 # -- the collector during an episode ------------------------------------------------
 
 class RelabelingDomain(ListDomain):
@@ -548,9 +559,39 @@ class RelabelingDomain(ListDomain):
         return [((a, self.calls), s2, c) for a, s2, c in super().successors(state)]
 
 
+class FailingDomain(ListDomain):
+    """A world whose successor generation raises."""
+
+    def successors(self, state):
+        raise RuntimeError("no successors")
+
+
+class CollectorWatchingDomain(ListDomain):
+    """Records whether the collector was enabled at each successors call."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.seen = []
+
+    def successors(self, state):
+        self.seen.append(gc.isenabled())
+        return super().successors(state)
+
+
+def _searches(monkeypatch, domain):
+    """The three collector-free bodies, each on domain: an episode, the
+    offline search and the grid's ground-truth sweep."""
+    monkeypatch.setattr(harness, "_domains", (domain,))
+    return [lambda: run_episode(domain, 0, PlannerConfig("lss-lrta", 2)).outcome,
+            lambda: offline_astar(domain, 0)[1], lambda: harness._sweep((0, [0]))]
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 @pytest.mark.parametrize("raises", [False, True])
-def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises):
+def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises,
+                                                         monkeypatch):
+    # the offline search and the ground-truth sweep do so too, and all three
+    # run with the collector off
     domain = chain_domain(5)
     if raises:
         domain = RelabelingDomain(domain.succ, goals=domain.goals, h=domain.h_table)
@@ -560,11 +601,45 @@ def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises):
         if raises:
             with pytest.raises(ValueError, match="not applicable"):
                 run_episode(domain, 0, PlannerConfig("lss-lrta", 2))
+            assert gc.isenabled() == collecting
+            failing = FailingDomain(domain.succ, goals=domain.goals, h=domain.h_table)
+            for search in _searches(monkeypatch, failing):
+                with pytest.raises(RuntimeError, match="no successors"):
+                    search()
+                assert gc.isenabled() == collecting
         else:
             assert run_episode(domain, 0, PlannerConfig("lss-lrta", 2)).outcome == "goal"
-        assert gc.isenabled() == collecting
+            assert gc.isenabled() == collecting
+            watching = CollectorWatchingDomain(domain.succ, goals=domain.goals,
+                                               h=domain.h_table)
+            results = []
+            for search in _searches(monkeypatch, watching):
+                results.append(search())
+                assert gc.isenabled() == collecting
+            assert results == ["goal", 4.0, set(range(5))]
+            assert watching.seen and not any(watching.seen)
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _world(world):
+    if world == "airspace":
+        domain = airspace.generate(120, 6, 0.1, 4)
+        return domain, domain.start
+    domain = right_turn_track()
+    return domain, domain.start_state(domain.starts[0])
+
+
+def _assert_no_cyclic_garbage(work):
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("world", ["airspace", "racetrack"])
@@ -574,21 +649,27 @@ def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises):
 def test_an_episode_leaves_no_cyclic_garbage(world, algorithm, evaluator):
     # run_episode suspends the collector because the search graph is acyclic;
     # node references in preds, for one, would make every episode leak cycles
-    if world == "airspace":
-        domain = airspace.generate(120, 6, 0.1, 4)
-        start = domain.start
-    else:
-        domain = right_turn_track()
-        start = domain.start_state(domain.starts[0])
+    domain, start = _world(world)
     config = PlannerConfig(algorithm, 30, evaluator=Evaluator.parse(evaluator))
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        result = run_episode(domain, start, config, max_iterations=300)
-        assert result.iterations > 1
-        del result
-        assert gc.collect() == 0
-    finally:
-        if was_enabled:
-            gc.enable()
+
+    def episode():
+        assert run_episode(domain, start, config, max_iterations=300).iterations > 1
+
+    _assert_no_cyclic_garbage(episode)
+
+
+@pytest.mark.parametrize("world", ["airspace", "racetrack"])
+def test_the_offline_search_and_the_sweep_leave_no_cyclic_garbage(world, monkeypatch):
+    # the offline search and the ground-truth sweep suspend the collector
+    # for the same reason as an episode
+    domain, start = _world(world)
+    monkeypatch.setattr(harness, "_domains", (domain,))
+
+    def search():
+        assert offline_astar(domain, start)[0]
+
+    def sweep():
+        assert start in harness._sweep((0, [start]))
+
+    _assert_no_cyclic_garbage(search)
+    _assert_no_cyclic_garbage(sweep)
