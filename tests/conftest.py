@@ -1,10 +1,39 @@
-"""Shared test domains: tiny explicit worlds with hand-checkable behavior."""
+"""Shared test domains: tiny explicit worlds with hand-checkable behavior,
+and a guard that turns a hung test into a failure."""
 from __future__ import annotations
 
+import faulthandler
 import math
+import os
+
+import pytest
 
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
+
+# A test still running after this many seconds has hung, in a worklist loop
+# that never ends, say. The slowest test, set-up included, is the first to
+# use the acceptance gate's avoidance and velocity fixture: about 42 s.
+HANG_LIMIT_S = 300
+_terminal_stderr = -1
+
+
+def pytest_configure():
+    # the terminal's stderr: while a test runs, output capture redirects fd
+    # 2, and what it captured is lost when the guard exits the process
+    global _terminal_stderr
+    _terminal_stderr = os.dup(2)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol():
+    """Arm the hang guard around each test's set-up, call and teardown: past
+    the limit it prints every thread's traceback and exits the run. (An
+    autouse fixture would miss a hang in a module-scoped fixture, which is
+    set up before any function-scoped one.)"""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 class ListDomain:

@@ -119,6 +119,16 @@ def test_max_iterations_below_one_exits_two_naming_the_flag(tmp_path, capsys,
     assert "--max-iterations must be >= 1" in capsys.readouterr().err
 
 
+def test_max_iterations_of_one_runs_one_iteration(tmp_path, capsys):
+    # one iteration at a large bound finds the goal and commits the path to it
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    code = run_cli("run", "--domain", str(map_path), "--algorithm", "safe-rts",
+                   "--bound", "1000", "--max-iterations", "1")
+    assert code == 0
+    assert "outcome=goal" in capsys.readouterr().out
+
+
 _NO_START_TRACK = ("racetrack v1\n"
                    "width 4 height 3\n"
                    "####\n"
