@@ -127,10 +127,10 @@ def safe_toward_best(graph: SearchGraph) -> Optional[tuple[Any, int]]:
     root = graph.root
     for rank, node in enumerate(graph.open_nodes_in_key_order(), start=1):
         cur = node
-        while cur is not None and cur.state != root:
+        while cur.state != root:    # the parent chain leads to the root (e)
             if cur.safety == _SAFE:
                 return cur.state, rank
-            cur = nodes[cur.parent[0]] if cur.parent is not None else None
+            cur = nodes[cur.parent[0]]
     return None
 
 

@@ -160,7 +160,6 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
     Returns how many nodes went from unknown to safe; dead-flagged nodes
     are never marked.
     """
-    stamp = graph.stamp
     nodes = graph.nodes
     newly = 0
     for path in proven_paths:
@@ -170,16 +169,15 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
                 node.safety = _SAFE
                 newly += 1
 
-    # the touched nodes are exactly the ones stamped into this iteration, so
-    # this queues every proven path node whose preds are this iteration's;
-    # the closure, and how many nodes it marks, does not depend on the order
-    # of the walk
+    # the touched nodes are exactly this iteration's stamped nodes, so this
+    # queues every proven path node that has preds, all stamped (b); the
+    # closure and its count do not depend on the order of the walk
     worklist = deque(node for node in graph.touched if node.safety == _SAFE)
     while worklist:
         node = worklist.popleft()
         for pred_state, _cost in node.preds:
             pred = nodes[pred_state]
-            if pred.stamp != stamp or pred.safety != _UNKNOWN:
+            if pred.safety != _UNKNOWN:
                 continue
             pred.safety = _SAFE
             newly += 1
@@ -200,14 +198,13 @@ def propagate_dead_ends(graph: SearchGraph, seeds) -> int:
     """
     stamp = graph.stamp
     nodes = graph.nodes
-    blocked = graph.cache.blocked
     is_terminal = graph.domain.is_terminal
     worklist = deque(seeds)
     count = 0
     while worklist:
         node = worklist.popleft()
         if (node.safety is _DEAD_END or node.goal
-                or not (_succs_all_dead(node, nodes, stamp, blocked) if node.expanded
+                or not (_succs_all_dead(node, nodes, stamp) if node.expanded
                         else is_terminal(node.state))):
             continue
         graph.cache.mark_dead(node)
@@ -216,15 +213,12 @@ def propagate_dead_ends(graph: SearchGraph, seeds) -> int:
     return count
 
 
-def _succs_all_dead(node, nodes, stamp, blocked) -> bool:
-    """Is every successor of an expanded node dead (true for none at all)?"""
-    for _a, s2, _c in node.succs or ():
+def _succs_all_dead(node, nodes, stamp) -> bool:
+    """Is every successor of an expanded non-goal node dead (true for none)?
+    Its expansion touched every successor not then blocked, and flags only
+    grow: a successor not stamped now is blocked (c), so flagged and dead."""
+    for _a, s2, _c in node.succs:
         child = nodes.get(s2)
-        if child is not None and child.stamp == stamp:
-            if child.safety is not _DEAD_END:
-                return False
-        elif s2 not in blocked:
-            # never generated this iteration: only a blocking cache flag
-            # can account for that, and a flagged state is dead
+        if child is not None and child.stamp == stamp and child.safety is not _DEAD_END:
             return False
     return True

@@ -145,13 +145,15 @@ class SearchGraph:
 
     def begin_iteration(self, root_state):
         """Reset root-relative state for a fresh planning iteration; the
-        dead-end cache decides which dead nodes stay dead."""
+        dead-end cache decides which dead nodes stay dead. A cache-blocked
+        root (LSS-LRTA* can commit into a state its backup just flagged)
+        goes on open already stale, so the iteration fails unexpanded."""
         self.stamp += 1
         self.touched = []
         self.root = root_state
         node = self.touch(root_state, self.nodes.get(root_state))
         node.g = 0.0
-        node.on_open = True
+        node.on_open = root_state not in self.cache.blocked
         self._seq += 1
         node.open_seq = self._seq
         g_weight, h_weight = self.evaluator.key_weights
@@ -176,8 +178,9 @@ class SearchGraph:
             node.preds.clear()
             node.on_open = False
             node.expanded = False
-            if node.safety is _DEAD_END and state not in self.cache.blocked:
-                # dead-end knowledge only persists through an enabled cache
+            if node.safety is _DEAD_END and not self.cache.enabled:
+                # dead-end knowledge only persists through an enabled cache,
+                # which blocks every dead node's state: it is flagged (d)
                 node.safety = _UNKNOWN
                 node.h = self.domain.h(state)
             self.touched.append(node)
@@ -271,13 +274,8 @@ def expand_best_first(graph: SearchGraph, evaluator: Evaluator,
             while heap:
                 entry = heappop(heap)
                 node = nodes[entry[3]]
-                if node.open_seq != entry[2] or not node.on_open:
-                    continue
-                if node.state in blocked:
-                    node.on_open = False
-                    avoided += 1
-                    continue
-                break
+                if node.open_seq == entry[2] and node.on_open:
+                    break
             else:
                 outcome = OPEN_EMPTY
                 break
@@ -341,7 +339,6 @@ def dijkstra_h_update(graph: SearchGraph) -> int:
     they provably cannot leave the local search space and are flagged as
     dead ends. h never decreases relative to its pre-update value.
     """
-    stamp = graph.stamp
     nodes = graph.nodes
     closed = []                     # (node, h before the update)
     heap = []                       # (h, unique seq, node): nodes never compare
@@ -369,8 +366,7 @@ def dijkstra_h_update(graph: SearchGraph) -> int:
         for pred_state, cost in node.preds:
             pred = nodes[pred_state]
             cand = cost + hval
-            if (cand < pred.h and pred.stamp == stamp and pred.expanded
-                    and pred.safety is not _DEAD_END and not pred.goal):
+            if cand < pred.h and pred.expanded and pred.safety is not _DEAD_END:
                 pred.h = cand
                 seq += 1
                 heappush(heap, (cand, seq, pred))

@@ -519,6 +519,24 @@ def test_rtfs0_and_safe_rts_build_identical_lss_when_no_proof_succeeds():
     assert srts == rtfs
 
 
+def test_lss_lrta_fails_unexpanded_at_a_root_its_last_backup_flagged():
+    # from this start at bound 4, LSS-LRTA* commits toward a frontier of
+    # crashed states (h infinite) into a state its own backup just flagged;
+    # with the cache on, the next iteration starts at that blocked root and
+    # fails without an expansion
+    track = right_turn_track()
+    cache = DeadEndCache(enabled=True)
+    start = track.start_state((3, 6))
+    result = run_episode(track, start, PlannerConfig("lss-lrta", 4), cache=cache)
+    assert result.outcome == "failure" and result.iterations == 59
+    assert sum(r.expansions_goal for r in result.reports) == 232
+    assert result.reports[-1].phases == (("explore", 0),)
+    state = start
+    for action in result.actions:
+        state = apply_action(track, state, action)
+    assert state in cache.flags
+
+
 def test_lss_lrta_completes_dead_end_free_instances():
     for seed in (1, 2, 3, 4, 5):
         inst = airspace.generate(150, 5, 0.0, seed)

@@ -10,7 +10,8 @@ from rtss.domains.oracles import reachable_states
 from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
-from rtss.safety import DeadEndCache, Exhausted, cache_dead_ends, propagate_dead_ends
+from rtss.safety import (DeadEndCache, Exhausted, cache_dead_ends, propagate_dead_ends,
+                         prune_exhausted)
 from rtss.search import (FCOST, Evaluator, ExpansionBudget, SafetyStatus,
                          SearchGraph, dijkstra_h_update, expand_best_first,
                          path_to, select_best_f)
@@ -133,6 +134,18 @@ def test_flagged_successors_never_enter_open():
     assert cache.avoided_reexpansions >= 1
 
 
+def test_a_blocked_root_fails_its_iteration_unexpanded():
+    domain = chain_domain(5)
+    cache = DeadEndCache(enabled=True)
+    cache_dead_ends(cache, Exhausted(frozenset({0}), 0))
+    graph = SearchGraph(domain, FCOST, cache)
+    graph.begin_iteration(0)
+    budget = ExpansionBudget(10)
+    outcome = expand_best_first(graph, FCOST, budget, domain, cache=cache)
+    assert outcome.kind == "open_empty" and budget.used == 0
+    assert graph.touched == [graph.nodes[0]] and not graph.nodes[0].expanded
+
+
 def test_open_empty_leaves_no_touched_node_on_open():
     # RTFS reads an open_empty outcome as "no open node left to commit
     # toward" without rescanning the touched set; this is what makes that safe
@@ -148,10 +161,13 @@ def test_open_empty_leaves_no_touched_node_on_open():
         while expand_best_first(graph, evaluator, budget, domain,
                                 cache=cache).kind == "goal":
             pass
-        # flag part of the open list so that some pops hit blocked states
+        # flag and prune part of the open list, as an exhausted proof does,
+        # so that some pops hit the entries pruning left stale
         for node in graph.touched[1::2]:
             if node.on_open:
-                cache_dead_ends(cache, Exhausted(frozenset({node.state}), 0))
+                exhausted = Exhausted(frozenset({node.state}), 0)
+                cache_dead_ends(cache, exhausted)
+                prune_exhausted(graph, exhausted)
         budget = ExpansionBudget(10_000)
         outcome = expand_best_first(graph, evaluator, budget, domain, cache=cache)
         while outcome.kind == "goal":
