@@ -92,6 +92,7 @@ def _load_domain_file(path: str):
 
 
 def _cmd_generate(args) -> int:
+    harness.check_output_dir(args.out, "--out")
     inst = airspace.generate(args.length, args.max_altitude, args.p_obs, _seed(args.seed))
     airspace.write_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.instance_id})")
@@ -158,6 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    harness.check_output_dir(args.out, "--out")
     spec = plotting.PlotSpec(x=args.x, y=args.y, series=args.series,
                              out=args.out, title=args.title, logx=args.logx)
     plotting.emit_plot(args.csv, spec)

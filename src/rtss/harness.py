@@ -380,6 +380,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
         raise ValueError(f"--jobs must be >= 1, not {jobs}")
     config.validate()
     domains, grid = _build_grid(config)
+    jobs = min(jobs, config.repetitions * len(grid) * len(config.algorithms))  # tasks
     sweeps: dict[int, list] = {}    # domain index -> its grid starts
     if any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms):
         for _instance_id, d, start in grid:

@@ -169,9 +169,8 @@ def propagate_safety(graph: SearchGraph, proven_paths) -> int:
                 node.safety = _SAFE
                 newly += 1
 
-    # the touched nodes are exactly this iteration's stamped nodes, so this
-    # queues every proven path node that has preds, all stamped (b); the
-    # closure and its count do not depend on the order of the walk
+    # the touched nodes are this iteration's stamped nodes, as are all preds
+    # (b); the closure and its count do not depend on the order of the walk
     worklist = deque(node for node in graph.touched if node.safety == _SAFE)
     while worklist:
         node = worklist.popleft()

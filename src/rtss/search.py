@@ -7,6 +7,13 @@ under a fresh stamp lazily resets its root-relative fields (g, parent,
 discovered edges, open/closed membership) while learned heuristic values
 and safety knowledge survive, which is exactly what the agent is allowed
 to keep as it moves.
+
+The loops rely on five invariants instead of re-testing them, and
+tests/test_invariants.py checks them over whole episodes: (a) no live open
+entry is cache-blocked; (b) every pred of a stamped node is stamped and no
+goal; (c) every successor of an expanded non-goal stamped node is stamped
+or blocked; (d) every DEAD_END node's state is flagged; (e) every live
+open node's parent chain leads back to the root.
 """
 from __future__ import annotations
 

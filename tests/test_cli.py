@@ -534,3 +534,22 @@ def test_stats_and_episode_out_that_is_a_directory_exit_two_before_any_work(
     assert run_cli("run", "--domain", str(inst_path), "--algorithm", "safe-rts",
                    "--bound", "10", "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("command", ["generate", "plot"])
+def test_generate_and_plot_out_exit_two_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command):
+    from rtss import plotting
+    monkeypatch.setattr(airspace, "generate", _refuse)
+    monkeypatch.setattr(plotting, "emit_plot", _refuse)
+    argv = (["generate", "--domain", "airspace", "--length", "30", "--max-altitude", "4",
+             "--p-obs", "0.1"] if command == "generate" else
+            ["plot", "--csv", str(tmp_path / "in.csv"), "--x", "iterationBound",
+             "--y", "velocity", "--series", "algorithm"])
+    missing = str(tmp_path / "nodir" / "x.out")
+    assert run_cli(*argv, "--out", missing) == 2
+    assert capsys.readouterr().err == (f"error: --out {missing!r}: directory "
+                                       f"{str(tmp_path / 'nodir')!r} does not exist\n")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (f"error: --out {str(tmp_path)!r} is a directory, "
+                                       "not a file path\n")

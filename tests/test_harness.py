@@ -107,6 +107,35 @@ def _config(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+def test_the_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a pool forks every worker at its first task; this fake starts none
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    domain = {"type": "airspace", "length": 30, "maxAltitude": 3, "pObs": 0.1}
+    for seeds, algorithms, expected in [([1, 2], [{"name": "lss-lrta"}], [2]),
+                                        ([1, 2], [{"name": "lss-lrta"}] * 2, [2, 4]),
+                                        ([1], [{"name": "lss-lrta"}], [2, 4])]:
+        config = _config(tmp_path, domain={**domain, "seeds": seeds},
+                         algorithms=algorithms, repetitions=1)
+        records = run_experiment(config, jobs=500)
+        assert len(records) == len(seeds) * len(algorithms) * 3
+        assert workers == expected     # one task runs without a pool
+
+
 def test_grid_cardinality(tmp_path):
     config = _config(tmp_path, domain={"type": "airspace", "length": 60,
                                        "maxAltitude": 3, "pObs": 0.1,

@@ -8,14 +8,15 @@ from rtss import harness
 from rtss.domains import airspace
 from rtss.domains.oracles import true_safe_set
 from rtss.domains.racetrack import right_turn_track
-from rtss.domains.synthetic import GraphDomain
+from rtss.domains.synthetic import GraphDomain, random_dag
 from rtss.harness import simulate_episode
 from rtss.planners import (PlannerConfig, SafeFilteredDomain,
                            allocate_proofs_rtfs0, apply_action, iteration_step,
                            offline_astar, run_episode, safe_toward_best)
 from rtss.safety import BudgetOut, DeadEndCache, Exhausted, Proven, propagate_safety
+from rtss.rng import SplitMix64
 from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
-                         SearchGraph, expand_best_first)
+                         SearchGraph, expand_best_first, path_to)
 
 
 def fresh(domain, root, cache=None):
@@ -416,6 +417,52 @@ def _dijkstra_cost_oracle(domain, start):
                 seq += 1
                 heapq.heappush(heap, (nd, seq, s2))
     return None
+
+
+def _online_astar(domain, start):
+    """Offline A*'s oracle: one unbounded iteration of the online search."""
+    graph = SearchGraph(domain, FCOST, DeadEndCache())
+    graph.begin_iteration(start)
+    budget = ExpansionBudget(10_000)
+    outcome = expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
+    if outcome.kind != "goal":
+        return None
+    return path_to(graph, outcome.goal), graph.nodes[outcome.goal].g, budget.used
+
+
+def _weighted_dag(seed):
+    rng = SplitMix64(seed)
+    dag = random_dag(seed, size=30, edge_chance=0.15)
+    succ = {s: [(f"{s}>{s2}", s2, float(1 + rng.randrange(3)))
+                for _a, s2, _c in dag.successors(s)] for s in dag.all_states()}
+    return ListDomain(succ, goals=dag.goals,
+                      h={s: float(rng.randrange(3)) for s in dag.all_states()})
+
+
+def test_offline_astar_matches_the_online_search_on_weighted_worlds():
+    # stale: x is queued at g 5, then at g 2, and the stale entry pops
+    # before the goal; ties: z and a tie on (f, g) and the one queued first,
+    # not the smaller state, goes first; diamond: m is reached twice at g 2,
+    # and only the first edge relaxes it
+    stale = ListDomain({"r": [("r>x", "x", 5.0), ("r>a", "a", 1.0)],
+                        "a": [("a>x", "x", 1.0)], "x": [("x>g", "g", 10.0)]}, goals={"g"})
+    ties = ListDomain({"r": [("r>z", "z", 1.0), ("r>a", "a", 1.0)],
+                       "z": [("z>zg", "zg", 1.0)], "a": [("a>ag", "ag", 1.0)]},
+                      goals={"zg", "ag"})
+    diamond = ListDomain({"r": [("r>q", "q", 1.0), ("r>p", "p", 1.0)],
+                          "q": [("q>m", "m", 1.0)], "p": [("p>m", "m", 1.0)],
+                          "m": [("m>g", "g", 5.0)], "g": []}, goals={"g"})
+    assert offline_astar(stale, "r") == (["r>a", "a>x", "x>g"], 12.0, 4)
+    assert offline_astar(ties, "r") == (["r>z", "z>zg"], 2.0, 4)
+    assert offline_astar(diamond, "r") == (["r>q", "q>m", "m>g"], 7.0, 5)
+    worlds = [(stale, "r"), (ties, "r"), (diamond, "r")]
+    worlds += [(_weighted_dag(seed), 0) for seed in range(40)]
+    solved = 0
+    for domain, start in worlds:
+        expected = _online_astar(domain, start)
+        assert offline_astar(domain, start) == expected
+        solved += expected is not None
+    assert solved >= 30
 
 
 def test_offline_astar_unsolvable_returns_none():

@@ -75,6 +75,16 @@ def test_proof_never_generates_flagged_states():
     assert cache.avoided_reexpansions == 1
 
 
+def test_proof_breaks_key_ties_by_insertion_order():
+    # z and a tie on (d_safe, h); z is generated first and leads to safety,
+    # while the smaller state a would lead to a different safe state
+    domain = ListDomain({"t": [("1", "z", 1.0), ("2", "a", 1.0)],
+                         "z": [("3", "s", 1.0)], "a": [("4", "s2", 1.0)]},
+                        safe={"s", "s2"})
+    res = prove_safety("t", 10, domain, DeadEndCache())
+    assert res == Proven(("t", "z", "s"), 2)
+
+
 def test_known_safe_lookup_ends_proof_early():
     domain = chain_domain(30)
     res = prove_safety(0, 50, domain, DeadEndCache(),

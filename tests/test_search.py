@@ -146,6 +146,20 @@ def test_a_blocked_root_fails_its_iteration_unexpanded():
     assert graph.touched == [graph.nodes[0]] and not graph.nodes[0].expanded
 
 
+def test_a_pruned_node_is_not_relaxed_back_onto_open_with_the_cache_off():
+    domain = ListDomain({"r": [("r>a", "a", 1.0), ("r>b", "b", 1.0)],
+                         "a": [("a>x", "x", 5.0)], "b": [("b>x", "x", 1.0)],
+                         "x": [("x>g", "g", 1.0)]}, goals={"g"}, h={"b": 0.5})
+    graph, _ = build(domain, "r", 2)                   # r, then a: x at g 6
+    x = graph.nodes["x"]
+    assert x.on_open and x.g == 6.0
+    prune_exhausted(graph, Exhausted(frozenset({"x"}), 0))
+    budget = ExpansionBudget(10)
+    outcome = expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
+    assert outcome.kind == "open_empty" and budget.used == 1     # b only
+    assert not x.on_open and x.g == 6.0 and ("b", 1.0) in x.preds
+
+
 def test_open_empty_leaves_no_touched_node_on_open():
     # RTFS reads an open_empty outcome as "no open node left to commit
     # toward" without rescanning the touched set; this is what makes that safe
