@@ -8,9 +8,10 @@ comments and layout stay. The four operators: flip a single comparison
 and `or`, replace a `continue` or `break` with `pass`, and replace an
 `x += 1` with `pass`. Each mutant runs tier-1 without the acceptance gate
 (`pytest -x`, tests/test_acceptance.py left out) in its own copy of the
-repository, under a time limit, on at most two workers. Every mutant that
-survives or runs past the limit is printed with its line; a killed one
-prints nothing. pytest collects only test_*.py, so it never runs this file.
+repository, under a time limit, on at most two workers, once the suite
+has passed unmutated. Every mutant that survives or runs past the limit
+is printed with its line; a killed one prints nothing. pytest collects
+only test_*.py, so it never runs this file.
 """
 from __future__ import annotations
 
@@ -58,11 +59,11 @@ def mutants(source: str):
 
 
 def run(path: str, line: int, what: str, mutated: str, timeout: float) -> str:
-    with tempfile.TemporaryDirectory(prefix="rtss-mutant-") as copy:
-        for part in ("src", "tests", "experiments"):
-            shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+    with tempfile.TemporaryDirectory(prefix="rtss-mutant-") as scratch:
+        # the whole checkout: the layout tests read README.md, for one
+        copy = os.path.join(scratch, "repo")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
         with open(os.path.join(copy, path), "w", encoding="utf-8") as f:
             f.write(mutated)
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
@@ -87,6 +88,11 @@ def main(argv=None) -> int:
     for path in args.paths:
         with open(os.path.join(ROOT, path), encoding="utf-8") as f:
             work += [(path, *m) for m in mutants(f.read())]
+    with open(os.path.join(ROOT, work[0][0]), encoding="utf-8") as f:
+        baseline = run(work[0][0], 0, "unmutated", f.read(), args.timeout)
+    if not baseline.endswith("SURVIVED"):
+        print(f"the suite does not pass unmutated: {baseline or 'it failed'}")
+        return 2
     print(f"{len(work)} mutants", flush=True)
     alive = 0
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
