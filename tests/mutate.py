@@ -28,6 +28,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
+JOBS = 2  # workers, each running one pytest at a time
+TIMEOUT = 150.0  # seconds per mutant; the unmutated suite takes about 20
 
 
 def mutants(source: str):
@@ -58,7 +60,7 @@ def mutants(source: str):
             yield node.lineno, "+= 1 -> pass", splice(node, "pass")
 
 
-def run(path: str, line: int, what: str, mutated: str, timeout: float) -> str:
+def run(path: str, line: int, what: str, mutated: str) -> str:
     with tempfile.TemporaryDirectory(prefix="rtss-mutant-") as scratch:
         # the whole checkout: the layout tests read README.md, for one
         copy = os.path.join(scratch, "repo")
@@ -70,33 +72,30 @@ def run(path: str, line: int, what: str, mutated: str, timeout: float) -> str:
                    "--ignore=tests/test_acceptance.py"]
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         try:
-            done = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
+            done = subprocess.run(command, cwd=copy, env=env, timeout=TIMEOUT,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except subprocess.TimeoutExpired:
-            return f"{path}:{line}: {what}: HUNG past {timeout:g} s"
+            return f"{path}:{line}: {what}: HUNG past {TIMEOUT:g} s"
     return "" if done.returncode else f"{path}:{line}: {what}: SURVIVED"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="module paths relative to the repo root")
-    parser.add_argument("--jobs", type=int, default=2, choices=(1, 2))
-    parser.add_argument("--timeout", type=float, default=150.0,
-                        help="seconds per mutant (default 150)")
     args = parser.parse_args(argv)
     work = []
     for path in args.paths:
         with open(os.path.join(ROOT, path), encoding="utf-8") as f:
             work += [(path, *m) for m in mutants(f.read())]
     with open(os.path.join(ROOT, work[0][0]), encoding="utf-8") as f:
-        baseline = run(work[0][0], 0, "unmutated", f.read(), args.timeout)
+        baseline = run(work[0][0], 0, "unmutated", f.read())
     if not baseline.endswith("SURVIVED"):
         print(f"the suite does not pass unmutated: {baseline or 'it failed'}")
         return 2
     print(f"{len(work)} mutants", flush=True)
     alive = 0
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for verdict in pool.map(lambda w: run(*w, args.timeout), work):
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        for verdict in pool.map(lambda w: run(*w), work):
             if verdict:
                 alive += 1
                 print(verdict, flush=True)
