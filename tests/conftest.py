@@ -10,6 +10,8 @@ import pytest
 
 from rtss.domains.synthetic import random_dag
 from rtss.rng import SplitMix64
+from rtss.safety import DeadEndCache
+from rtss.search import FCOST, ExpansionBudget, SearchGraph, expand_best_first, path_to
 
 # A test still running after this many seconds has hung, in a worklist loop
 # that never ends, say. The slowest test, set-up included, is the first to
@@ -118,3 +120,16 @@ def random_h_dag(seed, size=40):
     rng = SplitMix64(seed ^ 0x5EED)
     domain.h_values = {s: float(rng.randrange(4)) for s in range(size)}
     return domain
+
+
+def online_astar(domain, start):
+    """Offline A*'s oracle: one unbounded iteration of the online search,
+    which keys and breaks ties the same way. (actions, cost, expansions),
+    or None when the space exhausts without a goal."""
+    graph = SearchGraph(domain, FCOST, DeadEndCache())
+    graph.begin_iteration(start)
+    budget = ExpansionBudget(10_000)
+    outcome = expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
+    if outcome.kind != "goal":
+        return None
+    return path_to(graph, outcome.goal), graph.nodes[outcome.goal].g, budget.used

@@ -19,6 +19,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -71,12 +72,17 @@ def run(path: str, line: int, what: str, mutated: str) -> str:
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                    "--ignore=tests/test_acceptance.py"]
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-        try:
-            done = subprocess.run(command, cwd=copy, env=env, timeout=TIMEOUT,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        except subprocess.TimeoutExpired:
-            return f"{path}:{line}: {what}: HUNG past {TIMEOUT:g} s"
-    return "" if done.returncode else f"{path}:{line}: {what}: SURVIVED"
+        # a session of its own, so that a hung run's pool workers die with it
+        with subprocess.Popen(command, cwd=copy, env=env, start_new_session=True,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL) as proc:
+            try:
+                code = proc.wait(timeout=TIMEOUT)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                return f"{path}:{line}: {what}: HUNG past {TIMEOUT:g} s"
+    return "" if code else f"{path}:{line}: {what}: SURVIVED"
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import online_astar
 from rtss.domains import airspace
 from rtss.domains.airspace import (AirspaceInstance, collision_probability,
                                    generate, load_instance, safety_proof_stats)
@@ -137,6 +138,16 @@ def test_h_is_admissible_on_tiny_instances():
             continue
         _actions, cost, _ = solved
         assert inst.h(inst.start) <= cost + 1e-9
+
+
+def test_offline_astar_matches_the_online_search_on_tiny_instances():
+    # airspace has many equal-g paths to a state: a duplicate queued at an
+    # equal g is expanded again and shows in the expansion count
+    for seed in range(20):
+        inst = generate(15 + seed % 10, 3 + seed % 4, 0.2, seed)
+        expected = online_astar(inst, inst.start)
+        assert expected is not None
+        assert offline_astar(inst, inst.start) == expected
 
 
 def test_d_safe_and_f_safe():

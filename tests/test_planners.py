@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from conftest import ListDomain, chain_domain
-from rtss import harness
+from conftest import ListDomain, chain_domain, online_astar
+from rtss import harness, planners
 from rtss.domains import airspace
 from rtss.domains.oracles import true_safe_set
 from rtss.domains.racetrack import right_turn_track
@@ -16,7 +16,7 @@ from rtss.planners import (PlannerConfig, SafeFilteredDomain,
 from rtss.safety import BudgetOut, DeadEndCache, Exhausted, Proven, propagate_safety
 from rtss.rng import SplitMix64
 from rtss.search import (_SAFE, FCOST, Evaluator, ExpansionBudget, SafetyStatus,
-                         SearchGraph, expand_best_first, path_to)
+                         SearchGraph, expand_best_first)
 
 
 def fresh(domain, root, cache=None):
@@ -225,7 +225,7 @@ def test_rtfs_redistribution_stops_when_the_space_exhausts():
     assert report.expansions_goal == 2  # nothing left to spend the rest on
 
 
-def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
+def test_rtfs_runs_a_slice_that_spends_nothing_only_once(monkeypatch):
     # bound 2 at ratio 0.5: the first slice expands the root and proves x,
     # already marked safe, for free; the re-split slice of the one expansion
     # left explores nothing and proves x for free again, so it makes no
@@ -233,6 +233,16 @@ def test_rtfs_runs_a_slice_that_spends_nothing_only_once():
     domain = ListDomain({"r": [("a", "x", 1.0)], "x": [("b", "y", 1.0)], "y": []},
                         safe={"r", "x"})
     graph = fresh(domain, "r")
+    allocate = planners.allocate_proofs_rtfs0
+    slices = []
+
+    def counted(*args):
+        # a loop that re-runs a slice without progress never ends: fail it
+        slices.append(args)
+        assert len(slices) <= 2, "the re-split loop ran a third proof slice"
+        return allocate(*args)
+
+    monkeypatch.setattr(planners, "allocate_proofs_rtfs0", counted)
     config = PlannerConfig("rtfs", 2, exploration_ratio=0.5,
                            allow_budget_carryover=False)
     report = iteration_step(graph, config, 2)
@@ -419,17 +429,6 @@ def _dijkstra_cost_oracle(domain, start):
     return None
 
 
-def _online_astar(domain, start):
-    """Offline A*'s oracle: one unbounded iteration of the online search."""
-    graph = SearchGraph(domain, FCOST, DeadEndCache())
-    graph.begin_iteration(start)
-    budget = ExpansionBudget(10_000)
-    outcome = expand_best_first(graph, FCOST, budget, domain, cache=graph.cache)
-    if outcome.kind != "goal":
-        return None
-    return path_to(graph, outcome.goal), graph.nodes[outcome.goal].g, budget.used
-
-
 def _weighted_dag(seed):
     rng = SplitMix64(seed)
     dag = random_dag(seed, size=30, edge_chance=0.15)
@@ -459,7 +458,7 @@ def test_offline_astar_matches_the_online_search_on_weighted_worlds():
     worlds += [(_weighted_dag(seed), 0) for seed in range(40)]
     solved = 0
     for domain, start in worlds:
-        expected = _online_astar(domain, start)
+        expected = online_astar(domain, start)
         assert offline_astar(domain, start) == expected
         solved += expected is not None
     assert solved >= 30
