@@ -12,8 +12,9 @@ from typing import Iterable, Optional
 STATE_LIMIT = 10_000_000
 
 
-def reachable_states(domain, roots: Iterable, limit: int = STATE_LIMIT) -> list:
+def reachable_states(domain, roots: Iterable) -> list:
     """Forward closure of roots under the successor relation."""
+    limit = STATE_LIMIT
     seen = set()
     order = []
     frontier = deque()
@@ -35,20 +36,19 @@ def reachable_states(domain, roots: Iterable, limit: int = STATE_LIMIT) -> list:
 
 
 def true_safe_set(domain, states: Optional[Iterable] = None,
-                  roots: Optional[Iterable] = None,
-                  limit: int = STATE_LIMIT) -> set:
+                  roots: Optional[Iterable] = None) -> set:
     """States with a true path to some goal: backward reachability from the
     goals over the reversed successor relation of the enumerated space."""
     if states is None:
         if roots is not None:
-            states = reachable_states(domain, roots, limit)
+            states = reachable_states(domain, roots)
         elif hasattr(domain, "all_states"):
             states = domain.all_states()
         else:
             raise ValueError("need either an explicit state list or roots")
     states = list(states)
-    if len(states) > limit:
-        raise ValueError(f"state space exceeds the {limit} oracle guard")
+    if len(states) > STATE_LIMIT:
+        raise ValueError(f"state space exceeds the {STATE_LIMIT} oracle guard")
     reverse: dict = {}
     goals = []
     index = set(states)
@@ -74,16 +74,17 @@ def true_safe_set(domain, states: Optional[Iterable] = None,
     return safe
 
 
-def true_dead_ends(domain, states: Iterable, limit: int = STATE_LIMIT) -> set:
+def true_dead_ends(domain, states: Iterable) -> set:
     states = list(states)
-    return set(states) - true_safe_set(domain, states=states, limit=limit)
+    return set(states) - true_safe_set(domain, states=states)
 
 
-def optimal_proof_path(domain, state, limit: int = STATE_LIMIT) -> Optional[list]:
+def optimal_proof_path(domain, state) -> Optional[list]:
     """A shortest successor path from state to an explicitly safe state
     (goals included), found breadth-first; None when no proof exists."""
     if domain.f_safe(state) or domain.is_goal(state):
         return [state]
+    limit = STATE_LIMIT
     parent = {state: None}
     frontier = deque([state])
 
@@ -110,8 +111,8 @@ def optimal_proof_path(domain, state, limit: int = STATE_LIMIT) -> Optional[list
     return None
 
 
-def optimal_proof_oracle(domain, state, limit: int = STATE_LIMIT) -> Optional[int]:
+def optimal_proof_oracle(domain, state) -> Optional[int]:
     """Minimum number of states on any successor path from state to an
     explicitly safe state (goals included); None when no proof exists."""
-    path = optimal_proof_path(domain, state, limit)
+    path = optimal_proof_path(domain, state)
     return len(path) if path is not None else None

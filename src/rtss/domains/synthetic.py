@@ -1,10 +1,11 @@
 """Explicit graph domains for unit and property tests.
 
 GraphDomain wraps adjacency lists as a planner-ready world: integer nodes,
-unit edge costs, the successor node id doubling as the action label. The
-random DAG builder yields worlds with genuine dead ends and a strong
-likely-safe predicate (hints are sampled from the truly safe nodes), which
-is what the soundness and theorem suites need.
+unit edge costs, the successor node id doubling as the action label, h of
+zero and no identity action. The random DAG builder yields worlds with
+genuine dead ends and a strong likely-safe predicate (hints are sampled
+from the truly safe nodes), which is what the soundness and theorem suites
+need.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ class GraphDomain:
     edges: dict                      # node -> ordered list of successor nodes
     goals: set
     safe_hints: set = field(default_factory=set)
-    identity_nodes: set = field(default_factory=set)
-    h_values: dict = field(default_factory=dict)
     name: str = "graph"
 
     def __post_init__(self):
@@ -31,20 +30,16 @@ class GraphDomain:
         return self.name
 
     def successors(self, state) -> list:
-        out = [(s2, s2, 1.0) for s2 in self.edges.get(state, ())]
-        if state in self.identity_nodes:
-            out.append((state, state, 1.0))
-        return out
+        return [(s2, s2, 1.0) for s2 in self.edges.get(state, ())]
 
     def is_goal(self, state) -> bool:
         return state in self.goals
 
     def is_terminal(self, state) -> bool:
-        return not self.edges.get(state) and state not in self.goals \
-            and state not in self.identity_nodes
+        return not self.edges.get(state) and state not in self.goals
 
     def h(self, state) -> float:
-        return float(self.h_values.get(state, 0.0))
+        return 0.0
 
     def d_safe(self, state) -> float:
         return float(self._d_safe.get(state, len(self.edges) + 1))
@@ -53,7 +48,7 @@ class GraphDomain:
         return state in self.safe_hints
 
     def identity_action(self, state):
-        return state if state in self.identity_nodes else None
+        return None
 
     def travel_distance(self, start, end) -> float:
         return 0.0

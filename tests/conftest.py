@@ -1,23 +1,28 @@
 """Shared test domains: tiny explicit worlds with hand-checkable behavior,
-and a guard that turns a hung test into a failure."""
+the reference grids run once per session, and a guard that turns a hung
+test into a failure."""
 from __future__ import annotations
 
 import faulthandler
 import math
+import multiprocessing
 import os
+import threading
 
 import pytest
 
 from rtss.domains.synthetic import random_dag
+from rtss.harness import ExperimentConfig, run_experiment
 from rtss.rng import SplitMix64
 from rtss.safety import DeadEndCache
 from rtss.search import FCOST, ExpansionBudget, SearchGraph, expand_best_first, path_to
 
 # A test still running after this many seconds has hung, in a worklist loop
 # that never ends, say. The slowest test, set-up included, is the first to
-# use the acceptance gate's avoidance and velocity fixture: about 42 s.
+# use the acceptance gate's avoidance and velocity fixture, which runs the
+# airspace-velocity and racetrack-gat reference grids: about 20 s.
 HANG_LIMIT_S = 300
-_terminal_stderr = -1
+_terminal_stderr = 2
 
 
 def pytest_configure():
@@ -27,15 +32,53 @@ def pytest_configure():
     _terminal_stderr = os.dup(2)
 
 
+def _end_hung_run():
+    """Print every thread's traceback, end the pool workers that a hung grid
+    leaves behind, and exit the run."""
+    faulthandler.dump_traceback(file=_terminal_stderr, all_threads=True)
+    for worker in multiprocessing.active_children():
+        worker.kill()
+        worker.join()
+    os._exit(1)
+
+
+def arm_hang_guard(limit_s: float) -> threading.Timer:
+    """Call _end_hung_run after limit_s seconds, unless the returned timer is
+    cancelled first. A busy Python loop still yields the interpreter lock to
+    the timer's thread, so a test that loops forever cannot hold it off."""
+    guard = threading.Timer(limit_s, _end_hung_run)
+    guard.daemon = True
+    guard.start()
+    return guard
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol():
-    """Arm the hang guard around each test's set-up, call and teardown: past
-    the limit it prints every thread's traceback and exits the run. (An
+    """Arm the hang guard around each test's set-up, call and teardown. (An
     autouse fixture would miss a hang in a module-scoped fixture, which is
     set up before any function-scoped one.)"""
-    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
+    guard = arm_hang_guard(HANG_LIMIT_S)
     yield
-    faulthandler.cancel_dump_traceback_later()
+    guard.cancel()
+
+
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
+
+
+@pytest.fixture(scope="session")
+def reference_grid(tmp_path_factory):
+    """name -> (records, CSV path) of `experiments/<name>.json` run unchanged
+    at two workers. Each grid runs once per session, on first use, and the
+    golden digests and the acceptance gate both read that one run."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            config = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, f"{name}.json"))
+            config.output = str(tmp_path_factory.mktemp(name) / config.output)
+            runs[name] = run_experiment(config, jobs=2), config.output
+        return runs[name]
+    return run
 
 
 class ListDomain:
@@ -88,7 +131,7 @@ class ListDomain:
         for edges in self.succ.values():
             for _a, s2, _c in edges:
                 seen.add(s2)
-        return sorted(seen, key=repr)
+        return sorted(seen)
 
 
 def chain_domain(n=5):
@@ -115,11 +158,16 @@ def funnel_domain():
 
 def random_h_dag(seed, size=40):
     """A random DAG (root 0) with a random, inconsistent h, so that searches
-    reopen nodes and backups change h."""
-    domain = random_dag(seed, size=size, edge_chance=0.1)
+    reopen nodes and backups change h: `random_dag`'s world as a ListDomain,
+    with its successors in order, its goals, hints, d_safe values and
+    terminals."""
+    dag = random_dag(seed, size=size, edge_chance=0.1)
     rng = SplitMix64(seed ^ 0x5EED)
-    domain.h_values = {s: float(rng.randrange(4)) for s in range(size)}
-    return domain
+    states = dag.all_states()
+    return ListDomain({s: dag.successors(s) for s in states}, goals=dag.goals,
+                      safe=dag.safe_hints, h={s: float(rng.randrange(4)) for s in range(size)},
+                      d_safe={s: dag.d_safe(s) for s in states},
+                      terminal={s for s in states if dag.is_terminal(s)}, name=dag.name)
 
 
 def online_astar(domain, start):

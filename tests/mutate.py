@@ -9,9 +9,13 @@ and `or`, replace a `continue` or `break` with `pass`, and replace an
 `x += 1` with `pass`. Each mutant runs tier-1 without the acceptance gate
 (`pytest -x`, tests/test_acceptance.py left out) in its own copy of the
 repository, under a time limit, on at most two workers, once the suite
-has passed unmutated. Every mutant that survives or runs past the limit
-is printed with its line; a killed one prints nothing. pytest collects
-only test_*.py, so it never runs this file.
+has passed unmutated. The mutated module's own test module runs first,
+then the other unit modules, then the modules that run experiment grids:
+a mutant that loops forever in a whole episode or a grid would otherwise
+hold its run to the time limit before the unit test that kills it runs.
+Every mutant that survives or runs past the limit is printed with its
+line; a killed one prints nothing. pytest collects only test_*.py, so it
+never runs this file.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
 JOBS = 2  # workers, each running one pytest at a time
-TIMEOUT = 150.0  # seconds per mutant; the unmutated suite takes about 20
+TIMEOUT = 150.0  # seconds per mutant; the unmutated suite takes about 35
+GRID_MODULES = ("test_cli.py", "test_golden.py", "test_harness.py", "test_plotting.py")
 
 
 def mutants(source: str):
@@ -69,8 +74,13 @@ def run(path: str, line: int, what: str, mutated: str) -> str:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
         with open(os.path.join(copy, path), "w", encoding="utf-8") as f:
             f.write(mutated)
+        own = f"test_{os.path.splitext(os.path.basename(path))[0]}.py"
+        modules = sorted((name for name in os.listdir(os.path.join(ROOT, "tests"))
+                          if name.startswith("test_") and name.endswith(".py")
+                          and name != "test_acceptance.py"),
+                         key=lambda name: (name != own, name in GRID_MODULES, name))
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--ignore=tests/test_acceptance.py"]
+                   *(f"tests/{name}" for name in modules)]
         env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         # a session of its own, so that a hung run's pool workers die with it
         with subprocess.Popen(command, cwd=copy, env=env, start_new_session=True,

@@ -1,29 +1,29 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Heavy run grids are shared through module-scoped fixtures; every run is
-seeded, so the whole gate is deterministic end to end.
+Its episodes are experiment grids run at two workers. Those that the
+`experiments/*.json` reference grids hold are read from the session's one
+run of each (conftest's `reference_grid`); the rest are shared through
+module-scoped fixtures. A row's seed only labels it, so rows are keyed by
+their other columns. Every run is seeded, so the whole gate is
+deterministic end to end.
 """
-import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from rtss.domains import airspace, racetrack
+from rtss.domains import airspace
 from rtss.domains.airspace import collision_probability, safety_proof_stats
-from rtss.domains.oracles import true_safe_set
-from rtss.harness import (ExperimentConfig, run_experiment, simulate_episode,
-                          simulate_offline_astar)
-from rtss.planners import PlannerConfig, offline_astar
-from rtss.search import Evaluator
+from rtss.harness import OFFLINE_ASTAR, ExperimentConfig, run_experiment
 from rtss.verification import run_suite
 
 BOUNDS = (30, 100, 300)
 AIRSPACE_SEEDS = tuple(range(1, 11))
 SWEEP_SEEDS = tuple(range(1, 6))
 
-RTFS0 = dict(exploration_ratio=0.5, evaluator=Evaluator("astar"),
-             allow_budget_carryover=False)
+SAFE_RTS = {"name": "safe-rts"}
+RTFS0 = {"name": "rtfs", "ratio": 0.5, "evaluator": "astar", "carryover": False}
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -31,40 +31,41 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _grid(algorithms, seeds, max_alt=20, p_obs=0.05, length=2000, bounds=BOUNDS,
+          cache_enabled=True):
+    """The records of an Airspace grid run at two workers, writing no CSV."""
+    domain = {"type": "airspace", "length": length, "maxAltitude": max_alt,
+              "pObs": p_obs, "seeds": list(seeds)}
+    return run_experiment(ExperimentConfig(domain, algorithms, list(bounds), output="",
+                                           cache_enabled=cache_enabled), jobs=2)
+
+
+def _seed(record):
+    """The generator seed of a row's Airspace world, whose id ends in -s<seed>."""
+    return int(record.instance_id.rsplit("-s", 1)[1])
+
+
 @pytest.fixture(scope="module")
-def airspace_grid():
+def airspace_grid(reference_grid):
     """(algorithm, maxAlt, bound, seed) -> RunRecord over the avoidance and
-    velocity grids, plus the Safe-LSS-LRTA* oracle rows at maxAlt 20."""
-    records = {}
-    for max_alt in (10, 14, 20):
-        for seed in AIRSPACE_SEEDS:
-            inst = airspace.generate(2000, max_alt, 0.05, seed)
-            safe = true_safe_set(inst) if max_alt == 20 else None
-            for bound in BOUNDS:
-                for algo, kw in (("safe-rts", {}), ("rtfs", RTFS0)):
-                    rec, _ = simulate_episode(PlannerConfig(algo, bound, **kw),
-                                              inst, inst.start, seed=seed)
-                    records[(algo, max_alt, bound, seed)] = rec
-                if max_alt == 20:
-                    rec, _ = simulate_episode(
-                        PlannerConfig("safe-lss-lrta", bound), inst, inst.start,
-                        seed=seed, safe_states=safe)
-                    records[("safe-lss-lrta", max_alt, bound, seed)] = rec
-    return records
+    velocity grids, plus the Safe-LSS-LRTA* oracle rows at maxAlt 20: at
+    maxAlt 20, the airspace-velocity reference grid less its offline A*."""
+    grids = {10: _grid([SAFE_RTS, RTFS0], AIRSPACE_SEEDS, max_alt=10),
+             14: _grid([SAFE_RTS, RTFS0], AIRSPACE_SEEDS, max_alt=14),
+             20: reference_grid("airspace-velocity")[0]}
+    return {(rec.algorithm, max_alt, rec.iteration_bound, _seed(rec)): rec
+            for max_alt, records in grids.items() for rec in records
+            if rec.algorithm != OFFLINE_ASTAR}
 
 
 @pytest.fixture(scope="module")
-def racetrack_grid():
-    track = racetrack.right_turn_track()
-    starts = track.sample_starts(10, 42)
-    records = {}
-    for bound in BOUNDS:
-        for i, cell in enumerate(starts):
-            for algo, kw in (("safe-rts", {}), ("rtfs", RTFS0)):
-                rec, _ = simulate_episode(PlannerConfig(algo, bound, **kw),
-                                          track, track.start_state(cell), seed=i)
-                records[(algo, bound, i)] = rec
-    return records
+def racetrack_grid(reference_grid):
+    """(algorithm, bound, start index) -> RunRecord of the racetrack-gat
+    reference grid's SafeRTS and RTFS-0 rows: 10 right-turn starts drawn
+    with seed 42."""
+    return {(rec.algorithm, rec.iteration_bound,
+             int(re.search(r"#start(\d+)@", rec.instance_id)[1])): rec
+            for rec in reference_grid("racetrack-gat")[0] if rec.algorithm != "lss-lrta"}
 
 
 def test_proof_difficulty_profile():
@@ -183,19 +184,16 @@ def test_target_rank_claims(racetrack_grid):
             f"rtfs mean rank {rtfs_mean:.4f}, safe-rts mean rank {srts_mean:.4f}")
 
 
-def test_reexpansion_ratio_band_and_paired_cache_runs():
-    ratios = []
-    pair_violations = []
-    for seed in AIRSPACE_SEEDS:
-        inst = airspace.generate(2000, 20, 0.05, seed)
-        off, _ = simulate_episode(PlannerConfig("safe-rts", 100), inst, inst.start,
-                                  seed=seed, cache_enabled=False)
-        on, _ = simulate_episode(PlannerConfig("safe-rts", 100), inst, inst.start,
-                                 seed=seed, cache_enabled=True)
-        ratios.append(off.dead_end_reexpansion_ratio)
-        if on.total_expansions > off.total_expansions:
-            pair_violations.append(
-                f"seed {seed}: on={on.total_expansions} off={off.total_expansions}")
+def test_reexpansion_ratio_band_and_paired_cache_runs(reference_grid):
+    # the cache-on runs are the airspace-velocity reference grid's
+    on = {_seed(r): r for r in reference_grid("airspace-velocity")[0]
+          if r.algorithm == "safe-rts" and r.iteration_bound == 100}
+    off = {_seed(r): r for r in _grid([SAFE_RTS], AIRSPACE_SEEDS, bounds=[100],
+                                      cache_enabled=False)}
+    ratios = [off[seed].dead_end_reexpansion_ratio for seed in AIRSPACE_SEEDS]
+    pair_violations = [
+        f"seed {seed}: on={on[seed].total_expansions} off={off[seed].total_expansions}"
+        for seed in AIRSPACE_SEEDS if on[seed].total_expansions > off[seed].total_expansions]
     mean_ratio = _mean(ratios)
     in_band = 0.002 <= mean_ratio <= 0.05
     ok = in_band and not pair_violations
@@ -206,38 +204,35 @@ def test_reexpansion_ratio_band_and_paired_cache_runs():
 
 
 def test_perfect_agent_velocity():
-    vels = []
-    for seed in range(1, 6):
-        inst = airspace.generate(10_000, 20, 0.05, seed)
-        rec = simulate_offline_astar(inst, inst.start, offline_astar(inst, inst.start),
-                                     seed=seed)
-        assert rec.outcome == "goal"
-        vels.append(rec.velocity)
-    mean = _mean(vels)
+    # offline A* ignores the bound, so one bound runs it once per seed
+    records = _grid([{"name": OFFLINE_ASTAR}], range(1, 6), length=10_000, bounds=[1])
+    assert [rec.outcome for rec in records] == ["goal"] * 5
+    mean = _mean(rec.velocity for rec in records)
     _report("perfect-agent-velocity", 10.0 <= mean <= 16.0,
             f"mean offline A* velocity {mean:.2f} over 5 seeds")
 
 
-def test_exploration_strategy_sweep():
+def test_exploration_strategy_sweep(reference_grid):
     # run at both obstacle densities; the directional weighted-vs-plain
-    # check is applied at ratio 0.5 within each density
-    evaluators = ("astar", "wastar:1.1", "wastar:3", "greedy")
-    ratios = (0.1, 0.3, 0.5)
+    # check is applied at ratio 0.5 within each density. Six of the p=0.01
+    # configs are the rtfs-exploration-sweep reference grid's
+    specs = [{"name": "rtfs", "ratio": ratio, "evaluator": ev, "carryover": False}
+             for ev in ("astar", "wastar:1.1", "wastar:3", "greedy")
+             for ratio in (0.1, 0.3, 0.5)]
+    reference = reference_grid("rtfs-exploration-sweep")[0]
+    held = {(r.evaluator, r.exploration_ratio) for r in reference}
+    rest = [s for s in specs if (s["evaluator"], s["ratio"]) not in held]
+    grids = {0.05: _grid(specs, SWEEP_SEEDS, bounds=[100]),
+             0.01: _grid(rest, SWEEP_SEEDS, p_obs=0.01, bounds=[100]) + reference}
     velocity = {}
     incomplete = []
-    for p_obs in (0.05, 0.01):
-        for seed in SWEEP_SEEDS:
-            inst = airspace.generate(2000, 20, p_obs, seed)
-            for ev in evaluators:
-                for ratio in ratios:
-                    config = PlannerConfig("rtfs", 100, exploration_ratio=ratio,
-                                           evaluator=Evaluator.parse(ev),
-                                           allow_budget_carryover=False)
-                    rec, _ = simulate_episode(config, inst, inst.start, seed=seed)
-                    velocity[(p_obs, ev, ratio, seed)] = rec.velocity
-                    if rec.outcome != "goal":
-                        incomplete.append(f"p{p_obs} {ev}@{ratio} seed {seed}: "
-                                          f"{rec.outcome}")
+    for p_obs, records in grids.items():
+        for rec in records:
+            ev, ratio = rec.evaluator, rec.exploration_ratio
+            velocity[(p_obs, ev, ratio, _seed(rec))] = rec.velocity
+            if rec.outcome != "goal":
+                incomplete.append(f"p{p_obs} {ev}@{ratio} seed {_seed(rec)}: "
+                                  f"{rec.outcome}")
     wins = {p: sum(1 for s in SWEEP_SEEDS
                    if velocity[(p, "wastar:1.1", 0.5, s)]
                    >= velocity[(p, "astar", 0.5, s)])

@@ -11,7 +11,9 @@ against one written by the commit that recorded the digests.
 
 Three more digests pin the reference grids themselves: each
 `experiments/*.json` config, run unchanged at two workers, must write the
-CSV bytes that every earlier result was checked against.
+CSV bytes that every earlier result was checked against. Each runs once
+per session (conftest's `reference_grid`), and the acceptance gate reads
+its rows from the same run.
 
 One more digest pins a small `rtss stats` CSV, which only the safety
 proofs and successor generation produce, a set pins the obstacle grids
@@ -29,7 +31,6 @@ every iteration report, the outcome, and the final cache counts.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pytest
 
@@ -89,8 +90,6 @@ def test_grid_csv_matches_its_recorded_digest(grid, tmp_path):
         assert hashlib.sha256(f.read()).hexdigest() == digest
 
 
-EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
-
 # SHA-256 of the CSV each checked-in grid writes at --jobs 2; their md5s are
 # 9ab9cf75..., 6d83ea81... and 97a7306a..., in this order
 REFERENCE_GRIDS = {
@@ -102,11 +101,9 @@ REFERENCE_GRIDS = {
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_GRIDS))
-def test_reference_grid_csv_matches_its_recorded_digest(name, tmp_path):
-    config = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, f"{name}.json"))
-    config.output = str(tmp_path / f"{name}.csv")
-    run_experiment(config, jobs=2)
-    with open(config.output, "rb") as f:
+def test_reference_grid_csv_matches_its_recorded_digest(name, reference_grid):
+    _records, output = reference_grid(name)
+    with open(output, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == REFERENCE_GRIDS[name]
 
 

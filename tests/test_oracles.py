@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ListDomain, funnel_domain
-from rtss.domains import airspace
+from rtss.domains import airspace, oracles
 from rtss.domains.oracles import (optimal_proof_oracle, optimal_proof_path,
                                   reachable_states, true_dead_ends,
                                   true_safe_set)
-from rtss.domains.synthetic import GraphDomain, random_dag
+from rtss.domains.synthetic import random_dag
 
 
 def safe_set_fixpoint(domain, states) -> set:
@@ -61,12 +63,14 @@ def test_a_goal_outside_the_enumerated_states_still_counts():
     assert true_safe_set(domain, states=["a", "b", "c"]) == {"a", "g"}
 
 
-def test_size_guard_refuses_oversized_spaces():
+def test_size_guard_refuses_oversized_spaces(monkeypatch):
     inst = airspace.generate(30, 4, 0.0, 1)
+    monkeypatch.setattr(oracles, "STATE_LIMIT", 10)
     with pytest.raises(ValueError):
-        true_safe_set(inst, states=inst.all_states(), limit=10)
+        true_safe_set(inst, states=inst.all_states())
+    monkeypatch.setattr(oracles, "STATE_LIMIT", 3)
     with pytest.raises(ValueError):
-        reachable_states(inst, [inst.start], limit=3)
+        reachable_states(inst, [inst.start])
 
 
 def test_explicitly_safe_state_has_singleton_proof():
@@ -97,3 +101,28 @@ def test_reachable_states_order_is_breadth_first_and_deterministic():
     domain = funnel_domain()
     order = reachable_states(domain, ["r"])
     assert order == ["r", "m1", "m2", "t1", "t2", "t3"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("dag", "airspace")), seed=st.integers(0, 10_000),
+       pick=st.integers(0, 10_000))
+def test_a_sweep_from_the_start_agrees_with_the_all_states_sweep_on_reachable_states(
+        kind, seed, pick):
+    # what lets a grid plan Safe-LSS-LRTA* over the sweep from its starts
+    # instead of over all states: every successor of a reachable state is
+    # reachable, so the two sweeps agree on each state that an episode meets
+    if kind == "dag":
+        domain = random_dag(seed, size=20 + seed % 50)
+    else:
+        domain = airspace.generate(10 + seed % 30, 3 + seed % 5, (0.1, 0.3, 0.5)[seed % 3],
+                                   seed)
+    states = domain.all_states()
+    start = states[pick % len(states)]
+    reachable, stack = {start}, [start]
+    while stack:
+        for _a, s2, _c in domain.successors(stack.pop()):
+            if s2 not in reachable:
+                reachable.add(s2)
+                stack.append(s2)
+    assert true_safe_set(domain, roots=[start]) == (
+        true_safe_set(domain, states=states) & reachable)

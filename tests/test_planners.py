@@ -8,7 +8,7 @@ from rtss import harness, planners
 from rtss.domains import airspace
 from rtss.domains.oracles import true_safe_set
 from rtss.domains.racetrack import right_turn_track
-from rtss.domains.synthetic import GraphDomain, random_dag
+from rtss.domains.synthetic import random_dag
 from rtss.harness import simulate_episode
 from rtss.planners import (PlannerConfig, SafeFilteredDomain,
                            allocate_proofs_rtfs0, apply_action, iteration_step,

@@ -75,8 +75,11 @@ def _world(kind, seed):
         states = domain.all_states()
         for u in states:
             if rng.uniform() < 0.08:
-                domain.edges.setdefault(u, []).append(states[rng.randrange(len(states))])
-        domain.identity_nodes = {s for s in states if rng.uniform() < 0.1}
+                v = states[rng.randrange(len(states))]
+                domain.succ[u].append((v, v, 1.0))
+        domain.identity = {s for s in states if rng.uniform() < 0.1}
+        domain.terminal = {s for s in states if not domain.successors(s)
+                           and s not in domain.goals}
         return domain, states, rng
     inst = airspace.generate(12 + seed % 30, 3 + seed % 5, (0.1, 0.3, 0.5)[seed % 3], seed)
     return inst, [(d, a) for d in range(inst.length + 1)

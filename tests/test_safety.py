@@ -146,6 +146,20 @@ def test_dead_nodes_are_never_marked_safe():
     assert graph.nodes[2].safety == SafetyStatus.DEAD_END
 
 
+def test_closure_skips_dead_and_already_safe_predecessors():
+    # an acyclic diamond r -> {a, b} -> c -> d with b dead: the proven path
+    # and the walk from it mark d, c, a and r once each, and mark neither b
+    # nor r a second time (on a cyclic world, a walk that re-marks marked
+    # nodes never ends)
+    domain = ListDomain({"r": [("x", "a", 1.0), ("y", "b", 1.0)], "a": [("x", "c", 1.0)],
+                         "b": [("x", "c", 1.0)], "c": [("x", "d", 1.0)], "d": []})
+    graph = build(domain, "r", 10)
+    graph.nodes["b"].safety = SafetyStatus.DEAD_END
+    assert propagate_safety(graph, [("d",)]) == 4
+    assert {s for s, n in graph.nodes.items() if n.safety == _SAFE} == {"r", "a", "c", "d"}
+    assert graph.nodes["b"].safety == SafetyStatus.DEAD_END
+
+
 # -- propagate_dead_ends ---------------------------------------------------------
 
 def test_terminal_non_goal_is_flagged():
