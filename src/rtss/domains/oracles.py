@@ -12,52 +12,50 @@ from typing import Iterable, Optional
 STATE_LIMIT = 10_000_000
 
 
-def reachable_states(domain, roots: Iterable) -> list:
-    """Forward closure of roots under the successor relation."""
+def reachable_states(domain, roots: Iterable) -> dict:
+    """Forward closure of roots under the successor relation: each state,
+    in breadth-first order, mapped to its successor list."""
     limit = STATE_LIMIT
-    seen = set()
-    order = []
-    frontier = deque()
-    for r in roots:
-        if r not in seen:
-            seen.add(r)
-            order.append(r)
-            frontier.append(r)
+    edges = dict.fromkeys(roots)
+    frontier = deque(edges)
     while frontier:
         s = frontier.popleft()
-        for _a, s2, _c in domain.successors(s):
-            if s2 not in seen:
-                if len(seen) >= limit:
+        edges[s] = succs = domain.successors(s)
+        for _a, s2, _c in succs:
+            if s2 not in edges:
+                if len(edges) >= limit:
                     raise ValueError(f"state space exceeds the {limit} oracle guard")
-                seen.add(s2)
-                order.append(s2)
+                edges[s2] = None
                 frontier.append(s2)
-    return order
+    return edges
 
 
 def true_safe_set(domain, states: Optional[Iterable] = None,
                   roots: Optional[Iterable] = None) -> set:
     """States with a true path to some goal: backward reachability from the
-    goals over the reversed successor relation of the enumerated space."""
-    if states is None:
-        if roots is not None:
-            states = reachable_states(domain, roots)
-        elif hasattr(domain, "all_states"):
+    goals over the reversed successor relation of the enumerated space.
+    Rooted, it reads each state's successors from the enumeration, so it
+    calls successors once per reachable state."""
+    successors = domain.successors
+    if states is None and roots is not None:
+        states = reachable_states(domain, roots)
+        successors = states.__getitem__
+    else:
+        if states is None:
+            if not hasattr(domain, "all_states"):
+                raise ValueError("need either an explicit state list or roots")
             states = domain.all_states()
-        else:
-            raise ValueError("need either an explicit state list or roots")
-    states = list(states)
+        states = dict.fromkeys(states)      # ordered, and the membership index
     if len(states) > STATE_LIMIT:
         raise ValueError(f"state space exceeds the {STATE_LIMIT} oracle guard")
     reverse: dict = {}
     goals = []
-    index = set(states)
     for s in states:
         if domain.is_goal(s):
             goals.append(s)
             continue
-        for _a, s2, _c in domain.successors(s):
-            if s2 in index:
+        for _a, s2, _c in successors(s):
+            if s2 in states:
                 reverse.setdefault(s2, []).append(s)
             elif domain.is_goal(s2):
                 # goal discovered outside the enumeration: still a target

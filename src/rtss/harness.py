@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any, Iterable, Optional
@@ -307,29 +306,43 @@ def planner_config(spec: dict, bound: int) -> Optional[PlannerConfig]:
 
 
 _domains: tuple = ()    # the running grid's distinct domains, named by index
+_oracles: dict = {}     # the oracle results this process's cells computed
 
 
 def _hold_domains(domains) -> None:
     """Pool initializer: each worker receives the grid's domains once, so one
-    copy of a domain, and of any successor memo it keeps, serves the grid."""
+    copy of a domain, and of any successor memo it keeps, serves the grid.
+    The parent holds them too, and it and every worker drop old oracles."""
     global _domains
     _domains = domains
+    _oracles.clear()
+
+
+def _oracle(key, search, *args):
+    """search(*args), computed once per process and grid. A search that
+    raises is not kept, so every cell that needs it fails on its own."""
+    if key not in _oracles:
+        _oracles[key] = search(*args)
+    return _oracles[key]
 
 
 def _run_cell(args) -> RunRecord:
-    """One grid cell's record. An astar-offline cell executes the search
-    result in its last slot, or fails with the exception the search raised."""
+    """One grid cell's record. The first astar-offline cell of an instance
+    in this process runs offline A* for every bound's cell, and the first
+    safe-lss-lrta cell of a domain sweeps it from the roots in slot 9."""
     (run_index, instance_id, domain_index, start, algo_spec, bound,
-     config_seed, cache_enabled, max_iterations, safe_states, solved) = args
+     config_seed, cache_enabled, max_iterations, roots) = args
     seed = mix64(config_seed ^ run_index)
     # validate() built every spec and checked every bound, so this cannot raise
     planner = planner_config(algo_spec, bound)
     try:
         domain = _domains[domain_index]
         if planner is None:
-            if isinstance(solved, Exception):
-                raise solved
+            solved = _oracle((OFFLINE_ASTAR, domain_index, start), offline_astar,
+                             domain, start)
             return simulate_offline_astar(domain, start, solved, instance_id, seed)
+        safe_states = (None if roots is None else
+                       _oracle((SAFE_LSS_LRTA, domain_index), _sweep, domain, roots))
         record, _ = simulate_episode(planner, domain, start, instance_id, seed,
                                      cache_enabled=cache_enabled,
                                      max_iterations=max_iterations,
@@ -345,64 +358,47 @@ def _run_cell(args) -> RunRecord:
                          f"error:{type(exc).__name__}")
 
 
-def _run_group(cells) -> list[RunRecord]:
-    """The cells of one repetition, instance and algorithm, one per bound, in
-    bound order. Offline A* ignores the bound, so it searches once here and
-    every bound's cell executes that one search result."""
-    domain_index, start, algo_spec = cells[0][2:5]
-    solved = None
-    if algo_spec["name"] == OFFLINE_ASTAR:
-        try:
-            solved = offline_astar(_domains[domain_index], start)
-        except Exception as exc:    # each bound's cell reports it as its own row
-            solved = exc
-    return [_run_cell(cell + (solved,)) for cell in cells]
-
-
-def _sweep(args) -> set:
+def _sweep(domain, roots) -> set:
     """Ground-truth safe set of one domain, rooted at all of its grid starts.
     A state reachable from one start has all of its successors reachable from
     it, so the union of roots changes none of the membership tests that a
     safe-lss-lrta episode from that start makes. The sweep builds only sets,
-    lists, a deque and a dict of lists, so it runs with the collector off."""
-    domain_index, roots = args
+    lists, a deque and dicts, so it runs with the collector off."""
     with collector_off():
-        return true_safe_set(_domains[domain_index], roots=roots)
+        return true_safe_set(domain, roots=roots)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Run the full instance x algorithm x bound x repetition grid and write
     the CSV. Tasks, each the cells of one repetition, instance and algorithm
     at every bound, go to the workers one at a time, which balances their
-    uneven run times. Per-run seeds derive from the config seed and the run
-    index, so execution order (or parallelism) cannot change any result."""
+    uneven run times; a cell computes the oracle it needs (see _run_cell).
+    Per-run seeds derive from the config seed and the run index, so order
+    (or parallelism) cannot change any result."""
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, not {jobs}")
     config.validate()
     domains, grid = _build_grid(config)
     jobs = min(jobs, config.repetitions * len(grid) * len(config.algorithms))  # tasks
-    sweeps: dict[int, list] = {}    # domain index -> its grid starts
-    if any(s["name"] == SAFE_LSS_LRTA for s in config.algorithms):
-        for _instance_id, d, start in grid:
-            sweeps.setdefault(d, []).append(start)
-    pool = (ProcessPoolExecutor(max_workers=jobs, initializer=_hold_domains,
-                                initargs=(domains,)) if jobs > 1 else nullcontext())
+    roots: dict[int, list] = {}     # domain index -> its grid starts
+    for _instance_id, d, start in grid:
+        roots.setdefault(d, []).append(start)
+    # only safe-lss-lrta cells carry their domain's roots
+    cells = [(run_index, instance_id, d, start, spec, bound, config.config_seed,
+              config.cache_enabled, config.max_iterations,
+              roots[d] if spec["name"] == SAFE_LSS_LRTA else None)
+             for run_index, (_rep, (instance_id, d, start), spec, bound)
+             in enumerate(product(range(config.repetitions), grid,
+                                  config.algorithms, config.bounds))]
     _hold_domains(domains)
     try:
-        with pool:
-            run = pool.map if jobs > 1 else map
-            # the sweeps run as pool tasks, so the parent's instances stay
-            # cold; only safe-lss-lrta cells carry a safe set
-            safe_sets = dict(zip(sweeps, run(_sweep, sweeps.items())))
-            cells = [(run_index, instance_id, d, start, spec, bound,
-                      config.config_seed, config.cache_enabled, config.max_iterations,
-                      safe_sets[d] if spec["name"] == SAFE_LSS_LRTA else None)
-                     for run_index, (_rep, (instance_id, d, start), spec, bound)
-                     in enumerate(product(range(config.repetitions), grid,
-                                          config.algorithms, config.bounds))]
-            width = len(config.bounds)
-            groups = [cells[i:i + width] for i in range(0, len(cells), width)]
-            records = [r for group in run(_run_group, groups) for r in group]
+        if jobs == 1:
+            records = list(map(_run_cell, cells))
+        else:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_hold_domains,
+                                     initargs=(domains,)) as pool:
+                records = list(pool.map(_run_cell, cells,
+                                        chunksize=len(config.bounds)))
     finally:
         _hold_domains(())
     if config.output:

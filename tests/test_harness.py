@@ -149,6 +149,12 @@ def test_grid_cardinality(tmp_path):
     assert len(lines) == 31
 
 
+@pytest.mark.parametrize("kind", ["bogus", ["airspace"], None])
+def test_rejects_an_unknown_domain_type(tmp_path, kind):
+    with pytest.raises(ValueError, match="unknown domain type"):
+        _config(tmp_path, domain={"type": kind}).validate()
+
+
 def test_rejects_empty_grids(tmp_path):
     with pytest.raises(ValueError):
         _config(tmp_path, repetitions=0).validate()
@@ -171,11 +177,11 @@ EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
 
 def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
     # 30 airspace cells at three workers and the 90 racetrack-gat cells at two
-    # go out one task at a time, a task holding one instance and algorithm at
-    # every bound, in bound order; cells name their domain by index, and each
-    # worker receives the grid's distinct domains once, through the pool
-    # initializer, so the cells of one track share an unpickled instance and
-    # its successor memo
+    # go out one task at a time, a task (a chunk of the pool's map) holding
+    # one instance and algorithm at every bound, in bound order; cells name
+    # their domain by index, and each worker receives the grid's distinct
+    # domains once, through the pool initializer, so the cells of one track
+    # share an unpickled instance and its successor memo
     initargs, cells = [], []
 
     class Pool(harness.ProcessPoolExecutor):
@@ -185,13 +191,16 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
             super().__init__(*args, **kw)
 
         def map(self, fn, *iterables, **kw):
-            assert kw.get("chunksize", 1) == 1
-            if fn is harness._run_group:
-                for group in iterables[0]:
-                    assert [c[5] for c in group] == config.bounds
-                    assert all(c[1:5] == group[0][1:5] for c in group)
-                cells.append([cell for group in iterables[0] for cell in group])
-            return super().map(fn, *iterables, **kw)
+            assert fn is harness._run_cell
+            width = len(config.bounds)
+            assert kw["chunksize"] == width
+            grid_cells = list(iterables[0])
+            for i in range(0, len(grid_cells), width):
+                group = grid_cells[i:i + width]
+                assert [c[5] for c in group] == config.bounds
+                assert all(c[1:5] == group[0][1:5] for c in group)
+            cells.append(grid_cells)
+            return super().map(fn, grid_cells, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
     racetrack = ExperimentConfig.from_json(os.path.join(EXPERIMENTS,
@@ -215,22 +224,26 @@ def test_parallel_grid_matches_serial_byte_for_byte(tmp_path, monkeypatch):
 
 def test_parallel_grid_under_spawn_matches_serial(tmp_path, monkeypatch):
     # spawned workers share no memory with the parent: the initializer's
-    # pickled domains are all they have (forkserver, the Linux default from
-    # Python 3.14, starts workers the same way)
+    # pickled domains are all they have, and each fills its own oracle memo
+    # (forkserver, the Linux default from Python 3.14, starts workers the
+    # same way)
     spawn = multiprocessing.get_context("spawn")
 
     class Pool(harness.ProcessPoolExecutor):
         def __init__(self, *args, **kw):
             super().__init__(*args, mp_context=spawn, **kw)
 
-    config = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, "racetrack-gat.json"))
-    config.output = str(tmp_path / "serial.csv")
-    run_experiment(config, jobs=1)
-    serial = open(config.output, "rb").read()
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
-    config.output = str(tmp_path / "spawn.csv")
-    run_experiment(config, jobs=2)
-    assert open(config.output, "rb").read() == serial
+    racetrack = ExperimentConfig.from_json(os.path.join(EXPERIMENTS, "racetrack-gat.json"))
+    oracle = _config(tmp_path, bounds=[10, 30], **ORACLE_GRIDS["airspace"])
+    for config in (racetrack, oracle):
+        config.output = str(tmp_path / "serial.csv")
+        run_experiment(config, jobs=1)
+        serial = open(config.output, "rb").read()
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "ProcessPoolExecutor", Pool)
+            config.output = str(tmp_path / "spawn.csv")
+            run_experiment(config, jobs=2)
+        assert open(config.output, "rb").read() == serial
 
 
 ORACLE_GRIDS = {
@@ -246,23 +259,35 @@ ORACLE_GRIDS = {
 @pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
 def test_oracle_grid_sweeps_each_domain_once_in_the_pool(tmp_path, monkeypatch,
                                                          grid):
-    # one ground-truth sweep per domain object, rooted at all of its starts:
-    # two airspace instances, and one track for the three racetrack starts.
-    # At two workers the sweeps run in the pool, so the parent's counter
-    # stays at zero, and only safe-lss-lrta cells carry the safe set.
-    sweeps = []
+    # one ground-truth sweep per domain object and process, rooted at all of
+    # its starts: two airspace instances, and one track for the three
+    # racetrack starts. At two workers a worker sweeps a domain when its
+    # first cell needs it, so the parent sweeps nothing and no worker sweeps
+    # a domain twice; only safe-lss-lrta cells carry the roots. The forked
+    # workers inherit the counting wrapper and append to one log file.
+    log = tmp_path / "sweeps.log"
     sweep = harness.true_safe_set
 
     def counted(domain, roots):
-        sweeps.append(len(roots))
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {domain.instance_id} {len(roots)}\n")
         return sweep(domain, roots=roots)
 
+    def sweeps():
+        lines = log.read_text().splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(int(pid), domain, int(roots))
+                for pid, domain, roots in map(str.split, lines)]
+
     cells = []
+    fork = multiprocessing.get_context("fork")
 
     class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, mp_context=fork, **kw)
+
         def map(self, fn, *iterables, **kw):
-            if fn is harness._run_group:
-                cells.extend(cell for group in iterables[0] for cell in group)
+            cells.extend(iterables[0])
             return super().map(fn, *iterables, **kw)
 
     monkeypatch.setattr(harness, "true_safe_set", counted)
@@ -270,17 +295,48 @@ def test_oracle_grid_sweeps_each_domain_once_in_the_pool(tmp_path, monkeypatch,
     config = _config(tmp_path, bounds=[10, 30], **ORACLE_GRIDS[grid])
     config.output = str(tmp_path / "serial.csv")
     run_experiment(config, jobs=1)
-    assert sweeps == ([1, 1] if grid == "airspace" else [3])
+    assert harness._oracles == {}
+    serial_sweeps = sweeps()
+    assert [(pid, roots) for pid, _d, roots in serial_sweeps] == (
+        [(os.getpid(), 1)] * 2 if grid == "airspace" else [(os.getpid(), 3)])
+    domains = {domain: roots for _pid, domain, roots in serial_sweeps}
+    assert len(domains) == len(serial_sweeps)
     serial = open(config.output, "rb").read()
-    del sweeps[:]
     config.output = str(tmp_path / "parallel.csv")
     run_experiment(config, jobs=2)
+    assert harness._oracles == {}
     assert open(config.output, "rb").read() == serial
-    assert sweeps == []
+    pool_sweeps = sweeps()
+    assert all(pid != os.getpid() for pid, _d, _r in pool_sweeps)
+    pairs = [(pid, domain) for pid, domain, _r in pool_sweeps]
+    assert len(set(pairs)) == len(pairs)
+    assert {domain: roots for _pid, domain, roots in pool_sweeps} == domains
     assert len(cells) == serial.count(b"\n") - 1
     for cell in cells:
         assert (cell[9] is not None) == (cell[4]["name"] == "safe-lss-lrta")
     assert b"error" not in serial and b"dead_end" not in serial
+
+
+def test_the_oracle_memo_is_empty_after_a_grid_also_after_a_cell_raised(
+        tmp_path, capfd, monkeypatch):
+    # the parent's memo held both kinds of oracle while the grid ran, and a
+    # safe-lss-lrta cell that raised after its sweep leaves none behind
+    held = []
+
+    def broken(*_args, **_kw):
+        held.append(sorted(key[0] for key in harness._oracles))
+        raise RuntimeError("boom")
+
+    config = _config(tmp_path, bounds=[10, 30], **ORACLE_GRIDS["airspace"])
+    assert all(r.outcome == "goal" for r in run_experiment(config))
+    assert harness._oracles == {}
+    monkeypatch.setattr(harness, "simulate_episode", broken)
+    records = run_experiment(config)
+    assert harness._oracles == {}
+    assert held[-1] == ["astar-offline", "safe-lss-lrta", "safe-lss-lrta"]
+    assert [r.outcome for r in records] == ["error:RuntimeError"] * 2 + ["goal"] * 2 + (
+        ["error:RuntimeError"] * 2 + ["goal"] * 2)
+    assert len(capfd.readouterr().err.splitlines()) == 4
 
 
 def test_checked_in_experiment_grids_validate():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,32 @@ def safe_set_fixpoint(domain, states) -> set:
                     changed = True
                     break
     return safe
+
+
+def forward_closure(domain, roots) -> set:
+    """Independent forward reachability, depth-first."""
+    reachable, stack = set(roots), list(roots)
+    while stack:
+        for _a, s2, _c in domain.successors(stack.pop()):
+            if s2 not in reachable:
+                reachable.add(s2)
+                stack.append(s2)
+    return reachable
+
+
+class SuccessorCounter:
+    """A domain seen through a count of successors calls per state."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.calls = Counter()
+
+    def successors(self, state):
+        self.calls[state] += 1
+        return self.domain.successors(state)
+
+    def __getattr__(self, name):
+        return getattr(self.domain, name)
 
 
 def test_obstacle_free_airspace_is_entirely_safe():
@@ -63,6 +91,14 @@ def test_a_goal_outside_the_enumerated_states_still_counts():
     assert true_safe_set(domain, states=["a", "b", "c"]) == {"a", "g"}
 
 
+def test_reachable_states_order_is_breadth_first_and_deterministic():
+    domain = funnel_domain()
+    order = reachable_states(domain, ["r"])
+    assert list(order) == ["r", "m1", "m2", "t1", "t2", "t3"]
+    # each state maps to its successor list
+    assert all(succs == domain.successors(s) for s, succs in order.items())
+
+
 def test_size_guard_refuses_oversized_spaces(monkeypatch):
     inst = airspace.generate(30, 4, 0.0, 1)
     monkeypatch.setattr(oracles, "STATE_LIMIT", 10)
@@ -71,6 +107,46 @@ def test_size_guard_refuses_oversized_spaces(monkeypatch):
     monkeypatch.setattr(oracles, "STATE_LIMIT", 3)
     with pytest.raises(ValueError):
         reachable_states(inst, [inst.start])
+
+
+def test_each_size_guard_admits_a_space_of_exactly_its_limit(monkeypatch):
+    inst = airspace.generate(30, 4, 0.0, 1)
+    states = inst.all_states()
+    reachable = len(forward_closure(inst, [inst.start]))
+    chain = ListDomain({"a": [("ab", "b", 1.0)], "b": [("bc", "c", 1.0)],
+                        "c": [("cg", "g", 1.0)]}, goals={"g"})
+    for limit, fits in ((len(states), True), (len(states) - 1, False)):
+        monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
+        if fits:
+            assert true_safe_set(inst, states=states)
+        else:
+            with pytest.raises(ValueError, match="oracle guard"):
+                true_safe_set(inst, states=states)
+    for limit, fits in ((reachable, True), (reachable - 1, False)):
+        monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
+        if fits:
+            assert len(reachable_states(inst, [inst.start])) == reachable
+        else:
+            with pytest.raises(ValueError, match="oracle guard"):
+                reachable_states(inst, [inst.start])
+    # the proof search holds every state but the endpoint it stops at
+    for limit, fits in ((4, True), (3, False)):
+        monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
+        if fits:
+            assert optimal_proof_path(chain, "a") == ["a", "b", "c", "g"]
+        else:
+            with pytest.raises(ValueError, match="oracle guard"):
+                optimal_proof_path(chain, "a")
+
+
+def test_the_proof_path_keeps_the_first_parent_of_each_state():
+    # c reaches b again before b's line reaches the goal; re-parenting b
+    # would return the longer path a, c, b, d, g
+    domain = ListDomain({"a": [("ac", "c", 1.0), ("ab", "b", 1.0)],
+                         "c": [("cb", "b", 1.0)], "b": [("bd", "d", 1.0)],
+                         "d": [("dg", "g", 1.0)]}, goals={"g"})
+    assert optimal_proof_path(domain, "a") == ["a", "b", "d", "g"]
+    assert optimal_proof_oracle(domain, "a") == 4
 
 
 def test_explicitly_safe_state_has_singleton_proof():
@@ -97,10 +173,24 @@ def test_goals_count_as_proof_endpoints():
     assert optimal_proof_oracle(domain, "a") == 2
 
 
-def test_reachable_states_order_is_breadth_first_and_deterministic():
-    domain = funnel_domain()
-    order = reachable_states(domain, ["r"])
-    assert order == ["r", "m1", "m2", "t1", "t2", "t3"]
+@pytest.mark.parametrize("world", ["dag", "airspace"])
+def test_a_rooted_sweep_generates_each_reachable_states_successors_once(world):
+    # the sweep reads each state's successors from its breadth-first
+    # enumeration instead of generating them a second time
+    domain = random_dag(7) if world == "dag" else airspace.generate(40, 5, 0.2, 3)
+    states = domain.all_states()
+    roots = [states[0], states[len(states) // 3]]
+    counted = SuccessorCounter(domain)
+    safe = true_safe_set(counted, roots=roots)
+    reachable = forward_closure(domain, roots)
+    assert len(reachable) > 20
+    assert counted.calls == Counter(dict.fromkeys(reachable, 1))
+    assert safe == true_safe_set(domain, states=states) & reachable
+    # over explicit states, only the non-goals generate successors
+    counted = SuccessorCounter(domain)
+    assert true_safe_set(counted, states=states) == true_safe_set(domain, states=states)
+    assert counted.calls == Counter(dict.fromkeys(
+        (s for s in states if not domain.is_goal(s)), 1))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -118,11 +208,6 @@ def test_a_sweep_from_the_start_agrees_with_the_all_states_sweep_on_reachable_st
                                    seed)
     states = domain.all_states()
     start = states[pick % len(states)]
-    reachable, stack = {start}, [start]
-    while stack:
-        for _a, s2, _c in domain.successors(stack.pop()):
-            if s2 not in reachable:
-                reachable.add(s2)
-                stack.append(s2)
+    reachable = forward_closure(domain, [start])
     assert true_safe_set(domain, roots=[start]) == (
         true_safe_set(domain, states=states) & reachable)

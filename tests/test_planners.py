@@ -642,18 +642,16 @@ class CollectorWatchingDomain(ListDomain):
         return super().successors(state)
 
 
-def _searches(monkeypatch, domain):
+def _searches(domain):
     """The three collector-free bodies, each on domain: an episode, the
     offline search and the grid's ground-truth sweep."""
-    monkeypatch.setattr(harness, "_domains", (domain,))
     return [lambda: run_episode(domain, 0, PlannerConfig("lss-lrta", 2)).outcome,
-            lambda: offline_astar(domain, 0)[1], lambda: harness._sweep((0, [0]))]
+            lambda: offline_astar(domain, 0)[1], lambda: harness._sweep(domain, [0])]
 
 
 @pytest.mark.parametrize("collecting", [True, False])
 @pytest.mark.parametrize("raises", [False, True])
-def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises,
-                                                         monkeypatch):
+def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises):
     # the offline search and the ground-truth sweep do so too, and all three
     # run with the collector off
     domain = chain_domain(5)
@@ -667,7 +665,7 @@ def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises,
                 run_episode(domain, 0, PlannerConfig("lss-lrta", 2))
             assert gc.isenabled() == collecting
             failing = FailingDomain(domain.succ, goals=domain.goals, h=domain.h_table)
-            for search in _searches(monkeypatch, failing):
+            for search in _searches(failing):
                 with pytest.raises(RuntimeError, match="no successors"):
                     search()
                 assert gc.isenabled() == collecting
@@ -677,7 +675,7 @@ def test_run_episode_leaves_the_collector_as_it_found_it(collecting, raises,
             watching = CollectorWatchingDomain(domain.succ, goals=domain.goals,
                                                h=domain.h_table)
             results = []
-            for search in _searches(monkeypatch, watching):
+            for search in _searches(watching):
                 results.append(search())
                 assert gc.isenabled() == collecting
             assert results == ["goal", 4.0, set(range(5))]
@@ -723,17 +721,16 @@ def test_an_episode_leaves_no_cyclic_garbage(world, algorithm, evaluator):
 
 
 @pytest.mark.parametrize("world", ["airspace", "racetrack"])
-def test_the_offline_search_and_the_sweep_leave_no_cyclic_garbage(world, monkeypatch):
+def test_the_offline_search_and_the_sweep_leave_no_cyclic_garbage(world):
     # the offline search and the ground-truth sweep suspend the collector
     # for the same reason as an episode
     domain, start = _world(world)
-    monkeypatch.setattr(harness, "_domains", (domain,))
 
     def search():
         assert offline_astar(domain, start)[0]
 
     def sweep():
-        assert start in harness._sweep((0, [start]))
+        assert start in harness._sweep(domain, [start])
 
     _assert_no_cyclic_garbage(search)
     _assert_no_cyclic_garbage(sweep)
