@@ -37,15 +37,15 @@ def true_safe_set(domain, states: Optional[Iterable] = None,
     Rooted, it reads each state's successors from the enumeration, so it
     calls successors once per reachable state."""
     successors = domain.successors
-    if states is None and roots is not None:
+    if states is not None:
+        states = dict.fromkeys(states)      # ordered, and the membership index
+    elif roots is not None:
         states = reachable_states(domain, roots)
         successors = states.__getitem__
+    elif hasattr(domain, "all_states"):
+        states = dict.fromkeys(domain.all_states())
     else:
-        if states is None:
-            if not hasattr(domain, "all_states"):
-                raise ValueError("need either an explicit state list or roots")
-            states = domain.all_states()
-        states = dict.fromkeys(states)      # ordered, and the membership index
+        raise ValueError("need either an explicit state list or roots")
     if len(states) > STATE_LIMIT:
         raise ValueError(f"state space exceeds the {STATE_LIMIT} oracle guard")
     reverse: dict = {}

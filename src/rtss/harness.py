@@ -383,7 +383,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     roots: dict[int, list] = {}     # domain index -> its grid starts
     for _instance_id, d, start in grid:
         roots.setdefault(d, []).append(start)
-    # only safe-lss-lrta cells carry their domain's roots
     cells = [(run_index, instance_id, d, start, spec, bound, config.config_seed,
               config.cache_enabled, config.max_iterations,
               roots[d] if spec["name"] == SAFE_LSS_LRTA else None)

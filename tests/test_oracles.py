@@ -115,28 +115,21 @@ def test_each_size_guard_admits_a_space_of_exactly_its_limit(monkeypatch):
     reachable = len(forward_closure(inst, [inst.start]))
     chain = ListDomain({"a": [("ab", "b", 1.0)], "b": [("bc", "c", 1.0)],
                         "c": [("cg", "g", 1.0)]}, goals={"g"})
-    for limit, fits in ((len(states), True), (len(states) - 1, False)):
+
+    def admits_exactly(limit, search):
         monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
-        if fits:
-            assert true_safe_set(inst, states=states)
-        else:
-            with pytest.raises(ValueError, match="oracle guard"):
-                true_safe_set(inst, states=states)
-    for limit, fits in ((reachable, True), (reachable - 1, False)):
-        monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
-        if fits:
-            assert len(reachable_states(inst, [inst.start])) == reachable
-        else:
-            with pytest.raises(ValueError, match="oracle guard"):
-                reachable_states(inst, [inst.start])
+        result = search()
+        monkeypatch.setattr(oracles, "STATE_LIMIT", limit - 1)
+        with pytest.raises(ValueError, match="oracle guard"):
+            search()
+        return result
+
+    assert admits_exactly(len(states), lambda: true_safe_set(inst, states=states))
+    assert len(admits_exactly(reachable,
+                              lambda: reachable_states(inst, [inst.start]))) == reachable
     # the proof search holds every state but the endpoint it stops at
-    for limit, fits in ((4, True), (3, False)):
-        monkeypatch.setattr(oracles, "STATE_LIMIT", limit)
-        if fits:
-            assert optimal_proof_path(chain, "a") == ["a", "b", "c", "g"]
-        else:
-            with pytest.raises(ValueError, match="oracle guard"):
-                optimal_proof_path(chain, "a")
+    assert admits_exactly(4, lambda: optimal_proof_path(chain, "a")) == [
+        "a", "b", "c", "g"]
 
 
 def test_the_proof_path_keeps_the_first_parent_of_each_state():
