@@ -138,6 +138,15 @@ def test_generated_obstacle_grid_matches_its_recorded_digest(params):
     assert hashlib.sha256(obstacles.tobytes()).hexdigest() == GRID_DIGESTS[params]
 
 
+# SHA-256 of the instance file text of Airspace L2000 A20 p0.05 seed 1
+INSTANCE_TEXT_DIGEST = "b9c2c2f0e03bc242a6ef4df0bb9a72e759cadeea5ff2d0d5b74dcf50df39505b"
+
+
+def test_instance_text_matches_its_recorded_digest():
+    text = generate(2000, 20, 0.05, 1).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_TEXT_DIGEST
+
+
 # SHA-256 over repr(successors((d, a))) of Airspace L2000 A20 p0.05 seed 1,
 # d from 0 to the goal line (outer), every altitude (inner)
 SUCCESSORS_DIGEST = "f73b4b3b1a2d98dc1fda44c2e5b2c30f98856370c85d77f207a2e8e73ed95553"
