@@ -178,9 +178,8 @@ class AirspaceInstance:
         lines = ["airspace v1",
                  f"length {self.length} maxAltitude {self.max_altitude} "
                  f"pObs {self.p_obs!r} seed {self.seed}"]
-        for r in range(self.obstacles.shape[0]):
-            row = self.obstacles[r]
-            lines.append("".join("#" if row[d] else "." for d in range(self.length)))
+        grid = np.where(self.obstacles, np.uint8(ord("#")), np.uint8(ord(".")))
+        lines.extend(row.tobytes().decode("ascii") for row in grid)
         return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,9 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK = 1 << 14  # draws per block of uniform_below: 128 KB per uint64 array
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_STEPS.flags.writeable = False
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -63,17 +66,27 @@ def uniform_below(seed: int, count: int, p: float) -> np.ndarray:
 
     The i-th state is seed + (i+1) * golden mod 2^64. A draw is x * 2^-53
     for a 53-bit integer x, and x * 2^-53 < p exactly when
-    x < ceil(p * 2^53), since p * 2^53 is exact in floating point.
+    x < T = ceil(p * 2^53), since p * 2^53 is exact in floating point.
+    With x = z >> 11 for the 64-bit mix z, that is z < T << 11, exact for
+    the T < 2^53 that p < 1 gives, so the shift folds into the threshold.
+    The draws are mixed in blocks of `_BLOCK`: a block starting at draw lo
+    adds seed + lo * golden to the first golden multiples, mixes in two
+    reused work arrays that stay in cache, and writes its comparison
+    straight into its slice of the result.
     """
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & MASK64)
+    out = np.empty(count, dtype=bool)
+    limit = np.uint64(math.ceil(p * (1 << 53)) << 11)
+    z = np.empty(min(count, _BLOCK), dtype=np.uint64)
     t = np.empty_like(z)
-    for shift, mix in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, np.uint64(shift), out=t)
-        z ^= t
-        z *= np.uint64(mix)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    z >>= np.uint64(11)
-    return z < np.uint64(math.ceil(p * (1 << 53)))
+    for lo in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - lo)
+        zb, tb = z[:n], t[:n]
+        np.add(_STEPS[:n], np.uint64((seed + lo * _GOLDEN) & MASK64), out=zb)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zb, np.uint64(shift), out=tb)
+            zb ^= tb
+            zb *= np.uint64(mix)
+        np.right_shift(zb, np.uint64(31), out=tb)
+        zb ^= tb
+        np.less(zb, limit, out=out[lo:lo + n])
+    return out

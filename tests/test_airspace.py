@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -40,6 +41,18 @@ def test_obstacle_fraction_concentrates(
 def test_golden_grid_regenerates_bit_exactly():
     inst = generate(8, 3, 0.5, 1)
     assert inst.to_text() == GOLDEN_TEXT
+
+
+def test_generation_works_in_blocks_not_full_length_temporaries():
+    # the obstacle grid itself is 0.19 MB; full-length uint64 work arrays
+    # would peak above 3 MB
+    tracemalloc.start()
+    try:
+        generate(10000, 20, 0.05, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_generation_parameter_validation():

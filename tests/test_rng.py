@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from rtss import rng
 from rtss.rng import MASK64, SplitMix64, mix64, splitmix64_next, uniform_below
 
 
@@ -38,6 +39,17 @@ def test_block_threshold_is_exact_at_a_draw():
             assert not uniform_below(seed, 200, p)[i]
             assert uniform_below(seed, 200, math.nextafter(p, 1.0))[i]
             assert uniform_below(seed, 200, p).tolist() == [u < p for u in scalar]
+
+
+def test_vector_blocks_match_scalar_stream_across_block_boundaries():
+    # seeds near 2^64 make seed + lo * golden wrap at every block's base
+    block = rng._BLOCK
+    for seed in (0, 2**63 + 1, MASK64):
+        stream = SplitMix64(seed)
+        scalar = [stream.uniform() for _ in range(2 * block + 5)]
+        for count in (block - 1, block, block + 1, 2 * block + 5):
+            for p in (0.0, 2**-53, 0.05, 0.25, math.nextafter(1.0, 0.0)):
+                assert uniform_below(seed, count, p).tolist() == [u < p for u in scalar[:count]]
 
 
 def test_empty_block():
