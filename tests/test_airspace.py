@@ -92,6 +92,7 @@ def test_keep_at_ground_is_the_identity_action():
     assert (airspace.KEEP, (10, 0), 1.0) in inst.successors((10, 0))
     assert inst.identity_action((10, 0)) == airspace.KEEP
     assert inst.identity_action((10, 2)) is None
+    assert inst.identity_action((50, 0)) is None  # on the goal line
 
 
 def test_climb_moves_by_the_new_altitude():
@@ -200,6 +201,11 @@ def test_stats_on_clear_sky():
         assert row.mean_proof_length_transitions == row.altitude - 1
         assert row.mean_proof_length_states == row.altitude + 1
         assert math.isnan(row.mean_failed_proof_expansions)
+
+
+def test_stats_take_one_sample_per_altitude():
+    rows = safety_proof_stats(generate(200, 6, 0.0, 3), 1, seed=1)
+    assert [(row.altitude, row.samples) for row in rows] == [(3, 1), (4, 1), (5, 1), (6, 1)]
 
 
 def test_stats_on_a_blocked_and_a_boxed_in_altitude():

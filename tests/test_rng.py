@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rtss import rng
 from rtss.rng import MASK64, SplitMix64, mix64, splitmix64_next, uniform_below
@@ -76,3 +77,9 @@ def test_shuffle_and_randrange_deterministic():
     rng2.shuffle(seq2)
     assert seq1 == seq2
     assert [rng1.randrange(7) for _ in range(10)] == [rng2.randrange(7) for _ in range(10)]
+
+
+def test_randrange_rejects_an_empty_range():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="positive bound"):
+            SplitMix64(9).randrange(n)
