@@ -65,19 +65,16 @@ def uniform_below(seed: int, count: int, p: float) -> np.ndarray:
     as a bool array, mixed in place in uint64 with no float block.
 
     The i-th state is seed + (i+1) * golden mod 2^64. A draw is x * 2^-53
-    for a 53-bit integer x, and x * 2^-53 < p exactly when
-    x < T = ceil(p * 2^53), since p * 2^53 is exact in floating point.
-    With x = z >> 11 for the 64-bit mix z, that is z < T << 11, exact for
-    the T < 2^53 that p < 1 gives, so the shift folds into the threshold.
-    The draws are mixed in blocks of `_BLOCK`: a block starting at draw lo
-    adds seed + lo * golden to the first golden multiples, mixes in two
-    reused work arrays that stay in cache, and writes its comparison
-    straight into its slice of the result.
+    for x = z >> 11 of the 64-bit mix z, and it lies below p exactly when
+    x < T = ceil(p * 2^53) (p * 2^53 is exact in floating point), that is
+    when z < T << 11, which fits in 64 bits for p < 1. The draws are mixed
+    in blocks of `_BLOCK` in two reused work arrays that stay in cache; the
+    block from draw lo adds seed + lo * golden to the first golden
+    multiples and writes its comparison into its slice of the result.
     """
     out = np.empty(count, dtype=bool)
     limit = np.uint64(math.ceil(p * (1 << 53)) << 11)
-    z = np.empty(min(count, _BLOCK), dtype=np.uint64)
-    t = np.empty_like(z)
+    z, t = np.empty((2, min(count, _BLOCK)), dtype=np.uint64)
     for lo in range(0, count, _BLOCK):
         n = min(_BLOCK, count - lo)
         zb, tb = z[:n], t[:n]
