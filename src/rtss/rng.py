@@ -15,8 +15,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK = 1 << 14  # draws per block of uniform_below: 128 KB per uint64 array
-_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-_STEPS.flags.writeable = False
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -75,10 +73,12 @@ def uniform_below(seed: int, count: int, p: float) -> np.ndarray:
     out = np.empty(count, dtype=bool)
     limit = np.uint64(math.ceil(p * (1 << 53)) << 11)
     z, t = np.empty((2, min(count, _BLOCK)), dtype=np.uint64)
+    steps = np.arange(1, len(z) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
     for lo in range(0, count, _BLOCK):
         n = min(_BLOCK, count - lo)
         zb, tb = z[:n], t[:n]
-        np.add(_STEPS[:n], np.uint64((seed + lo * _GOLDEN) & MASK64), out=zb)
+        np.add(steps[:n], np.uint64((seed + lo * _GOLDEN) & MASK64), out=zb)
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(zb, np.uint64(shift), out=tb)
             zb ^= tb
