@@ -195,17 +195,15 @@ def test_stats_on_clear_sky():
     # long corridor so no seeded sample sits close enough to the goal line
     # for the proof to cross it early
     inst = generate(20000, 6, 0.0, 3)
-    rows = safety_proof_stats(inst, 50, seed=1)
-    for row in rows:
-        assert row.safety_probability == 1.0
-        assert row.mean_proof_length_transitions == row.altitude - 1
-        assert row.mean_proof_length_states == row.altitude + 1
-        assert math.isnan(row.mean_failed_proof_expansions)
-
-
-def test_stats_take_one_sample_per_altitude():
-    rows = safety_proof_stats(generate(200, 6, 0.0, 3), 1, seed=1)
-    assert [(row.altitude, row.samples) for row in rows] == [(3, 1), (4, 1), (5, 1), (6, 1)]
+    for samples in (1, 50):
+        rows = safety_proof_stats(inst, samples, seed=1)
+        assert [row.altitude for row in rows] == [3, 4, 5, 6]
+        for row in rows:
+            assert row.samples == samples
+            assert row.safety_probability == 1.0
+            assert row.mean_proof_length_transitions == row.altitude - 1
+            assert row.mean_proof_length_states == row.altitude + 1
+            assert math.isnan(row.mean_failed_proof_expansions)
 
 
 def test_stats_on_a_blocked_and_a_boxed_in_altitude():
