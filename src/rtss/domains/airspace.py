@@ -43,7 +43,7 @@ def collision_probability(altitude: int, p_obs: float) -> float:
     return 1.0 - (1.0 - p_obs) ** altitude
 
 
-@dataclass
+@dataclass(eq=False)
 class AirspaceInstance:
     """Immutable Airspace world; also the domain handle for the planners.
 
@@ -58,13 +58,8 @@ class AirspaceInstance:
     obstacles: np.ndarray  # bool, shape (max_altitude - 1, length); True = blocked
 
     # a -> (one move code per column, the (delta, a2) moves of each code)
-    _move_ok: dict = field(default_factory=dict, repr=False)
-    _free_cols: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        expect = (max(self.max_altitude - 1, 0), self.length)
-        if self.obstacles.shape != expect:
-            raise ValueError(f"obstacle grid shape {self.obstacles.shape} != {expect}")
+    _move_ok: dict = field(default_factory=dict, init=False, repr=False)
+    _free_cols: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     # -- bookkeeping -------------------------------------------------------
 

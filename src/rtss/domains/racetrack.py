@@ -49,7 +49,7 @@ def supercover_cells(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]
     return cells
 
 
-@dataclass
+@dataclass(eq=False)
 class RacetrackInstance:
     """Immutable track; also the domain handle for the planners."""
 
@@ -62,8 +62,8 @@ class RacetrackInstance:
 
     # memos: successors and h are deterministic, and no caller mutates a
     # successor list, so states share them for the instance's lifetime
-    _h_cache: dict = field(default_factory=dict, repr=False)
-    _succ_cache: dict = field(default_factory=dict, repr=False)
+    _h_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _succ_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def instance_id(self) -> str:

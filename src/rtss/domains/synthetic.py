@@ -1,11 +1,12 @@
 """Explicit graph domains for unit and property tests.
 
-GraphDomain wraps adjacency lists as a planner-ready world: integer nodes,
-unit edge costs, the successor node id doubling as the action label, h of
-zero and no identity action. The random DAG builder yields worlds with
-genuine dead ends and a strong likely-safe predicate (hints are sampled
-from the truly safe nodes), which is what the soundness and theorem suites
-need.
+GraphDomain wraps adjacency lists as a world for searches and proofs within
+one iteration: integer nodes, unit edge costs, the successor node id
+doubling as the action label and h of zero. It has no identity action and
+no travel distance, so no episode runs on it. The random DAG builder
+yields worlds with genuine dead ends and a strong likely-safe predicate
+(hints are sampled from the truly safe nodes), which is what the soundness
+and theorem suites need.
 """
 from __future__ import annotations
 
@@ -46,12 +47,6 @@ class GraphDomain:
 
     def f_safe(self, state) -> bool:
         return state in self.safe_hints
-
-    def identity_action(self, state):
-        return None
-
-    def travel_distance(self, start, end) -> float:
-        return 0.0
 
     def all_states(self) -> list:
         seen = set(self.edges)

@@ -131,7 +131,7 @@ def simulate_episode(config: PlannerConfig, domain, start,
     planning_domain = domain
     if config.algorithm == SAFE_LSS_LRTA:
         if safe_states is None:
-            safe_states = true_safe_set(domain, roots=[start])
+            safe_states = _sweep(domain, [start])
         planning_domain = SafeFilteredDomain(domain, safe_states)
     cache = DeadEndCache(enabled=cache_enabled)
     result = run_episode(planning_domain, start, config, cache=cache,
@@ -359,11 +359,11 @@ def _run_cell(args) -> RunRecord:
 
 
 def _sweep(domain, roots) -> set:
-    """Ground-truth safe set of one domain, rooted at all of its grid starts.
-    A state reachable from one start has all of its successors reachable from
-    it, so the union of roots changes none of the membership tests that a
-    safe-lss-lrta episode from that start makes. The sweep builds only sets,
-    lists, a deque and dicts, so it runs with the collector off."""
+    """Ground-truth safe set of a domain from one episode's start or a grid's
+    starts. A state reachable from one start has all of its successors
+    reachable from it, so the union of roots changes none of the membership
+    tests of a safe-lss-lrta episode from that start. The sweep builds only
+    sets, lists, a deque and dicts, so it runs with the collector off."""
     with collector_off():
         return true_safe_set(domain, roots=roots)
 

@@ -25,8 +25,9 @@ class PlotSpec:
 
 
 def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
-    """series -> sorted [(x, mean, low, high)], skipping cells that are not
-    finite numbers and, on a log x axis, x values that are not positive."""
+    """series -> sorted [(x, mean, low, high)], at least one point per
+    series, skipping cells that are not finite numbers and, on a log x axis,
+    x values that are not positive."""
     buckets: dict[tuple[str, float], list[float]] = {}
     order: list[str] = []
     for row in rows:
@@ -57,8 +58,8 @@ def _aggregate(rows: list[dict], spec: PlotSpec) -> dict[str, list[tuple]]:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round values about (hi - lo) / count apart from lo up to hi > lo;
+    none when a step is too small to advance a float on the way."""
     raw = (hi - lo) / count
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
@@ -69,9 +70,18 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:
+        if t + step == t:
+            return []
         ticks.append(round(t, 10))
         t += step
     return ticks
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """lo..hi widened on each side by 0.1% of its larger end (by 1 at zero),
+    which leaves room for ticks at any magnitude."""
+    d = 0.001 * max(abs(lo), abs(hi)) or 1.0
+    return lo - d, hi + d
 
 
 def emit_plot(csv_path: str, spec: PlotSpec) -> str:
@@ -79,7 +89,7 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
     with open(csv_path, "r", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     series = _aggregate(rows, spec)
-    if not any(series.values()):
+    if not series:
         positive = " with positive x on a log axis" if spec.logx else ""
         raise ValueError(f"no numeric data{positive} for x={spec.x!r} y={spec.y!r}")
 
@@ -94,9 +104,13 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
         xs = [math.log10(x) for x in xs]
     xlo, xhi = min(xs), max(xs)
     if xhi == xlo:
-        xlo, xhi = xlo - 1, xhi + 1
+        xlo, xhi = _widen(xlo, xhi)
     pad = 0.05 * (yhi - ylo or 1.0)
     ylo, yhi = ylo - pad, yhi + pad
+    yticks = _ticks(ylo, yhi) if yhi > ylo else []
+    if not yticks:  # the padded range is a few float spacings wide at most
+        ylo, yhi = _widen(ylo, yhi)
+        yticks = _ticks(ylo, yhi)
 
     def sx(x: float) -> float:
         v = math.log10(x) if spec.logx else x
@@ -112,7 +126,7 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
         svg.append(f'<text x="{width/2:.1f}" y="26" text-anchor="middle" '
                    f'font-size="16" fill="#222">{escape(spec.title)}</text>')
 
-    for t in _ticks(ylo, yhi):
+    for t in yticks:
         y = sy(t)
         svg.append(f'<line x1="{ml}" y1="{y:.1f}" x2="{ml+cw}" y2="{y:.1f}" '
                    f'stroke="#e5e5e5" stroke-width="1"/>')
@@ -120,9 +134,7 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
                    f'font-size="11" fill="#555">{t:g}</text>')
     xticks = sorted({p[0] for pts in series.values() for p in pts})
     if len(xticks) > 8:
-        lo = min(xticks)
-        hi = max(xticks)
-        xticks = _ticks(lo, hi, 6)
+        xticks = _ticks(xticks[0], xticks[-1], 6)
     for t in xticks:
         if spec.logx and t <= 0:
             continue
@@ -138,8 +150,6 @@ def emit_plot(csv_path: str, spec: PlotSpec) -> str:
                f'{escape(spec.y)}</text>')
 
     for i, (name, pts) in enumerate(series.items()):
-        if not pts:
-            continue
         color = PALETTE[i % len(PALETTE)]
         if len(pts) > 1 and any(p[3] > p[2] for p in pts):
             upper = " ".join(f"{sx(p[0]):.1f},{sy(p[3]):.1f}" for p in pts)

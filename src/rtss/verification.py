@@ -158,8 +158,6 @@ def check_subsumed_proofs(instances, check: Check) -> None:
         graph = _build_lss(domain, root, budget, DeadEndCache(enabled=False))
         pick = None
         for node in graph.open_nodes_in_f_order():
-            if node.parent is None:
-                continue
             tail = optimal_proof_path(domain, node.state)
             if tail is not None:
                 pick = (node, tail)

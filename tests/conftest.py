@@ -7,6 +7,7 @@ import faulthandler
 import math
 import multiprocessing
 import os
+import signal
 import threading
 
 import pytest
@@ -50,6 +51,20 @@ def arm_hang_guard(limit_s: float) -> threading.Timer:
     guard.daemon = True
     guard.start()
     return guard
+
+
+def within(seconds: float, fn, *args):
+    """fn(*args), or a TimeoutError after `seconds`: SIGALRM interrupts a
+    loop that never ends, so a test fails at once instead of at the guard."""
+    def stop(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.hookimpl(hookwrapper=True)

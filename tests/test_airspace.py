@@ -74,7 +74,7 @@ def test_file_roundtrip(tmp_path):
 
 
 def test_loader_rejects_malformed_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not an airspace v1 file$"):
         load_instance("racetrack v1\n", is_text=True)
     with pytest.raises(ValueError):
         load_instance("airspace v1\n", is_text=True)
@@ -83,6 +83,14 @@ def test_loader_rejects_malformed_input():
     with pytest.raises(ValueError):
         load_instance("airspace v1\nlength 4 maxAltitude 3 pObs 0.1 seed 1\n..|.\n....\n",
                       is_text=True)
+
+
+def test_instances_compare_by_identity_and_keep_their_memos_out_of_the_constructor():
+    a, b = generate(50, 5, 0.1, 1), generate(50, 5, 0.1, 1)
+    assert a == a and a != b        # no element-wise comparison of the grids
+    assert len({a, b}) == 2
+    with pytest.raises(TypeError):
+        AirspaceInstance(50, 5, 0.1, 1, a.obstacles, _move_ok={})
 
 
 # -- dynamics ---------------------------------------------------------------------
@@ -187,6 +195,13 @@ def test_collision_probability_against_exact_arithmetic():
     assert collision_probability(1, 0.05) == pytest.approx(0.05)
     assert collision_probability(0, 0.3) == 0.0
     assert collision_probability(20, 0.05) == pytest.approx(0.641514, abs=1e-6)
+
+
+def test_collision_probability_rejects_arguments_out_of_range():
+    with pytest.raises(ValueError, match="altitude must be nonnegative"):
+        collision_probability(-1, 0.05)
+    with pytest.raises(ValueError, match=r"p_obs must lie in \[0, 1\)"):
+        collision_probability(3, 1.0)
 
 
 # -- statistics ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -191,6 +192,47 @@ def test_one_line_instance_file_exits_two(tmp_path, capsys, head):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("racetrack v1\nwidth 3 height 3\n###\n#@*\n", "error: expected 3 map rows, found 2"),
+    ("racetrack v1\nwidth 3 height 1\n@x*\n", "error: unknown map character 'x' at (1,0)"),
+    ("airspace v1\nlength 4 maxAltitude 3 pObs 0.1 seed 1\n....\n",
+     "error: expected 2 grid rows, found 1"),
+], ids=["racetrack-missing-row", "racetrack-unknown-character", "airspace-missing-row"])
+def test_bad_instance_body_exits_two_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code = run_cli("run", "--domain", str(path), "--algorithm", "safe-rts",
+                   "--bound", "10")
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_unrecognized_instance_file_exits_two_naming_it(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("maze v1\nwidth 3 height 1\n")
+    code = run_cli("run", "--domain", str(path), "--algorithm", "safe-rts",
+                   "--bound", "10")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unrecognized instance file: {path}\n"
+
+
+def test_run_with_neither_a_config_nor_an_episode_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("run", "--algorithm", "safe-rts", "--bound", "10")
+    assert err.value.code == 2
+    assert ("rtss: error: run needs either --config or --domain/--algorithm/--bound\n"
+            in capsys.readouterr().err)
+
+
+def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    from rtss.cli import console_main
+    monkeypatch.setattr(sys, "argv", ["rtss", "stats", "--instance", str(tmp_path / "nope.txt"),
+                                      "--samples", "1", "--out", str(tmp_path / "s.csv")])
+    with pytest.raises(SystemExit) as err:
+        console_main()
+    assert err.value.code == 2
+
+
 def test_unknown_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli("generate", "--domain", "airspace", "--nonsense", "1")
@@ -225,6 +267,26 @@ def test_stats_writes_altitude_rows(tmp_path):
     assert len(lines) == 1 + 3  # altitudes 3..5
 
 
+def test_stats_leaves_a_mean_over_no_proof_empty(tmp_path):
+    # one sample per altitude is proven or not, so the mean expansions of the
+    # other outcome average nothing: its cell is empty, never "nan"
+    inst_path = tmp_path / "inst.txt"
+    run_cli("generate", "--domain", "airspace", "--length", "400",
+            "--max-altitude", "5", "--p-obs", "0.05", "--seed", "3",
+            "--out", str(inst_path))
+    out = tmp_path / "stats.csv"
+    assert run_cli("stats", "--instance", str(inst_path), "--samples", "1",
+                   "--seed", "1", "--out", str(out)) == 0
+    assert "nan" not in out.read_text()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        if row[2] == "1":       # proven: no failed proof to average
+            assert row[6] == "" and "" not in row[:6]
+        else:                   # failed: no proof length or successful proof
+            assert row[2] == "0" and row[3:6] == ["", "", ""] and row[6] != ""
+
+
 def test_run_config_grid_and_plot(tmp_path):
     import json
     csv_path = tmp_path / "grid.csv"
@@ -255,6 +317,18 @@ def test_verify_suite_passes_on_small_seed_count(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "closure-completeness" in out
+
+
+def test_verify_prints_fail_and_exits_three_when_a_check_fails(capsys, monkeypatch):
+    # without safety propagation a closed node with a proof inside the
+    # closed space stays unmarked, which closure-completeness reports
+    from rtss import verification
+    monkeypatch.setattr(verification, "propagate_safety", lambda graph, paths: 0)
+    code = run_cli("verify", "--suite", "theorems", "--seeds", "2")
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.startswith("FAIL  closure-completeness  (")
+    assert "failures) first failure: " in out.splitlines()[0]
 
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])
@@ -404,6 +478,13 @@ def _track(**fields):
      "domain is missing 'pObs'"),
     ({"domain": {"type": "airspace_files", "paths": []}}, "domain.paths is empty"),
     ({"algorithms": [{"name": 5}]}, "algorithms[0].name must be a string, not int 5"),
+    ({"algorithms": [{"name": "rtfs", "commit": "sideways"}]},
+     "algorithms[0] {'name': 'rtfs', 'commit': 'sideways'}: "
+     "commit_mode must be 'single' or 'full'"),
+    ({"domain": {"type": "airspace_files", "paths": ["no-such-dir/inst.txt"]}},
+     "error: instance file not found: no-such-dir/inst.txt"),
+    ({"domain": _track(path="no-such-dir/track.txt")},
+     "error: racetrack map not found: no-such-dir/track.txt"),
 ], ids=["seeds-number", "algorithm-string", "algorithms-object", "bound-string",
         "bounds-number", "bounds-zero", "bounds-negative", "ratio-string", "ratio-bool",
         "evaluator-number", "commit-null", "wastar-weight", "dsafe", "ratio", "domain-list",
@@ -416,7 +497,8 @@ def _track(**fields):
         "path-number", "carryover-string", "unknown-top-level-key",
         "unknown-algorithm-key", "unknown-airspace-key", "unknown-racetrack-key",
         "missing-domain", "missing-bounds", "missing-algorithm-name",
-        "missing-paths", "missing-path", "missing-p-obs", "paths-empty", "name-number"])
+        "missing-paths", "missing-path", "missing-p-obs", "paths-empty", "name-number",
+        "commit-sideways", "instance-file-not-found", "racetrack-map-not-found"])
 def test_malformed_config_exits_two_naming_the_field(tmp_path, capsys, patch, field):
     import json
     out = tmp_path / "bad.csv"
@@ -480,6 +562,27 @@ def test_episode_run_passes_no_carryover_to_the_planner(tmp_path, monkeypatch):
     assert run_cli(*episode, "--no-carryover") == 0
     assert run_cli(*episode) == 0
     assert [c.allow_budget_carryover for c in configs] == [False, True]
+
+
+@pytest.mark.parametrize("flags, cache_enabled", [((), True), (("--no-cache",), False)])
+def test_episode_run_turns_the_cache_off_only_with_no_cache(tmp_path, monkeypatch, flags,
+                                                             cache_enabled):
+    # RTFS@30 from the map's first start spends 119 expansions with the cache
+    # and 122 without it, so the two settings write different rows
+    monkeypatch.delenv("RTSS_SEED", raising=False)
+    map_path = tmp_path / "track.txt"
+    map_path.write_text(racetrack.RIGHT_TURN_TRACK)
+    out = tmp_path / "run.csv"
+    run_cli("run", "--domain", str(map_path), "--algorithm", "rtfs", "--bound", "30",
+            *flags, "--out", str(out))
+    track = racetrack.load(str(map_path))
+    record, _ = simulate_episode(PlannerConfig("rtfs", 30), track,
+                                 track.start_state(track.starts[0]),
+                                 cache_enabled=cache_enabled)
+    assert record.total_expansions == (119 if cache_enabled else 122)
+    expected = tmp_path / "expected.csv"
+    write_csv(str(expected), CSV_COLUMNS, [record.row()])
+    assert out.read_text() == expected.read_text()
 
 
 def test_grid_output_in_a_missing_directory_exits_two_before_any_run(tmp_path, capsys,

@@ -1,3 +1,4 @@
+import gc
 import glob
 import json
 import math
@@ -73,6 +74,22 @@ def test_reexpansion_ratio_zero_without_exhausted_proofs():
     ratio = simulate_episode(PlannerConfig("safe-rts", 20), inst, inst.start,
                              cache_enabled=False)[0].dead_end_reexpansion_ratio
     assert ratio == 0.0
+
+
+def test_an_adhoc_safe_lss_lrta_episode_sweeps_with_the_collector_off(monkeypatch):
+    # as a grid cell's sweep does: the sweep builds no cycles for it to find
+    enabled = []
+    sweep = harness.true_safe_set
+
+    def watched(domain, roots):
+        enabled.append(gc.isenabled())
+        return sweep(domain, roots=roots)
+
+    monkeypatch.setattr(harness, "true_safe_set", watched)
+    inst = airspace.generate(60, 4, 0.15, 3)
+    assert gc.isenabled()
+    simulate_episode(PlannerConfig("safe-lss-lrta", 20), inst, inst.start)
+    assert enabled == [False] and gc.isenabled()
 
 
 def test_offline_astar_record_dominates_realtime_gat():

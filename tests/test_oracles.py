@@ -9,6 +9,7 @@ from rtss.domains import airspace, oracles
 from rtss.domains.oracles import (optimal_proof_oracle, optimal_proof_path,
                                   reachable_states, true_dead_ends,
                                   true_safe_set)
+from rtss.domains.racetrack import right_turn_track
 from rtss.domains.synthetic import random_dag
 
 
@@ -107,6 +108,14 @@ def test_size_guard_refuses_oversized_spaces(monkeypatch):
     monkeypatch.setattr(oracles, "STATE_LIMIT", 3)
     with pytest.raises(ValueError):
         reachable_states(inst, [inst.start])
+
+
+def test_the_safe_set_of_a_domain_that_cannot_list_its_states_needs_states_or_roots():
+    track = right_turn_track()      # a racetrack has no all_states
+    with pytest.raises(ValueError, match="need either an explicit state list or roots"):
+        true_safe_set(track)
+    start = track.start_state(track.starts[0])
+    assert start in true_safe_set(track, roots=[start])
 
 
 def test_each_size_guard_admits_a_space_of_exactly_its_limit(monkeypatch):

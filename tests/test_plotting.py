@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from rtss.plotting import PlotSpec, emit_plot
+from conftest import within
+from rtss.plotting import PlotSpec, _ticks, emit_plot
 
 CSV = """instanceId,algorithm,iterationBound,explorationRatio,evaluator,seed,outcome,gat,velocity,totalExpansions,proofExpansions,deadEndReexpansionRatio,meanTargetOpenRank,iterations
 a,safe-rts,30,,astar,1,goal,100,4.0,3000,1500,0.01,1.5,100
@@ -141,3 +145,121 @@ def test_only_infinite_cells_exit_two(tmp_path, capsys):
     assert code == 2
     assert "no numeric data" in capsys.readouterr().err
     assert not (tmp_path / "c.svg").exists()
+
+
+def _plot_args(tmp_path, points):
+    """Write (series, x, y) points to a CSV; the plot arguments that chart it."""
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("a,x,y\n" + "".join(f"{a},{x!r},{y!r}\n" for a, x, y in points))
+    return ["plot", "--csv", str(csv_path), "--x", "x", "--y", "y", "--series", "a",
+            "--out", str(tmp_path / "d.svg")]
+
+
+def _circles(tmp_path):
+    root = ET.fromstring((tmp_path / "d.svg").read_text())
+    return [(float(e.get("cx")), float(e.get("cy")))
+            for e in root.iter() if e.tag.endswith("circle")]
+
+
+def _render(tmp_path, points, *flags):
+    """Plot points through the CLI's code in this process; (exit code, the
+    chart's circles as (cx, cy))."""
+    from rtss.cli import main
+    code = main([*_plot_args(tmp_path, points), *flags])
+    return code, [] if code else _circles(tmp_path)
+
+
+def _inside_the_axes(circles):
+    # the plot area: x from 70 to 560, y from 50 to 405
+    return all(70 <= cx <= 560 and 50 <= cy <= 405 for cx, cy in circles)
+
+
+@pytest.mark.parametrize("points, flags", [
+    ([("p", 30.0, 1.0), ("p", 30.0, 2.0), ("q", 30.0, 4.0)], ()),
+    ([("p", 30.0, 1.0), ("q", 30.0, 2.0)], ("--logx",)),
+    ([("p", 1e20, 1.0), ("p", 1e20, 2.0)], ()),
+    ([("p", 0.0, 6e14), ("p", 1.0, 6e14), ("q", 2.0, 6e14)], ()),
+], ids=["one-x-value", "one-x-value-on-a-log-axis", "one-x-value-at-1e20",
+        "constant-y-at-6e14"])
+def test_a_constant_column_renders_every_point_inside_the_axes(tmp_path, capsys, points,
+                                                               flags):
+    code, circles = _render(tmp_path, points, *flags)
+    assert code == 0, capsys.readouterr().err
+    assert len(circles) == len({(a, x) for a, x, _y in points})
+    assert _inside_the_axes(circles)
+    if len({x for _a, x, _y in points}) == 1:
+        assert {cx for cx, _cy in circles} == {315.0}     # mid-axis
+
+
+@pytest.mark.parametrize("count, labels", [
+    (8, ["0", "5", "11", "12", "20", "21", "29", "30"]),
+    (9, ["0", "5", "10", "15", "20", "25", "30"]),
+])
+def test_up_to_eight_x_values_label_themselves(tmp_path, capsys, count, labels):
+    # a linear axis keeps its tick at zero
+    xs = [0, 5, 11, 12, 20, 21, 29, 30, 1][:count]
+    code, _circles = _render(tmp_path, [("p", float(x), 1.0) for x in xs])
+    assert code == 0, capsys.readouterr().err
+    root = ET.fromstring((tmp_path / "d.svg").read_text())
+    assert [e.text for e in root.iter() if e.tag.endswith("text")
+            and e.get("text-anchor") == "middle" and e.get("font-size") == "11"] == labels
+
+
+@pytest.mark.parametrize("ys, labels, heights", [
+    ([5.0, 5.0], ["4.96", "4.98", "5", "5.02", "5.04"], [227.5, 227.5]),
+    ([0.0, 10.0], ["0", "2.5", "5", "7.5", "10"], [388.9, 66.1]),
+], ids=["constant", "range"])
+def test_the_y_axis_pads_a_range_by_a_twentieth_and_a_constant_by_005(
+        tmp_path, capsys, ys, labels, heights):
+    code, circles = _render(tmp_path, [("p", float(x), y) for x, y in enumerate(ys)])
+    assert code == 0, capsys.readouterr().err
+    root = ET.fromstring((tmp_path / "d.svg").read_text())
+    assert [e.text for e in root.iter() if e.tag.endswith("text")
+            and e.get("text-anchor") == "end"] == labels
+    assert [cy for _cx, cy in circles] == heights
+
+
+def test_a_band_shades_only_a_series_of_several_points_with_a_spread(tmp_path, capsys):
+    points = [("band", 1.0, 1.0), ("band", 1.0, 2.0), ("band", 2.0, 3.0),
+              ("no-spread", 1.0, 1.0), ("no-spread", 2.0, 2.0),
+              ("one-point", 1.0, 1.0), ("one-point", 1.0, 3.0)]
+    code, _circles = _render(tmp_path, points)
+    assert code == 0, capsys.readouterr().err
+    root = ET.fromstring((tmp_path / "d.svg").read_text())
+    polygons = [e for e in root.iter() if e.tag.endswith("polygon")]
+    assert [p.get("fill") for p in polygons] == ["#1f77b4"]     # the first series'
+
+
+def test_ticks_are_none_when_a_step_cannot_advance_a_float():
+    # a step of 0.025 near 5e14, where floats lie 0.0625 apart: t += step
+    # leaves t where it was
+    assert within(10, _ticks, 5e14 - 0.0625, 5e14 + 0.0625) == []
+    assert within(10, _ticks, 0.0, 1.0) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_a_tick_up_to_a_billionth_of_a_step_past_the_range_still_counts():
+    # 5 - 1e-9 plus a billionth of the step of 1 is exactly 5.0
+    assert _ticks(0.0, 5 - 1e-9) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+@pytest.mark.parametrize("points", [
+    [("p", 0.0, 5e14), ("p", 1.0, 5e14)],
+    [("p", 0.0, 1e9), ("p", 1.0, 1e9 + 1e-7)],
+    [("p", 0.0, 6e14), ("p", 1.0, 6e14)],
+    [("p", 1e20, 1.0), ("p", 1e20, 2.0)],
+], ids=["y-constant-at-5e14", "y-one-float-spacing-apart-at-1e9", "y-constant-at-6e14",
+        "x-constant-at-1e20"])
+def test_rtss_plot_renders_a_degenerate_axis_within_a_time_limit(tmp_path, points):
+    # a subprocess under a time limit, since a tick loop whose step is below
+    # the float spacing never ends, and the padding or the widening of a
+    # constant column can vanish in rounding and leave a range of zero
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rtss.cli", *_plot_args(tmp_path, points)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    circles = _circles(tmp_path)
+    assert len(circles) == len({(a, x) for a, x, _y in points})
+    assert _inside_the_axes(circles)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import within
 from rtss.domains import racetrack
 from rtss.domains.oracles import reachable_states, true_safe_set
 from rtss.domains.racetrack import (RIGHT_TURN_TRACK, _axis_steps, load,
@@ -18,8 +19,22 @@ OPEN_STRIP = ("racetrack v1\n"
               "############\n")
 
 
+def test_the_geometry_loops_end():
+    # first in the module and under a time limit, so that a loop that never
+    # ends fails at once: a move along one axis keeps the other axis's step
+    # count at zero, and covering 3 cells from rest takes 2 steps
+    assert within(10, supercover_cells, 0, 0, 0, 2) == [(0, 0), (0, 1), (0, 2)]
+    assert within(10, supercover_cells, 2, 0, 0, 0) == [(2, 0), (1, 0), (0, 0)]
+    assert within(10, _axis_steps, 3, 0) == 2
+
+
+def test_a_map_one_cell_wide_or_high_loads():
+    assert load("racetrack v1\nwidth 3 height 1\n@.*\n", is_text=True).goals == {(2, 0)}
+    assert load("racetrack v1\nwidth 1 height 3\n@\n.\n*\n", is_text=True).goals == {(0, 2)}
+
+
 def test_load_rejects_bad_maps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a racetrack v1 file$"):
         load("racetrack v2\n", is_text=True)
     with pytest.raises(ValueError):
         load("racetrack v1\n", is_text=True)
@@ -29,6 +44,15 @@ def test_load_rejects_bad_maps():
         load("racetrack v1\nwidth 3 height 1\n@..\n", is_text=True)
     with pytest.raises(ValueError):  # short row
         load("racetrack v1\nwidth 4 height 1\n@.*\n", is_text=True)
+
+
+def test_tracks_compare_by_identity_before_and_after_a_successor_call():
+    a, b = right_turn_track(), right_turn_track()
+    assert a != b
+    a.successors(a.start_state(a.starts[0]))     # fills one side's memo
+    assert a == a and a != b
+    with pytest.raises(TypeError):
+        racetrack.RacetrackInstance(3, 1, [[False] * 3], [(0, 0)], {(2, 0)}, _succ_cache={})
 
 
 def test_acceleration_adds_to_velocity_then_position():

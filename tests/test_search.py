@@ -376,6 +376,20 @@ def test_path_to_rejects_unknown_target():
         path_to(graph, 4)
 
 
+def test_path_to_rejects_a_broken_parent_chain():
+    domain = chain_domain(5)
+    graph, _ = build(domain, 0, 2)
+    graph.nodes[1].parent = None
+    with pytest.raises(ValueError, match="no parent chain from 2 back to the root"):
+        path_to(graph, 2)
+
+
+def test_a_node_repr_names_its_state_costs_and_safety():
+    # the invariant checks print nodes in their failure messages
+    graph, _ = build(chain_domain(5), 0, 1)
+    assert repr(graph.nodes[1]) == "SearchNode(1, g=1.0, h=3.0, UNKNOWN)"
+
+
 def test_diamond_keeps_first_discovered_equal_g_parent():
     # two equal-cost paths r->a->t and r->b->t; successor order fixes the tree
     succ = {"r": [("ra", "a", 1.0), ("rb", "b", 1.0)],
