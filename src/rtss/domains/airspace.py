@@ -19,7 +19,7 @@ and each code maps to the (delta, new altitude) moves it allows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -43,23 +43,34 @@ def collision_probability(altitude: int, p_obs: float) -> float:
     return 1.0 - (1.0 - p_obs) ** altitude
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AirspaceInstance:
     """Immutable Airspace world; also the domain handle for the planners.
 
     Obstacle rows cover altitudes 2..max_altitude (row index a - 2). States
     are (d, a) tuples; goal states have d == length (overshoot is clamped).
+    Built from a bool grid of shape (max_altitude - 1, length), True =
+    blocked, which it keeps packed at one bit per cell.
     """
 
     length: int
     max_altitude: int
     p_obs: float
     seed: int
-    obstacles: np.ndarray  # bool, shape (max_altitude - 1, length); True = blocked
+    grid: InitVar[np.ndarray]
 
+    # np.packbits(grid, axis=1), read-only: row r holds altitude r + 2, cell
+    # d is bit 7 - d % 8 of byte d // 8, and each row is zero-padded to
+    # whole bytes
+    _packed: np.ndarray = field(init=False, repr=False)
     # a -> (one move code per column, the (delta, a2) moves of each code)
     _move_ok: dict = field(default_factory=dict, init=False, repr=False)
     _free_cols: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self, grid: np.ndarray) -> None:
+        packed = np.packbits(grid, axis=1)
+        packed.flags.writeable = False
+        object.__setattr__(self, "_packed", packed)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -72,31 +83,39 @@ class AirspaceInstance:
     def start(self) -> tuple[int, int]:
         return (0, 0)
 
-    def _valid_move(self, a1: int, a2: int) -> np.ndarray:
-        """Per-column legality of the move altitude a1 -> a2 (True = legal).
-
-        The segment spans a2 columns (the step advances by the new
-        altitude); the altitude over column d+k is interpolated linearly
-        and rounded half up. Columns at or beyond the goal line and rows
-        at altitude <= 1 are always clear.
-        """
-        span = a2
-        length = self.length
-        ok = np.ones(length, dtype=bool)
-        for k in range(1, min(span + 1, length)):
-            alt_k = ((a1 * span + (a2 - a1) * k) * 2 + span) // (2 * span)
-            if alt_k >= 2:
-                ok[:length - k] &= ~self.obstacles[alt_k - 2, k:]
-        return ok
+    @property
+    def obstacles(self) -> np.ndarray:
+        """The bool grid the instance was built from, unpacked on each call
+        into a read-only array."""
+        grid = np.unpackbits(self._packed, axis=1, count=self.length).view(bool)
+        grid.flags.writeable = False
+        return grid
 
     def _move_table(self, a: int) -> tuple:
         """Build and keep altitude a's move table: the column codes as
-        bytes, and per code its (delta, a2) moves in action order."""
+        bytes, and per code its (delta, a2) moves in action order.
+
+        A move a -> a2 spans a2 columns (the step advances by the new
+        altitude); the altitude over column d+k is interpolated linearly
+        and rounded half up, so it lies within a-1..a+1. Bit i of column
+        d's code is set when every cell the i-th move sweeps from d is
+        clear. Columns at or beyond the goal line and rows at altitude
+        <= 1 are always clear.
+        """
+        length = self.length
         moves = [(delta, a + delta) for delta in _DELTAS
                  if 0 <= a + delta <= self.max_altitude]
-        codes = np.zeros(self.length, dtype=np.uint8)
+        low = max(a - 1, 2)
+        # the swept rows' clear cells, altitude low + i in row i
+        clear = np.unpackbits(self._packed[low - 2:a], axis=1, count=length) == 0
+        codes = np.zeros(length, dtype=np.uint8)
         for i, (_delta, a2) in enumerate(moves):
-            codes |= self._valid_move(a, a2).astype(np.uint8) << i
+            ok = np.ones(length, dtype=bool)
+            for k in range(1, min(a2 + 1, length)):
+                alt_k = ((a * a2 + (a2 - a) * k) * 2 + a2) // (2 * a2)
+                if alt_k >= 2:
+                    ok[:length - k] &= clear[alt_k - low, k:]
+            codes |= ok.astype(np.uint8) << i
         # bytes index to small ints in one step and cost a byte per column
         table = self._move_ok[a] = (codes.tobytes(), tuple(
             tuple(move for i, move in enumerate(moves) if code >> i & 1)
@@ -157,7 +176,8 @@ class AirspaceInstance:
             if altitude <= 1:
                 cols = np.arange(self.length)
             else:
-                cols = np.flatnonzero(~self.obstacles[altitude - 2])
+                row = np.unpackbits(self._packed[altitude - 2], count=self.length)
+                cols = np.flatnonzero(row == 0)
             self._free_cols[altitude] = cols
         return cols
 
@@ -198,8 +218,8 @@ def generate(length: int, max_altitude: int, p_obs: float, seed: int) -> Airspac
     """
     _check_parameters(length, max_altitude, p_obs)
     rows = max_altitude - 1
-    obstacles = uniform_below(seed, rows * length, p_obs).reshape(rows, length)
-    return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
+    grid = uniform_below(seed, rows * length, p_obs).reshape(rows, length)
+    return AirspaceInstance(length, max_altitude, p_obs, seed, grid)
 
 
 @dataclass(frozen=True)
@@ -279,9 +299,10 @@ def load_instance(path_or_text: str, *, is_text: bool = False) -> AirspaceInstan
     body = lines[2:2 + rows]
     if len(body) != rows:
         raise ValueError(f"expected {rows} grid rows, found {len(body)}")
-    obstacles = np.zeros((rows, length), dtype=bool)
     for r, row in enumerate(body):
         if len(row) != length or set(row) - {".", "#"}:
             raise ValueError(f"bad grid row {r}: {row!r}")
-        obstacles[r] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("#")
-    return AirspaceInstance(length, max_altitude, p_obs, seed, obstacles)
+    # every row is checked, so the grid is as large as the body, whatever
+    # the header declares
+    grid = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8) == ord("#")
+    return AirspaceInstance(length, max_altitude, p_obs, seed, grid.reshape(rows, length))

@@ -13,9 +13,12 @@ has passed unmutated. The mutated module's own test module runs first,
 then the other unit modules, then the modules that run experiment grids:
 a mutant that loops forever in a whole episode or a grid would otherwise
 hold its run to the time limit before the unit test that kills it runs.
-Every mutant that survives or runs past the limit is printed with its
-line; a killed one prints nothing. pytest collects only test_*.py, so it
-never runs this file.
+A mutant that runs past the limit while sharing the machine may only be
+slow, so once the pool has drained each such mutant runs once more, alone,
+under the same limit: it is hung only if it runs past the limit again.
+Every mutant that survives or hangs is printed with its line, a slow
+survivor as `SURVIVED (slow)`; a killed one prints nothing. pytest
+collects only test_*.py, so it never runs this file.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,6 +71,7 @@ def mutants(source: str):
 
 
 def run(path: str, line: int, what: str, mutated: str) -> str:
+    """How tier-1 fares on the mutated source: killed, survived or hung."""
     with tempfile.TemporaryDirectory(prefix="rtss-mutant-") as scratch:
         # the whole checkout: the layout tests read README.md, for one
         copy = os.path.join(scratch, "repo")
@@ -91,8 +96,8 @@ def run(path: str, line: int, what: str, mutated: str) -> str:
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-                return f"{path}:{line}: {what}: HUNG past {TIMEOUT:g} s"
-    return "" if code else f"{path}:{line}: {what}: SURVIVED"
+                return "hung"
+    return "killed" if code else "survived"
 
 
 def main(argv=None) -> int:
@@ -105,18 +110,31 @@ def main(argv=None) -> int:
             work += [(path, *m) for m in mutants(f.read())]
     with open(os.path.join(ROOT, work[0][0]), encoding="utf-8") as f:
         baseline = run(work[0][0], 0, "unmutated", f.read())
-    if not baseline.endswith("SURVIVED"):
-        print(f"the suite does not pass unmutated: {baseline or 'it failed'}")
+    if baseline != "survived":
+        print("the suite does not pass unmutated: it "
+              + ("fails" if baseline == "killed" else f"runs past {TIMEOUT:g} s"))
         return 2
     print(f"{len(work)} mutants", flush=True)
-    alive = 0
+    counts = Counter()
+
+    def report(mutant, verdict: str, label: str) -> None:
+        counts[verdict] += 1
+        if verdict != "killed":
+            print(f"{mutant[0]}:{mutant[1]}: {mutant[2]}: {label}", flush=True)
+
+    slow = []
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        for verdict in pool.map(lambda w: run(*w), work):
-            if verdict:
-                alive += 1
-                print(verdict, flush=True)
-    print(f"{len(work) - alive} killed, {alive} survived or hung")
-    return 1 if alive else 0
+        for mutant, verdict in zip(work, pool.map(lambda w: run(*w), work)):
+            if verdict == "hung":
+                slow.append(mutant)
+            else:
+                report(mutant, verdict, "SURVIVED")
+    for mutant in slow:
+        verdict = run(*mutant)
+        report(mutant, verdict,
+               "SURVIVED (slow)" if verdict == "survived" else f"HUNG past {TIMEOUT:g} s")
+    print(f"{counts['killed']} killed, {counts['survived']} survived, {counts['hung']} hung")
+    return 1 if counts["survived"] or counts["hung"] else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +55,45 @@ def test_generation_works_in_blocks_not_full_length_temporaries():
     assert peak < 1_000_000
 
 
+def test_a_generated_grid_keeps_one_bit_per_cell():
+    # 19 rows of 10000 cells: 190,000 B as bools, 23,750 B packed
+    tracemalloc.start()
+    try:
+        inst = generate(10000, 20, 0.05, 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64_000
+    assert inst.obstacles.shape == (19, 10000)
+
+
+def test_an_instance_and_its_obstacle_grid_are_read_only():
+    inst = generate(40, 5, 0.3, 77)
+    text = inst.to_text()
+    with pytest.raises(ValueError, match="read-only"):
+        inst.obstacles[0, 0] = not inst.obstacles[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.obstacles[:] = False
+    with pytest.raises(FrozenInstanceError):
+        inst.length = 20
+    assert inst.to_text() == text
+
+
+@pytest.mark.parametrize("length, max_altitude", [
+    (1, 5), (7, 5), (8, 5), (9, 5), (2001, 4), (9, 1)])
+def test_rows_of_any_length_keep_their_padding_out_of_sight(length, max_altitude):
+    # rows are packed into whole bytes; the padding bits read as clear, so
+    # a column at or past the goal line would show up as a free cell
+    inst = generate(length, max_altitude, 0.9, 3)
+    assert inst.obstacles.shape == (max_altitude - 1, length)
+    text = inst.to_text()
+    assert load_instance(text, is_text=True).to_text() == text
+    for a in range(2, max_altitude + 1):
+        assert inst.free_columns(a).tolist() == np.flatnonzero(~inst.obstacles[a - 2]).tolist()
+    _assert_all_states_match_the_grid(inst)
+    _assert_successors_match_the_oracle(inst)
+
+
 def test_generation_parameter_validation():
     with pytest.raises(ValueError):
         generate(10, 3, 1.0, 1)
@@ -83,6 +122,41 @@ def test_loader_rejects_malformed_input():
     with pytest.raises(ValueError):
         load_instance("airspace v1\nlength 4 maxAltitude 3 pObs 0.1 seed 1\n..|.\n....\n",
                       is_text=True)
+
+
+@st.composite
+def _airspace_texts(draw):
+    """A well-formed airspace text, its header keys in any order, with up
+    to three characters then replaced, inserted or deleted, in the grid
+    rows or anywhere."""
+    length, max_altitude = draw(st.integers(1, 9)), draw(st.sampled_from((3, 4, 2, 1)))
+    header = draw(st.permutations([
+        f"length {length}", f"maxAltitude {max_altitude}",
+        f"pObs {draw(st.sampled_from(('0', '0.25', '-0.0', '1e-3')))}",
+        f"seed {draw(st.integers(-3, 1000))}"]))
+    rows = [draw(st.text(".#", min_size=length, max_size=length))
+            for _ in range(max_altitude - 1)]
+    top = "airspace v1\n" + " ".join(header) + "\n"
+    text = top + "".join(row + "\n" for row in rows)
+    for _ in range(draw(st.integers(0, 3))):
+        low = draw(st.sampled_from((min(len(top), len(text)), 0)))
+        i = draw(st.integers(low, len(text)))
+        new = draw(st.sampled_from(("", ".", "#", "x", " ", "\n", "\r", "0", "9", "-")))
+        text = text[:i] + new + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(text=st.one_of(_airspace_texts(), st.text(max_size=60)))
+def test_loader_either_rejects_a_text_or_writes_it_back(text):
+    try:
+        inst = load_instance(text, is_text=True)
+    except ValueError:
+        return
+    out = inst.to_text()
+    assert load_instance(out, is_text=True).to_text() == out
+    # the grid rows come through as they were read
+    assert out.splitlines()[2:] == text.splitlines()[2:inst.max_altitude + 1]
 
 
 def test_instances_compare_by_identity_and_keep_their_memos_out_of_the_constructor():
@@ -115,8 +189,9 @@ def test_interpolated_collision_omits_the_climb():
     # climbing from (10, 2) to (13, 3) sweeps column 12 at altitude 2.67,
     # which rounds half-up to 3: an obstacle there forbids the action
     inst = generate(50, 5, 0.0, 1)
-    inst.obstacles[3 - 2, 12] = True
-    inst._move_ok.clear()
+    grid = inst.obstacles.copy()
+    grid[3 - 2, 12] = True
+    inst = replace(inst, grid=grid)
     actions = {a for a, _s, _c in inst.successors((10, 2))}
     assert airspace.CLIMB not in actions
     assert airspace.KEEP in actions and airspace.DIVE in actions
@@ -134,11 +209,10 @@ def test_boxed_state_is_a_terminal_dead_end():
     inst = generate(30, 3, 0.0, 1)
     # wall out every move from (10, 2): climb sweeps (11,2?)... block all
     # three target corridors at their first swept columns
-    inst.obstacles[:] = False
-    inst.obstacles[0, 11] = True   # altitude 2, column 11: blocks keep's sweep
-    inst.obstacles[1, 11] = True   # altitude 3, column 11: blocks climb
-    inst._move_ok.clear()
-    inst._free_cols.clear()
+    grid = np.zeros_like(inst.obstacles)
+    grid[0, 11] = True   # altitude 2, column 11: blocks keep's sweep
+    grid[1, 11] = True   # altitude 3, column 11: blocks climb
+    inst = replace(inst, grid=grid)
     succs = inst.successors((10, 2))
     # dive to altitude 1 is always clear, so only the two upper moves vanish
     assert {a for a, _s, _c in succs} == {airspace.DIVE}
@@ -225,8 +299,10 @@ def test_stats_on_a_blocked_and_a_boxed_in_altitude():
     # altitude 4 is blocked everywhere, so it yields no sample; altitude 3's
     # only free cell, (5, 3), has every move swept through a blocked cell
     inst = generate(20, 4, 0.0, 1)
-    inst.obstacles[1:] = True
-    inst.obstacles[1, 5] = False
+    grid = inst.obstacles.copy()
+    grid[1:] = True
+    grid[1, 5] = False
+    inst = replace(inst, grid=grid)
     assert inst.successors((5, 3)) == []
     blocked_row, boxed_row = reversed(safety_proof_stats(inst, 7, seed=2))
     assert (blocked_row.altitude, blocked_row.samples) == (4, 0)
@@ -265,6 +341,7 @@ def test_move_validity_matches_rational_interpolation_oracle():
     # is a1 + (a2-a1)*k/span rounded half up, and the move is valid iff no
     # sampled cell at altitude >= 2 is an obstacle
     inst = generate(80, 7, 0.3, 31)
+    grid = inst.obstacles
     for d in range(0, 75):
         for a1 in range(0, 8):
             for a2 in (a1 - 1, a1, a1 + 1):
@@ -275,25 +352,31 @@ def test_move_validity_matches_rational_interpolation_oracle():
                     alt = Fraction(a1) + Fraction(a2 - a1) * k / a2
                     alt_r = int(alt + Fraction(1, 2))
                     x = d + k
-                    if alt_r >= 2 and x < 80 and inst.obstacles[alt_r - 2, x]:
+                    if alt_r >= 2 and x < 80 and grid[alt_r - 2, x]:
                         ok = False
                         break
-                assert bool(inst._valid_move(a1, a2)[d]) == ok
+                assert _legal(inst, d, a1, a2) == ok
 
 
 def test_interpolation_depends_only_on_swept_cells():
     # the validity of a move is a pure function of the sampled cell set:
-    # clearing unrelated cells cannot change it
+    # flipping unrelated cells cannot change it
     inst = generate(60, 6, 0.4, 21)
     moves = [(d, a, a + delta) for d in (5, 17, 30) for a in (2, 3, 4)
              for delta in (-1, 0, 1) if 0 <= a + delta <= 6]
-    baseline = {(d, a1, a2): bool(inst._valid_move(a1, a2)[d]) for d, a1, a2 in moves}
-    inst2 = generate(60, 6, 0.4, 21)
-    inst2.obstacles[4, 55] = False  # far-away cell
-    inst2._move_ok.clear()
+    baseline = {(d, a1, a2): _legal(inst, d, a1, a2) for d, a1, a2 in moves}
+    grid = inst.obstacles.copy()
+    grid[4, 55] = not grid[4, 55]  # far-away cell
+    inst2 = replace(inst, grid=grid)
+    assert inst2.obstacles[4, 55] != inst.obstacles[4, 55]
     for (d, a1, a2), ok in baseline.items():
         if 55 not in range(d + 1, d + a2 + 1):
-            assert bool(inst2._valid_move(a1, a2)[d]) == ok
+            assert _legal(inst2, d, a1, a2) == ok
+
+
+def _legal(inst, d, a1, a2):
+    """Whether the move a1 -> a2 from column d is among the successors."""
+    return any(a == a2 for _delta, (_x, a), _c in inst.successors((d, a1)))
 
 
 def _successor_oracle(inst, state):
@@ -302,6 +385,7 @@ def _successor_oracle(inst, state):
     d, a = state
     if d >= inst.length:
         return []
+    grid = inst.obstacles
     out = []
     for delta in (airspace.CLIMB, airspace.KEEP, airspace.DIVE):
         a2 = a + delta
@@ -311,7 +395,7 @@ def _successor_oracle(inst, state):
         for k in range(1, a2 + 1):
             alt = int(a + Fraction(a2 - a) * k / a2 + Fraction(1, 2))
             x = d + k
-            if alt >= 2 and x < inst.length and inst.obstacles[alt - 2, x]:
+            if alt >= 2 and x < inst.length and grid[alt - 2, x]:
                 clear = False
                 break
         if clear:
@@ -321,8 +405,9 @@ def _successor_oracle(inst, state):
 
 def _assert_all_states_match_the_grid(inst):
     # every clear cell, altitude-major, then the goal line
+    grid = inst.obstacles
     expect = [(d, a) for a in range(inst.max_altitude + 1) for d in range(inst.length)
-              if a <= 1 or not inst.obstacles[a - 2, d]]
+              if a <= 1 or not grid[a - 2, d]]
     expect += [(inst.length, a) for a in range(inst.max_altitude + 1)]
     states = inst.all_states()
     assert states == expect
@@ -343,17 +428,18 @@ def test_successors_match_an_exact_oracle_before_and_after_mutation(
         length, max_altitude, p_obs, seed):
     inst = generate(length, max_altitude, p_obs, seed)
     _assert_successors_match_the_oracle(inst)
-    if inst.obstacles.size:
-        # flip cells after the tables were built, clear the caches the way
-        # the tests above do, and check the fresh tables
+    grid = inst.obstacles.copy()
+    if grid.size:
+        # flip cells of a copy after the tables were built, and check the
+        # tables of an instance built from it
         rng = SplitMix64(seed)
-        for _ in range(1 + inst.obstacles.size // 8):
-            r = rng.randrange(inst.obstacles.shape[0])
+        for _ in range(1 + grid.size // 8):
+            r = rng.randrange(grid.shape[0])
             c = rng.randrange(length)
-            inst.obstacles[r, c] = not inst.obstacles[r, c]
-        inst._move_ok.clear()
-        inst._free_cols.clear()
-        _assert_successors_match_the_oracle(inst)
+            grid[r, c] = not grid[r, c]
+        mutated = replace(inst, grid=grid)
+        assert not np.array_equal(mutated.obstacles, inst.obstacles)
+        _assert_successors_match_the_oracle(mutated)
 
 
 def test_successor_oracle_sweep_covers_the_edges():

@@ -197,7 +197,12 @@ def test_one_line_instance_file_exits_two(tmp_path, capsys, head):
     ("racetrack v1\nwidth 3 height 1\n@x*\n", "error: unknown map character 'x' at (1,0)"),
     ("airspace v1\nlength 4 maxAltitude 3 pObs 0.1 seed 1\n....\n",
      "error: expected 2 grid rows, found 1"),
-], ids=["racetrack-missing-row", "racetrack-unknown-character", "airspace-missing-row"])
+    # the rows are checked before any grid is built: 10^11 columns of two
+    # rows would take 186 GiB
+    ("airspace v1\nlength 100000000000 maxAltitude 3 pObs 0.1 seed 1\n..\n..\n",
+     "error: bad grid row 0: '..'"),
+], ids=["racetrack-missing-row", "racetrack-unknown-character", "airspace-missing-row",
+        "airspace-huge-length"])
 def test_bad_instance_body_exits_two_naming_it(tmp_path, capsys, text, message):
     path = tmp_path / "inst.txt"
     path.write_text(text)
