@@ -49,19 +49,17 @@ class AirspaceInstance:
 
     Obstacle rows cover altitudes 2..max_altitude (row index a - 2). States
     are (d, a) tuples; goal states have d == length (overshoot is clamped).
-    Built from a bool grid of shape (max_altitude - 1, length), True =
-    blocked, which it keeps packed at one bit per cell.
     """
 
     length: int
     max_altitude: int
     p_obs: float
     seed: int
-    grid: InitVar[np.ndarray]
+    grid: InitVar[np.ndarray]  # bool, shape (max_altitude - 1, length); True = blocked
 
-    # np.packbits(grid, axis=1), read-only: row r holds altitude r + 2, cell
-    # d is bit 7 - d % 8 of byte d // 8, and each row is zero-padded to
-    # whole bytes
+    # the grid at one bit per cell, read-only: np.packbits(grid, axis=1), so
+    # cell d of a row is bit 7 - d % 8 of its byte d // 8, and each row is
+    # zero-padded to whole bytes
     _packed: np.ndarray = field(init=False, repr=False)
     # a -> (one move code per column, the (delta, a2) moves of each code)
     _move_ok: dict = field(default_factory=dict, init=False, repr=False)
