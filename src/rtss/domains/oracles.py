@@ -14,58 +14,55 @@ STATE_LIMIT = 10_000_000
 
 def reachable_states(domain, roots: Iterable) -> dict:
     """Forward closure of roots under the successor relation: each state,
-    in breadth-first order, mapped to its successor list."""
+    in breadth-first order, mapped to its predecessors in the closure (one
+    entry per edge), listed as the sweep runs."""
     limit = STATE_LIMIT
-    edges = dict.fromkeys(roots)
-    frontier = deque(edges)
+    preds = {s: [] for s in roots}
+    frontier = deque(preds)
     while frontier:
         s = frontier.popleft()
-        edges[s] = succs = domain.successors(s)
-        for _a, s2, _c in succs:
-            if s2 not in edges:
-                if len(edges) >= limit:
-                    raise ValueError(f"state space exceeds the {limit} oracle guard")
-                edges[s2] = None
+        for _a, s2, _c in domain.successors(s):
+            into = preds.get(s2)
+            if into is not None:
+                into.append(s)
+            elif len(preds) >= limit:
+                raise ValueError(f"state space exceeds the {limit} oracle guard")
+            else:
+                preds[s2] = [s]
                 frontier.append(s2)
-    return edges
+    return preds
 
 
 def true_safe_set(domain, states: Optional[Iterable] = None,
                   roots: Optional[Iterable] = None) -> set:
-    """States with a true path to some goal: backward reachability from the
-    goals over the reversed successor relation of the enumerated space.
-    Rooted, it reads each state's successors from the enumeration, so it
-    calls successors once per reachable state."""
-    successors = domain.successors
+    """States with a true path to some goal: a backward walk from the goals
+    over the predecessor lists of the enumerated space. Rooted, the forward
+    sweep lists them, so successors is called once per reachable state; it
+    lists a goal's out-edges too, which changes no set, as every goal is
+    safe before the walk meets it in a list. Over explicit states, only the
+    non-goals' edges are listed, and a goal outside the states that one of
+    them reaches still counts."""
+    if states is None and roots is None and hasattr(domain, "all_states"):
+        states = domain.all_states()
     if states is not None:
-        states = dict.fromkeys(states)      # ordered, and the membership index
+        preds = {s: [] for s in states}
+        if len(preds) > STATE_LIMIT:
+            raise ValueError(f"state space exceeds the {STATE_LIMIT} oracle guard")
+        for s in [s for s in preds if not domain.is_goal(s)]:
+            for _a, s2, _c in domain.successors(s):
+                into = preds.get(s2)
+                if into is not None:
+                    into.append(s)
+                elif domain.is_goal(s2):
+                    preds[s2] = [s]
     elif roots is not None:
-        states = reachable_states(domain, roots)
-        successors = states.__getitem__
-    elif hasattr(domain, "all_states"):
-        states = dict.fromkeys(domain.all_states())
+        preds = reachable_states(domain, roots)
     else:
         raise ValueError("need either an explicit state list or roots")
-    if len(states) > STATE_LIMIT:
-        raise ValueError(f"state space exceeds the {STATE_LIMIT} oracle guard")
-    reverse: dict = {}
-    goals = []
-    for s in states:
-        if domain.is_goal(s):
-            goals.append(s)
-            continue
-        for _a, s2, _c in successors(s):
-            if s2 in states:
-                reverse.setdefault(s2, []).append(s)
-            elif domain.is_goal(s2):
-                # goal discovered outside the enumeration: still a target
-                reverse.setdefault(s2, []).append(s)
-                goals.append(s2)
-    safe = set(goals)
-    frontier = deque(goals)
+    safe = {s for s in preds if domain.is_goal(s)}
+    frontier = deque(safe)
     while frontier:
-        v = frontier.popleft()
-        for u in reverse.get(v, ()):
+        for u in preds.pop(frontier.popleft()):     # frees each list once walked
             if u not in safe:
                 safe.add(u)
                 frontier.append(u)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import within
 from rtss.domains import racetrack
@@ -44,6 +46,34 @@ def test_load_rejects_bad_maps():
         load("racetrack v1\nwidth 3 height 1\n@..\n", is_text=True)
     with pytest.raises(ValueError):  # short row
         load("racetrack v1\nwidth 4 height 1\n@.*\n", is_text=True)
+
+
+@st.composite
+def _track_texts(draw):
+    """The right-turn map or a 4x3 one, with up to four characters then
+    replaced, inserted or deleted in the map rows, the header or anywhere."""
+    text = draw(st.sampled_from((RIGHT_TURN_TRACK,
+                                 "racetrack v1\nwidth 4 height 3\n#..*\n@..#\n@...\n")))
+    for _ in range(draw(st.integers(0, 4))):
+        rows, header = text.find("\n", text.find("\n") + 1) + 1, text.find("\n") + 1
+        i = draw(st.integers(draw(st.sampled_from((rows, header, 0))), len(text)))
+        new = draw(st.sampled_from(("", ".", "#", "*", "@", "x", " ", "\n", "0", "9", "-")))
+        text = text[:i] + new + text[i + draw(st.sampled_from((1, 0))):]
+    return text
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(text=_track_texts())
+def test_loader_either_rejects_a_text_or_loads_a_track_that_runs(text):
+    try:
+        track = load(text, is_text=True)
+    except ValueError:
+        return
+    for cell in track.starts:
+        start = track.start_state(cell)
+        assert track.h(start) >= 0
+        for _a, state, _c in track.successors(start):
+            assert track.h(state) >= 0
 
 
 def test_tracks_compare_by_identity_before_and_after_a_successor_call():
